@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, InternalCheckError
 from .gkm import find_torsion, gkm_check, phi_restrictions
-from .gysin import build_gysin_data, connecting_map_check, verify_exactness
+from .gysin import GysinData, connecting_map_check, verify_exactness
 from .intlinalg import IntMatrix, ZModule
 from .koszul_tor import (
     depth_estimate,
@@ -396,9 +396,9 @@ def _cmd_hilbert(spec: ProblemSpec):
     return result, "\n".join(lines)
 
 
-def _cmd_gkm(spec: ProblemSpec, polynomial_text: str):
+def _cmd_gkm(spec: ProblemSpec, polynomial: str):
     S = spec.require_B()
-    p = parse_polynomial(polynomial_text, spec.complex.m)
+    p = parse_polynomial(polynomial, spec.complex.m)
     t = phi_restrictions(spec.complex, S, p)
     check = gkm_check(spec.complex, S, t)
     result = {
@@ -428,11 +428,9 @@ def _parse_vertex(text: str) -> tuple:
         raise InputError(f"vertex must be a list of integers, got {text!r}")
 
 
-def _cmd_find_torsion(spec: ProblemSpec, extra_name: str, vertex_text: str):
+def _cmd_find_torsion(spec: ProblemSpec, extra: str, vertex: str):
     S = spec.require_B()
-    extra = spec.form(extra_name)
-    vertex = _parse_vertex(vertex_text)
-    cert = find_torsion(spec.complex, S, extra, vertex)
+    cert = find_torsion(spec.complex, S, spec.form(extra), _parse_vertex(vertex))
     result = {
         "vertex": list(cert.vertex),
         "f": cert.f.render(),
@@ -449,9 +447,9 @@ def _cmd_find_torsion(spec: ProblemSpec, extra_name: str, vertex_text: str):
     return result, "\n".join(text)
 
 
-def _cmd_annihilate(spec: ProblemSpec, element_text: str):
+def _cmd_annihilate(spec: ProblemSpec, element: str):
     S = spec.require_B()
-    f = parse_polynomial(element_text, spec.complex.m)
+    f = parse_polynomial(element, spec.complex.m)
     witnesses = annihilator_search(spec.complex, S, f, spec.max_degree)
     result = {
         "witnesses": [
@@ -474,7 +472,7 @@ def _cmd_gysin(spec: ProblemSpec):
     if spec.split is not None and not 1 <= spec.split <= S.n:
         raise InputError(f"--split must be between 1 and {S.n}")
     split = None if spec.split is None else spec.split - 1
-    G = build_gysin_data(spec.complex, S, spec.max_degree, split=split)
+    G = GysinData(spec.complex, S, spec.max_degree, split=split)
     report = verify_exactness(G)
     connecting = connecting_map_check(G)
     result = {
@@ -580,7 +578,15 @@ _DISPATCH = {
     "check-local-free": _cmd_check_local_free,
     "check-connected": _cmd_check_connected,
     "hilbert": _cmd_hilbert,
+    "gkm": _cmd_gkm,
+    "find-torsion": _cmd_find_torsion,
+    "annihilate": _cmd_annihilate,
+    "gysin": _cmd_gysin,
 }
+
+# options every command shares; whatever else argparse returns is the
+# command's own arguments, passed to it by keyword
+_COMMON = {"command", "input", "max_degree", "rational", "json", "split"}
 
 
 def run(argv) -> int:
@@ -595,22 +601,14 @@ def run(argv) -> int:
     spec = replace(
         spec,
         max_degree=args.max_degree,
-        rational=getattr(args, "rational", False),
+        rational=args.rational,
         split=getattr(args, "split", None),
     )
     if spec.max_degree < 0 or spec.max_degree % 2:
         raise InputError(f"--max-degree must be even and nonnegative, got {spec.max_degree}")
 
-    if args.command == "gkm":
-        result, text_report = _cmd_gkm(spec, args.polynomial)
-    elif args.command == "find-torsion":
-        result, text_report = _cmd_find_torsion(spec, args.extra, args.vertex)
-    elif args.command == "annihilate":
-        result, text_report = _cmd_annihilate(spec, args.element)
-    elif args.command == "gysin":
-        result, text_report = _cmd_gysin(spec)
-    else:
-        result, text_report = _DISPATCH[args.command](spec)
+    own = {key: value for key, value in vars(args).items() if key not in _COMMON}
+    result, text_report = _DISPATCH[args.command](spec, **own)
 
     if args.json:
         sys.stdout.write(emit_json(args.command, args.input, spec.max_degree, result))

@@ -2,7 +2,8 @@
 
 Smith normal form with transformation matrices, integer kernels in
 Hermite-reduced form, cokernel structure, and homology subquotients
-ker/im presented as finitely generated abelian groups.  Everything runs
+ker/im presented as finitely generated abelian groups, with coordinates
+in a kernel basis found by echelon back-substitution.  Everything runs
 on arbitrary-precision Python ints; no floating point anywhere.
 """
 
@@ -22,9 +23,7 @@ __all__ = [
     "smith_normal_form",
     "kernel_basis",
     "cokernel_structure",
-    "homology_subquotient",
     "homology_presentation",
-    "solve",
     "SnfSolver",
     "hermite_reduce",
     "rational_rank",
@@ -333,47 +332,7 @@ def hermite_reduce(vectors, width: int) -> list:
     Rows come back with strictly increasing pivot columns, positive
     pivots, and entries above each pivot reduced into [0, pivot).
     """
-    basis = []  # echelon rows, pivot columns strictly increasing
-    pivots = []
-    for vec in vectors:
-        v = list(vec)
-        if len(v) != width:
-            raise InputError("vector width mismatch in hermite_reduce")
-        while True:
-            lead = next((c for c in range(width) if v[c]), None)
-            if lead is None:
-                break
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < lead:
-                pos += 1
-            if pos == len(pivots) or pivots[pos] > lead:
-                basis.insert(pos, v)
-                pivots.insert(pos, lead)
-                break
-            row = basis[pos]
-            a, b = row[lead], v[lead]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                g, x, y = _xgcd(a, b)
-                new_row = [x * p + y * q2 for p, q2 in zip(row, v)]
-                v = [(-(b // g)) * p + (a // g) * q2 for p, q2 in zip(row, v)]
-                basis[pos] = new_row
-    # normalize: positive pivots, then clear above-pivot entries; rows are
-    # used left to right so a later reduction never disturbs an earlier
-    # pivot column (each row is zero before its own pivot)
-    for pos, lead in enumerate(pivots):
-        if basis[pos][lead] < 0:
-            basis[pos] = [-x for x in basis[pos]]
-    for pos in range(len(basis)):
-        lead = pivots[pos]
-        p = basis[pos][lead]
-        for above in range(pos):
-            q = basis[above][lead] // p
-            if q:
-                basis[above] = [x - q * y for x, y in zip(basis[above], basis[pos])]
-    return [tuple(row) for row in basis]
+    return Lattice(width, vectors).hnf_basis()
 
 
 def kernel_basis(A: IntMatrix) -> list:
@@ -419,16 +378,14 @@ class SnfSolver:
         return self.V.apply(y)
 
 
-def solve(A: IntMatrix, b):
-    """One integer solution of A x = b, or None."""
-    return SnfSolver(A).solve(b)
-
-
 class Lattice:
     """Subgroup of Z^n spanned by added vectors, held in row echelon form.
 
-    Membership testing reduces a vector against the echelon basis with
-    divisibility checks, in the style of integer lattice arithmetic.
+    The basis rows have strictly increasing pivot columns.  Rows that are
+    already in that shape are kept as they are and in order, so a lattice
+    built from a Hermite-reduced basis has that very basis.  Coordinates
+    and membership come from back-substitution against the basis, pivot
+    by pivot, with divisibility checks.
     """
 
     __slots__ = ("n", "basis", "pivots")
@@ -469,19 +426,30 @@ class Lattice:
         for v in vectors:
             self.add(v)
 
-    def __contains__(self, vec) -> bool:
+    def coordinates(self, vec):
+        """Integer coordinates of vec in the basis, or None when vec is
+        not in the lattice."""
         v = list(vec)
         if len(v) != self.n:
-            raise InputError("vector width mismatch in Lattice membership")
+            raise InputError("vector width mismatch in Lattice.coordinates")
+        coords = []
+        start = 0
         for row, lead in zip(self.basis, self.pivots):
-            if any(v[c] for c in range(lead)):
-                return False
-            if v[lead]:
-                q, r = divmod(v[lead], row[lead])
-                if r:
-                    return False
-                v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
+            if any(v[start:lead]):
+                return None
+            q, r = divmod(v[lead], row[lead])
+            if r:
+                return None
+            if q:
+                v[lead:] = [x - q * y for x, y in zip(v[lead:], row[lead:])]
+            coords.append(q)
+            start = lead + 1
+        if any(v[start:]):
+            return None
+        return tuple(coords)
+
+    def __contains__(self, vec) -> bool:
+        return self.coordinates(vec) is not None
 
     def contains_all(self, vectors) -> bool:
         return all(v in self for v in vectors)
@@ -491,7 +459,19 @@ class Lattice:
         return len(self.basis)
 
     def hnf_basis(self) -> list:
-        return hermite_reduce(self.basis, self.n)
+        """The Hermite normal form of the basis: positive pivots, and the
+        entries above each pivot reduced into [0, pivot)."""
+        basis = [[-x for x in row] if row[lead] < 0 else list(row)
+                 for row, lead in zip(self.basis, self.pivots)]
+        # rows are used left to right, so a later reduction never disturbs
+        # an earlier pivot column (each row is zero before its own pivot)
+        for pos, lead in enumerate(self.pivots):
+            p = basis[pos][lead]
+            for above in range(pos):
+                q = basis[above][lead] // p
+                if q:
+                    basis[above] = [x - q * y for x, y in zip(basis[above], basis[pos])]
+        return [tuple(row) for row in basis]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or self.n != other.n:
@@ -507,8 +487,9 @@ class HomologyPresentation:
     """ker(d_out)/im(d_in) with generators and relations made explicit.
 
     kernel holds a Hermite-reduced basis of ker(d_out) as ambient row
-    vectors; relations expresses the columns of d_in in that basis, so
-    the group is Z^k modulo the column span of relations.
+    vectors.  relations holds the coordinates of the columns of d_in in
+    that basis, found by back-substitution against it (kernel_lattice),
+    so the group is Z^k modulo the column span of relations.
     """
 
     ambient_dim: int
@@ -519,6 +500,11 @@ class HomologyPresentation:
     @property
     def generator_count(self) -> int:
         return len(self.kernel)
+
+    def kernel_lattice(self) -> Lattice:
+        """The cycles, with the kernel rows as basis: its coordinates()
+        are generator coordinates."""
+        return Lattice(self.ambient_dim, self.kernel)
 
     def relation_lattice(self) -> Lattice:
         return Lattice(self.generator_count, self.relations.columns())
@@ -540,31 +526,22 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     if not d_out.mul(d_in).is_zero():
         raise InternalCheckError("differentials do not compose to zero")
     kernel = kernel_basis(d_out)
-    k = len(kernel)
-    if d_in.cols == 0:
-        relations = IntMatrix.zeros(k, 0)
-    else:
-        # kernel of an integer matrix is a saturated sublattice, so every
-        # image column has integer coordinates in the kernel basis
-        solver = SnfSolver(IntMatrix.from_columns(kernel, rows=d_out.cols))
-        cols = []
-        for c in range(d_in.cols):
-            x = solver.solve(d_in.column(c))
-            if x is None:
-                raise InternalCheckError("image vector escaped the kernel lattice")
-            cols.append(x)
-        relations = IntMatrix.from_columns(cols, rows=k)
+    # kernel of an integer matrix is a saturated sublattice, so every
+    # image column has integer coordinates in the kernel basis
+    lattice = Lattice(d_out.cols, kernel)  # keeps kernel as its basis
+    cols = []
+    for c in range(d_in.cols):
+        x = lattice.coordinates(d_in.column(c))
+        if x is None:
+            raise InternalCheckError("image vector escaped the kernel lattice")
+        cols.append(x)
+    relations = IntMatrix.from_columns(cols, rows=len(kernel))
     return HomologyPresentation(
         ambient_dim=d_out.cols,
         kernel=tuple(kernel),
         relations=relations,
         structure=cokernel_structure(relations),
     )
-
-
-def homology_subquotient(d_out: IntMatrix, d_in: IntMatrix) -> ZModule:
-    """Structure of ker(d_out)/im(d_in) as an abelian group."""
-    return homology_presentation(d_out, d_in).structure
 
 
 def rational_rank(A: IntMatrix) -> int:

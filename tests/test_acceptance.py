@@ -9,7 +9,7 @@ import functools
 import time
 
 from bigtor.gkm import find_torsion, phi_restrictions
-from bigtor.gysin import build_gysin_data, connecting_map_check, verify_exactness
+from bigtor.gysin import GysinData, connecting_map_check, verify_exactness
 from bigtor.intlinalg import IntMatrix, Lattice, ZModule
 from bigtor.koszul_tor import (
     euler_discrepancies,
@@ -197,7 +197,7 @@ def test_gkm_square():
 def test_gysin_suite():
     for name in ("wps12", "cp1cp1", "prod1212"):
         problem = load_problem(name)
-        G = build_gysin_data(problem.complex, problem.B, 10)
+        G = GysinData(problem.complex, problem.B, 10)
         report = verify_exactness(G)
         assert report.all_pass, (name, report.failing())
         checks = connecting_map_check(G)

@@ -1,0 +1,32 @@
+"""Byte-for-byte regression test of every command's --json output.
+
+`data/golden.json` holds one entry per command line: its arguments, with
+`--input` relative to the repository root, and the exact stdout.  The
+command lines are every command on every tests/data input at the default
+D = 12, with the polynomials, elements, forms and vertices of one seeded
+round of the corpus-commands benchmark workload.
+"""
+
+import json
+
+import pytest
+
+from bigtor import cli
+
+from conftest import DATA_DIR
+
+ROOT = DATA_DIR.parent.parent
+GOLDEN = json.loads((DATA_DIR / "golden.json").read_text())
+
+
+def case_id(case):
+    command, _, path, *rest = case["argv"]
+    rest = [a for a in rest if a not in ("--max-degree", "12", "--json")]
+    return " ".join([command, path.rsplit("/", 1)[-1], *rest])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case_id(c) for c in GOLDEN])
+def test_json_output_matches_golden(case, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]

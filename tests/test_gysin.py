@@ -3,8 +3,6 @@ import pytest
 from bigtor.errors import InputError
 from bigtor.gysin import (
     GysinData,
-    build_and_verify_exactness,
-    build_gysin_data,
     connecting_map_check,
     verify_exactness,
 )
@@ -19,13 +17,13 @@ W12 = SubgroupData(IntMatrix([[2, -1]]))
 def test_two_point_connecting_map_by_hand():
     # base ring has no forms, so Tor_0 is Z[K] itself and the connecting
     # map is literally multiplication by u1 = 2x1 - x2 on monomials
-    G = build_gysin_data(TWO_POINTS, W12, 8, split=0)
+    G = GysinData(TWO_POINTS, W12, 8, split=0)
     delta = G.delta_induced(0, 0)
     assert delta == IntMatrix([[2], [-1]])
 
 
 def test_degenerate_split_passes_everywhere():
-    report = build_and_verify_exactness(TWO_POINTS, W12, 12, split=0)
+    report = verify_exactness(GysinData(TWO_POINTS, W12, 12, split=0))
     assert report.all_pass
     assert report.failing() == ()
     assert len(report.nodes) == 3 * 2 * 7  # three terms, p in {1, 0}, 7 degrees
@@ -34,7 +32,7 @@ def test_degenerate_split_passes_everywhere():
 def test_three_corpus_inputs_pass(corpus):
     for name in ("wps12", "cp1cp1", "prod1212"):
         problem = corpus[name]
-        G = build_gysin_data(problem.complex, problem.B, 10)
+        G = GysinData(problem.complex, problem.B, 10)
         report = verify_exactness(G)
         assert report.all_pass, name
         checks = connecting_map_check(G)
@@ -44,7 +42,7 @@ def test_three_corpus_inputs_pass(corpus):
 def test_node_groups_match_tor_tables(corpus):
     problem = corpus["prod1212"]
     K, S_ext = problem.complex, problem.B
-    G = build_gysin_data(K, S_ext, 8)
+    G = GysinData(K, S_ext, 8)
     report = verify_exactness(G)
     for node in report.nodes:
         if node.term == "tor_ext" and 0 <= node.p <= S_ext.n and node.j >= 0:
@@ -55,7 +53,7 @@ def test_node_groups_match_tor_tables(corpus):
 
 def test_chain_level_maps_commute_and_anticommute(corpus):
     problem = corpus["cp1cp1"]
-    G = build_gysin_data(problem.complex, problem.B, 8)
+    G = GysinData(problem.complex, problem.B, 8)
     for j in (4, 6, 8):
         for p in range(G.n + 2):
             inc_then_d = G.ext.differential(p, j).mul(G.tau_star_matrix(p, j))
@@ -73,18 +71,18 @@ def test_chain_level_maps_commute_and_anticommute(corpus):
 def test_split_choice_is_free(corpus):
     problem = corpus["prod1212"]
     for split in (0, 1):
-        report = build_and_verify_exactness(problem.complex, problem.B, 8, split=split)
+        report = verify_exactness(GysinData(problem.complex, problem.B, 8, split=split))
         assert report.all_pass
         assert report.split_row == split
 
 
 def test_row_basis_change_leaves_verdicts_alone(corpus):
     problem = corpus["cut_k1"]
-    base = verify_exactness(build_gysin_data(problem.complex, problem.B, 8))
+    base = verify_exactness(GysinData(problem.complex, problem.B, 8))
     B = problem.B.B.to_lists()
     B[1] = [b + 2 * a for a, b in zip(B[0], B[1])]
     changed = verify_exactness(
-        build_gysin_data(problem.complex, SubgroupData(IntMatrix(B)), 8)
+        GysinData(problem.complex, SubgroupData(IntMatrix(B)), 8)
     )
     summarize = lambda r: [(n.term, n.p, n.j, n.group) for n in r.nodes]
     assert summarize(base) == summarize(changed)

@@ -12,7 +12,6 @@ from bigtor.intlinalg import (
     det,
     hermite_reduce,
     homology_presentation,
-    homology_subquotient,
     kernel_basis,
     rational_rank,
     smith_normal_form,
@@ -127,6 +126,18 @@ def test_hermite_reduce_wrong_width():
         hermite_reduce([(1, 2, 3)], 2)
 
 
+def random_hermite_basis(rng, width, count):
+    vectors = [tuple(rng.randint(-6, 6) for _ in range(width)) for _ in range(count)]
+    return hermite_reduce(vectors, width)
+
+
+def combine(coeffs, basis, width):
+    out = [0] * width
+    for c, row in zip(coeffs, basis):
+        out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def test_solver_round_trip():
     rng = random.Random(31)
     for _ in range(30):
@@ -136,11 +147,37 @@ def test_solver_round_trip():
         got = SnfSolver(A).solve(b)
         assert got is not None
         assert A.apply(got) == b
+    # back-substitution in a Hermite basis agrees with the Smith-form solve
+    for _ in range(30):
+        width = rng.randint(1, 6)
+        basis = random_hermite_basis(rng, width, rng.randint(0, 5))
+        x = tuple(rng.randint(-5, 5) for _ in basis)
+        b = combine(x, basis, width)
+        solver = SnfSolver(IntMatrix.from_columns(basis, rows=width))
+        assert Lattice(width, basis).coordinates(b) == solver.solve(b) == x
 
 
 def test_solver_reports_unsolvable():
     assert SnfSolver(IntMatrix([[2]])).solve((1,)) is None
     assert SnfSolver(IntMatrix([[2, 0], [0, 2]])).solve((1, 1)) is None
+    # off the span: outside the rational span, or an odd combination of
+    # the basis, which lies off the doubled (non-saturated) lattice
+    rng = random.Random(37)
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        basis = random_hermite_basis(rng, width, rng.randint(0, 4))
+        doubled = [tuple(2 * a for a in row) for row in basis]
+        cases = []
+        b = tuple(rng.randint(-4, 4) for _ in range(width))
+        if oracles.rational_rank(list(basis) + [b]) > len(basis):
+            cases += [(basis, b), (doubled, b)]
+        if basis:
+            x = [rng.randint(-4, 4) for _ in basis]
+            x[rng.randrange(len(x))] = 2 * rng.randint(-2, 2) + 1
+            cases.append((doubled, combine(x, basis, width)))
+        for rows, b in cases:
+            assert Lattice(width, rows).coordinates(b) is None
+            assert SnfSolver(IntMatrix.from_columns(rows, rows=width)).solve(b) is None
     with pytest.raises(InputError):
         SnfSolver(IntMatrix([[1]])).solve((1, 2))
 
@@ -150,6 +187,12 @@ def test_lattice_membership():
     assert (2, -2) in L
     assert (0, 0) in L
     assert (1, 1) not in L
+    assert L.coordinates((2, -2)) == (1, -1)
+    assert L.coordinates((1, 1)) is None
+    # a vector with an entry at a column between two pivots is outside
+    gap = Lattice(3, [(1, 0, 0), (0, 0, 1)])
+    assert gap.coordinates((2, 0, 3)) == (2, 3)
+    assert gap.coordinates((2, 1, 3)) is None
     assert L.rank == 2
     assert not Lattice(3).hnf_basis()
 
@@ -172,6 +215,13 @@ def test_lattice_equality_is_generator_independent():
         for vec in gens:
             assert vec in L
             assert tuple(-x for x in vec) in L
+        # a Hermite basis is kept as the basis, in order, and the
+        # coordinates of every generator rebuild it
+        hermite = L.hnf_basis()
+        H = Lattice(n, hermite)
+        assert [tuple(row) for row in H.basis] == hermite
+        for vec in gens:
+            assert combine(H.coordinates(vec), hermite, n) == vec
 
 
 def test_homology_presentation_known():
@@ -210,7 +260,7 @@ def test_homology_subquotient_random():
                 combo = [a + c * b for a, b in zip(combo, vec)]
             rows.append(combo)
         d_out = IntMatrix(rows, cols=mid) if rows else IntMatrix.zeros(0, mid)
-        got = homology_subquotient(d_out, d_in)
+        got = homology_presentation(d_out, d_in).structure
         rank, torsion = oracles.homology_structure(
             d_out.to_lists(), d_in.to_lists(), mid
         )
