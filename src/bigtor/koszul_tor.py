@@ -28,6 +28,8 @@ from .intlinalg import (
     Lattice,
     ZModule,
     HomologyPresentation,
+    check_complex,
+    cokernel_structure,
     homology_presentation,
     kernel_basis,
     rational_rank,
@@ -175,18 +177,43 @@ class BigradedTor:
         return max((p for (p, j), zm in self.table.items() if not zm.is_zero()), default=0)
 
 
-def tor_piece(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> ZModule:
-    """Tor_p in internal degree j, as an abelian group."""
-    return tor_presentation(K, S, p, j).structure
-
-
-def tor_presentation(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> HomologyPresentation:
+def _check_bidegree(K: SimplicialComplex, S: SubgroupData, p: int, j: int):
     if K.m != S.m:
         raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
     if p < 0 or p > S.n:
         raise InputError(f"homological degree {p} out of range 0..{S.n}")
     if j < 0 or j % 2:
         raise InputError(f"internal degree must be even and nonnegative, got {j}")
+
+
+def _tor_structure(complex_: KoszulComplex, p: int, j: int, cokernels: dict) -> ZModule:
+    """Tor_p in internal degree j from ranks and invariant factors alone.
+
+    rank = dim - rank d_out - rank d_in, and the torsion is that of
+    coker d_in: ker d_out is saturated, so every torsion class of
+    C/im d_in is a cycle.  cokernels maps (p, j) to the cokernel of that
+    differential, so a table eliminates each differential once.
+    """
+    d_out = complex_.differential(p, j)
+    d_in = complex_.differential(p + 1, j)
+    check_complex(d_out, d_in)
+    for q in (p, p + 1):
+        if (q, j) not in cokernels:
+            cokernels[(q, j)] = cokernel_structure(complex_.differential(q, j))
+    rank_out = d_out.rows - cokernels[(p, j)].rank
+    coker_in = cokernels[(p + 1, j)]
+    rank_in = d_in.rows - coker_in.rank
+    return ZModule(d_in.rows - rank_out - rank_in, coker_in.torsion)
+
+
+def tor_piece(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> ZModule:
+    """Tor_p in internal degree j, as an abelian group."""
+    _check_bidegree(K, S, p, j)
+    return _tor_structure(_complex_for(K, S), p, j, {})
+
+
+def tor_presentation(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> HomologyPresentation:
+    _check_bidegree(K, S, p, j)
     return _complex_for(K, S).homology(p, j)
 
 
@@ -194,10 +221,13 @@ def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
     if D < 0 or D % 2:
         raise InputError(f"degree bound must be even and nonnegative, got {D}")
+    _check_bidegree(K, S, 0, 0)
+    complex_ = _complex_for(K, S)
+    cokernels = {}
     table = {}
     for p in range(S.n + 1):
         for j in range(0, D + 1, 2):
-            table[(p, j)] = tor_piece(K, S, p, j)
+            table[(p, j)] = _tor_structure(complex_, p, j, cokernels)
     return BigradedTor(n=S.n, D=D, table=table)
 
 
@@ -476,11 +506,8 @@ def rational_tor_ranks(K: SimplicialComplex, S: SubgroupData, D: int) -> dict:
     if D < 0 or D % 2:
         raise InputError(f"degree bound must be even and nonnegative, got {D}")
     complex_ = _complex_for(K, S)
-    ranks = {}
-    for p in range(S.n + 1):
-        for j in range(0, D + 1, 2):
-            dim = complex_.chain_dim(p, j)
-            r_out = rational_rank(complex_.differential(p, j))
-            r_in = rational_rank(complex_.differential(p + 1, j))
-            ranks[(p, j)] = dim - r_out - r_in
-    return ranks
+    degrees = range(0, D + 1, 2)
+    matrix_ranks = {(p, j): rational_rank(complex_.differential(p, j))
+                    for p in range(S.n + 2) for j in degrees}
+    return {(p, j): complex_.chain_dim(p, j) - matrix_ranks[(p, j)] - matrix_ranks[(p + 1, j)]
+            for p in range(S.n + 1) for j in degrees}

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .intlinalg import IntMatrix, det, rational_rank, smith_normal_form
+from .intlinalg import IntMatrix, cokernel_structure, det, rational_rank
 
 MAX_VERTICES = 64
 
@@ -221,7 +221,6 @@ def check_local_freeness(K: SimplicialComplex, S: SubgroupData) -> LocalFreeness
 
 
 def check_connected_kernel(S: SubgroupData) -> bool:
-    """True iff B maps Z^m onto Z^n, i.e. all n Smith diagonal entries
-    are 1."""
-    _, snf, _ = smith_normal_form(S.B)
-    return all(snf[i, i] == 1 for i in range(S.n))
+    """True iff B maps Z^m onto Z^n, i.e. Z^n / (column span of B) is
+    zero."""
+    return cokernel_structure(S.B).is_zero()

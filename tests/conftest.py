@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import signal
 
 import pytest
 
@@ -29,6 +31,28 @@ def corpus():
 @pytest.fixture(params=CORPUS_NAMES)
 def corpus_problem(request, corpus):
     return request.param, corpus[request.param]
+
+
+@pytest.fixture
+def budget():
+    """`with budget(seconds):` fails the test when its body runs longer
+    than seconds of wall-clock time, so a hang fails instead of stalling
+    the run.  Uses SIGALRM, so it works in the main thread only."""
+
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            pytest.fail(f"still running after its {seconds} s budget", pytrace=False)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 def pytest_terminal_summary(terminalreporter):

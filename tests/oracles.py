@@ -54,10 +54,40 @@ def det_fraction(rows):
     return int(value)
 
 
+def fp_rank(rows, p):
+    """Rank over the field F_p, p prime, by Gaussian elimination mod p.
+
+    rank over Q minus rank over F_p counts the invariant factors divisible
+    by p, which checks torsion with no entry growth at all.
+    """
+    a = [[x % p for x in r] for r in rows]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def smith_diagonal(rows):
     """Nonzero diagonal of the Smith normal form, textbook gcd chasing.
 
     Returns the invariant factors d_1 | d_2 | ... as positive integers.
+    The Euclid steps let entries grow without bound on larger inputs,
+    such as the Koszul differentials of data/growth_repro.tcx, so this
+    serves only small random matrices; check larger ones with
+    rational_rank and fp_rank.
     """
     a = [list(r) for r in rows]
     if not a or not a[0]:

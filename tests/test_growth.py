@@ -1,0 +1,91 @@
+"""Inputs on which Smith normal form by plain Euclid steps lets entries
+grow without bound: the pinned repro (data/growth_repro.tcx, at the
+default D = 12) and four random problems at D = 8 (data/fuzz_p*.tcx,
+draws 44, 78, 154 and 199 of the seeded library-fuzz stream).
+
+Each case runs the calls a library user makes on one problem under a
+2 s budget, pins the Tor table, and checks the pinned table against
+oracles that share no code with bigtor's elimination: Fraction ranks
+for the ranks, and F_p ranks for the torsion, since rank_Q - rank_Fp of
+d_in counts the invariant factors divisible by p.
+"""
+
+import pytest
+
+from bigtor.koszul_tor import (
+    KoszulComplex,
+    euler_discrepancies,
+    regular_sequence_check,
+    tor_table,
+    verdicts,
+)
+from bigtor.stanley_reisner import LinearForm
+
+import oracles
+from conftest import load_problem
+
+BUDGET_S = 2.0
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+# name -> (D, nonzero Tor pieces {(p, j): (rank, torsion)})
+CASES = {
+    "growth_repro": (12, {
+        (0, 0): (1, []), (0, 2): (2, []), (0, 4): (2, []), (0, 6): (2, []),
+        (0, 8): (2, []), (0, 10): (2, []), (0, 12): (2, []),
+    }),
+    "fuzz_p044": (8, {
+        (0, 0): (1, []), (0, 2): (0, [45]), (0, 4): (0, [45]), (0, 6): (0, [45]),
+        (0, 8): (0, [45]),
+    }),
+    "fuzz_p078": (8, {
+        (0, 0): (1, []), (0, 2): (2, []), (0, 4): (0, [175]), (0, 6): (0, [175]),
+        (0, 8): (0, [175]), (1, 6): (1, []),
+    }),
+    "fuzz_p154": (8, {
+        (0, 0): (1, []), (0, 2): (0, [33]), (0, 4): (0, [33]), (0, 6): (0, [33]),
+        (0, 8): (0, [33]),
+    }),
+    "fuzz_p199": (8, {
+        (0, 0): (1, []), (0, 2): (1, []), (0, 4): (1, []), (0, 6): (1, []),
+        (0, 8): (1, []),
+    }),
+}
+
+
+def test_budget_fails_a_hang(budget):
+    with pytest.raises(pytest.fail.Exception):
+        with budget(0.05):
+            while True:
+                pass
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_growth_case_finishes_with_pinned_table(name, budget):
+    D, expected = CASES[name]
+    with budget(BUDGET_S):
+        problem = load_problem(name)
+        table = tor_table(problem.complex, problem.B, D)
+        report = verdicts(table)
+        regular = regular_sequence_check(problem.complex, problem.B, D)
+        euler = euler_discrepancies(problem.complex, problem.B, table)
+    got = {(p, j): (z.rank, list(z.torsion)) for p, j, z in table.entries()}
+    assert got == expected
+    assert regular.regular == report.bigcm.holds()
+    assert euler == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_growth_case_matches_rank_oracles(name):
+    D, expected = CASES[name]
+    problem = load_problem(name)
+    S = problem.B
+    kc = KoszulComplex(problem.complex, [LinearForm(S.row_coefficients(i)) for i in range(S.n)])
+    for j in range(0, D + 1, 2):
+        ranks = [oracles.rational_rank(kc.differential(p, j).to_lists()) for p in range(S.n + 2)]
+        for p in range(S.n + 1):
+            rank, torsion = expected.get((p, j), (0, []))
+            assert kc.chain_dim(p, j) - ranks[p] - ranks[p + 1] == rank, (p, j)
+            d_in = kc.differential(p + 1, j).to_lists()
+            for prime in PRIMES:
+                divisible = sum(1 for d in torsion if d % prime == 0)
+                assert ranks[p + 1] - oracles.fp_rank(d_in, prime) == divisible, (p, j, prime)

@@ -24,6 +24,37 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+def structured_matrix(rng, units=True):
+    """Random matrix with zero rows and columns mixed in, of full or
+    deficient rank (a product through a narrow inner dimension), with
+    non-unit entries; with units=False no entry is +-1, so the unit-pivot
+    pass finds nothing and the residual carries everything."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    values = [-6, -4, -3, -2, 0, 0, 2, 3, 4, 6] if not units else list(range(-6, 7))
+    if rng.random() < 0.5:
+        A = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    else:
+        inner = rng.randint(0, min(rows, cols))
+        left = [[rng.choice(values) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.choice((-1, 0, 1, 2)) for _ in range(cols)] for _ in range(inner)]
+        A = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if inner else [0] * cols
+             for row in left]
+        if not units:
+            A = [[2 * x for x in row] for row in A]
+    for _ in range(rng.randint(0, 2)):
+        A.insert(rng.randint(0, len(A)), [0] * cols)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, cols)
+        A = [row[:at] + [0] + row[at:] for row in A]
+        cols += 1
+    return IntMatrix(A, cols=cols)
+
+
+def structured_matrices(seed, count=60):
+    rng = random.Random(seed)
+    return [structured_matrix(rng, units=k % 4 != 0) for k in range(count)]
+
+
 def test_zmodule_str():
     assert str(ZModule(0, ())) == "0"
     assert str(ZModule(1, ())) == "Z"
@@ -81,12 +112,24 @@ def test_kernel_basis_random():
             assert all(x == 0 for x in A.apply(v))
         assert len(basis) == A.cols - oracles.rational_rank(A.to_lists())
         assert kernel_basis(A) == basis
+    # the Hermite normal form of a lattice is unique, so the engine must
+    # return the very rows the Smith-form transform V gives
+    for A in structured_matrices(71):
+        _, S, V = smith_normal_form(A)
+        rank = sum(1 for i in range(min(S.rows, S.cols)) if S[i, i])
+        expected = hermite_reduce([V.column(c) for c in range(rank, A.cols)], A.cols)
+        assert kernel_basis(A) == expected
+    no_units = IntMatrix([[2, 4, 6], [4, 8, 12], [0, 0, 0]])
+    assert kernel_basis(no_units) == [(1, 1, -1), (0, 3, -2)]
 
 
 def test_cokernel_structure_known():
     assert cokernel_structure(IntMatrix([[2, 0], [0, 3]])) == ZModule(0, (6,))
     assert cokernel_structure(IntMatrix([[2, 4]])) == ZModule(0, (2,))
     assert cokernel_structure(IntMatrix.zeros(2, 0)) == ZModule(2, ())
+    # no +-1 entry anywhere: the residual is the whole matrix
+    assert cokernel_structure(IntMatrix([[2, 4], [6, 8]])) == ZModule(0, (2, 4))
+    assert cokernel_structure(IntMatrix([[2, 4, 6], [4, 8, 12], [0, 0, 0]])) == ZModule(2, (2,))
 
 
 def test_cokernel_structure_random():
@@ -96,6 +139,14 @@ def test_cokernel_structure_random():
         got = cokernel_structure(A)
         rank, torsion = oracles.cokernel_invariants(A.to_lists(), A.rows)
         assert (got.rank, list(got.torsion)) == (rank, torsion)
+    for A in structured_matrices(72):
+        got = cokernel_structure(A)
+        rank, torsion = oracles.cokernel_invariants(A.to_lists(), A.rows)
+        assert (got.rank, list(got.torsion)) == (rank, torsion)
+        rank_q = oracles.rational_rank(A.to_lists())
+        for p in (2, 3, 5):
+            divisible = sum(1 for d in got.torsion if d % p == 0)
+            assert rank_q - oracles.fp_rank(A.to_lists(), p) == divisible
 
 
 def test_hermite_reduce_shape_and_span():
@@ -280,6 +331,11 @@ def test_det_matches_oracle():
         n = rng.randint(1, 5)
         A = random_matrix(rng, n, n)
         assert det(A) == oracles.det_fraction(A.to_lists())
+    for A in structured_matrices(73, count=200):
+        if A.rows == A.cols:
+            assert det(A) == oracles.det_fraction(A.to_lists())
+    assert det(IntMatrix([[2, 4], [6, 8]])) == -8
+    assert det(IntMatrix([[0, 2], [3, 0]])) == -6
     assert det(IntMatrix.zeros(0, 0)) == 1
     with pytest.raises(InputError):
         det(IntMatrix.zeros(2, 3))
