@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import InputError, InternalCheckError
-from .gkm import find_torsion, gkm_check, phi_restrictions
 from .gysin import GysinData, connecting_map_check, verify_exactness
 from .intlinalg import IntMatrix, ZModule
 from .koszul_tor import (
@@ -397,6 +396,9 @@ def _cmd_hilbert(spec: ProblemSpec):
 
 
 def _cmd_gkm(spec: ProblemSpec, polynomial: str):
+    # gkm is imported on use, so the other commands do not pay to load it
+    from .gkm import gkm_check, phi_restrictions
+
     S = spec.require_B()
     p = parse_polynomial(polynomial, spec.complex.m)
     t = phi_restrictions(spec.complex, S, p)
@@ -429,6 +431,8 @@ def _parse_vertex(text: str) -> tuple:
 
 
 def _cmd_find_torsion(spec: ProblemSpec, extra: str, vertex: str):
+    from .gkm import find_torsion
+
     S = spec.require_B()
     cert = find_torsion(spec.complex, S, spec.form(extra), _parse_vertex(vertex))
     result = {

@@ -12,6 +12,14 @@ connecting homomorphism of the long exact sequence equal to plain
 multiplication by u_{n+1}; tau_* then anticommutes with the
 differentials, which changes no kernel or image.
 
+Both maps only copy or sign coordinates, so they are kept as signed
+index maps (the chain maps of a reduction are index bookkeeping:
+Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Exactness of the
+short sequence is then a statement about index sets, and the chain-map
+identities are checked column by column on sparse differentials.  Only
+the generic snake-chase lift builds tau_* as a matrix, for its Smith
+normal form solve.
+
 Every induced map on homology is computed on explicit kernel-basis
 generators, and exactness at a node is an equality of two coordinate
 lattices, so the verification is exact integer arithmetic end to end.
@@ -19,22 +27,14 @@ lattices, so the verification is exact integer arithmetic end to end.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
-from .intlinalg import (
-    IntMatrix,
-    Lattice,
-    SnfSolver,
-    ZModule,
-    cokernel_structure,
-    kernel_basis,
-)
+from .intlinalg import IntMatrix, Lattice, SnfSolver, ZModule, cokernel_structure, kernel_basis
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData
-from .stanley_reisner import LinearForm
+from .stanley_reisner import LinearForm, mult_matrix
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,43 @@ class GysinReport:
         return tuple(node for node in self.nodes if not node.ok)
 
 
+class IndexMap(NamedTuple):
+    """A signed coordinate map: source basis vector k goes to sign times
+    target basis vector target[k] when k is a key, and to 0 otherwise.
+    dim is the dimension of the target."""
+
+    target: dict
+    sign: int
+    dim: int
+
+    def __call__(self, vec) -> tuple:
+        out = [0] * self.dim
+        for k, t in self.target.items():
+            x = vec[k]
+            if x:
+                out[t] += self.sign * x
+        return tuple(out)
+
+    def push(self, column: dict) -> dict:
+        """Image of a sparse vector (dict index -> entry), zeros dropped."""
+        out = {}
+        for k, x in column.items():
+            t = self.target.get(k)
+            if t is not None:
+                out[t] = out.get(t, 0) + self.sign * x
+        return {t: x for t, x in out.items() if x}
+
+
+def _scaled(column: dict, factor: int) -> dict:
+    return {r: factor * x for r, x in column.items()}
+
+
 class GysinData:
     """Chain-level data for the sequence, verified on construction.
 
     split is the 0-based row of B-tilde taken as u_{n+1}; the remaining
-    rows, in order, are the base forms.
+    rows, in order, are the base forms.  The instance owns its caches:
+    index maps, presentations and induced maps are each computed once.
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
@@ -95,124 +127,157 @@ class GysinData:
         base_forms = [LinearForm(tuple(row)) for row in base_rows]
         self.base = KoszulComplex(K, base_forms)
         self.ext = KoszulComplex(K, base_forms + [self.split_form])
+        self._cache = {}  # (kind, p, j) -> index map, presentation or induced map
         self._verify_chain_level()
+
+    def _memo(self, key, build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     # --- chain-level maps -------------------------------------------------
 
-    @functools.lru_cache(maxsize=None)
-    def tau_star_matrix(self, p: int, j: int) -> IntMatrix:
-        """Inclusion C_{p,j} -> C~_{p,j} (subsets avoiding n+1)."""
-        rows = self.ext.chain_dim(p, j)
-        cols = self.base.chain_dim(p, j)
-        out = [[0] * cols for _ in range(rows)]
-        if cols:
+    def tau_star(self, p: int, j: int) -> IndexMap:
+        """Inclusion C_{p,j} -> C~_{p,j}: each subset avoiding n+1 keeps
+        its block of monomial coordinates."""
+        return self._memo(("tau*", p, j), lambda: self._tau_star(p, j))
+
+    def _tau_star(self, p: int, j: int) -> IndexMap:
+        target = {}
+        if self.base.chain_dim(p, j):
             block = len(self.base.coefficient_basis(p, j))
             ext_index = {S: k for k, S in enumerate(self.ext.subsets(p))}
-            for si, S in enumerate(self.base.subsets(p)):
-                r0 = ext_index[S] * block
-                c0 = si * block
-                for t in range(block):
-                    out[r0 + t][c0 + t] = 1
-        return IntMatrix(out, cols=cols)
+            target = {si * block + t: ext_index[S] * block + t
+                      for si, S in enumerate(self.base.subsets(p)) for t in range(block)}
+        return IndexMap(target, 1, self.ext.chain_dim(p, j))
 
-    @functools.lru_cache(maxsize=None)
-    def tau_lower_matrix(self, p: int, j: int) -> IntMatrix:
-        """Signed xi_{n+1} component C~_{p,j} -> C_{p-1,j-2}."""
-        rows = self.base.chain_dim(p - 1, j - 2)
-        cols = self.ext.chain_dim(p, j)
-        out = [[0] * cols for _ in range(rows)]
-        if rows and cols:
-            sign = -1 if (p - 1) % 2 else 1
-            block = rows // len(self.base.subsets(p - 1))
+    def tau_lower(self, p: int, j: int) -> IndexMap:
+        """Signed xi_{n+1} component C~_{p,j} -> C_{p-1,j-2}: the block of
+        S + (n+1,) goes to the block of S with sign (-1)^(p-1)."""
+        return self._memo(("tau_*", p, j), lambda: self._tau_lower(p, j))
+
+    def _tau_lower(self, p: int, j: int) -> IndexMap:
+        target = {}
+        dim = self.base.chain_dim(p - 1, j - 2)
+        if dim and self.ext.chain_dim(p, j):
+            block = dim // len(self.base.subsets(p - 1))
             base_index = {S: k for k, S in enumerate(self.base.subsets(p - 1))}
             top = self.n + 1
-            for si, S in enumerate(self.ext.subsets(p)):
-                if top not in S:
-                    continue
-                T = tuple(i for i in S if i != top)
-                r0 = base_index[T] * block
-                c0 = si * block
-                for t in range(block):
-                    out[r0 + t][c0 + t] = sign
-        return IntMatrix(out, cols=cols)
+            target = {si * block + t: base_index[S[:-1]] * block + t
+                      for si, S in enumerate(self.ext.subsets(p)) if S[-1] == top
+                      for t in range(block)}
+        return IndexMap(target, -1 if (p - 1) % 2 else 1, dim)
 
     def _verify_chain_level(self):
-        """SES exactness and the (anti)commutation identities, for every
-        bidegree in the window."""
+        """SES exactness by index bookkeeping and the (anti)commutation
+        identities column by column, for every bidegree in the window."""
+        columns = {}  # (complex, p, j) -> sparse columns of its differential
+
+        def d(complex_, p, j):
+            key = (complex_, p, j)
+            if key not in columns:
+                columns[key] = complex_.differential(p, j).sparse_columns()
+            return columns[key]
+
         for j in range(0, self.D + 1, 2):
             for p in range(self.n + 2):
-                inc = self.tau_star_matrix(p, j)
-                proj = self.tau_lower_matrix(p, j)
-                if kernel_basis(inc):
+                inc = self.tau_star(p, j)
+                proj = self.tau_lower(p, j)
+                image = set(inc.target.values())
+                if (inc.sign not in (1, -1) or len(image) != len(inc.target)
+                        or inc.target.keys() != set(range(self.base.chain_dim(p, j)))):
                     raise InternalCheckError(f"inclusion not injective at (p={p}, j={j})")
-                if not cokernel_structure(proj).is_zero():
+                low_dim = self.base.chain_dim(p - 1, j - 2)
+                if proj.sign not in (1, -1) or set(proj.target.values()) != set(range(low_dim)):
                     raise InternalCheckError(f"projection not surjective at (p={p}, j={j})")
-                if not proj.mul(inc).is_zero():
+                if not image.isdisjoint(proj.target):
                     raise InternalCheckError(f"projection after inclusion nonzero at (p={p}, j={j})")
-                ker = Lattice(proj.cols, kernel_basis(proj))
-                image = Lattice(inc.rows, inc.columns())
-                if ker != image:
+                # ker tau_* is spanned by the non-xi_{n+1} indices exactly
+                # when tau_* is injective on the xi_{n+1} indices
+                if (len(proj.target) != low_dim
+                        or image | proj.target.keys() != set(range(self.ext.chain_dim(p, j)))):
                     raise InternalCheckError(
                         f"chain-level exactness fails at (p={p}, j={j})"
                     )
-                d_base = self.base.differential(p, j)
-                d_ext = self.ext.differential(p, j)
-                lhs = d_ext.mul(inc)
-                rhs = self.tau_star_matrix(p - 1, j).mul(d_base)
-                if lhs != rhs:
-                    raise InternalCheckError(f"inclusion is not a chain map at (p={p}, j={j})")
-                lhs2 = self.tau_lower_matrix(p - 1, j).mul(d_ext)
-                rhs2 = self.base.differential(p - 1, j - 2).mul(proj).scaled(-1)
-                if lhs2 != rhs2:
-                    raise InternalCheckError(
-                        f"projection does not anticommute at (p={p}, j={j})"
-                    )
+                d_base = d(self.base, p, j)
+                d_ext = d(self.ext, p, j)
+                inc_below = self.tau_star(p - 1, j)
+                for k, t in inc.target.items():
+                    if _scaled(d_ext[t], inc.sign) != inc_below.push(d_base[k]):
+                        raise InternalCheckError(f"inclusion is not a chain map at (p={p}, j={j})")
+                proj_below = self.tau_lower(p - 1, j)
+                d_low = d(self.base, p - 1, j - 2)
+                for e, column in enumerate(d_ext):
+                    k = proj.target.get(e)
+                    rhs = {} if k is None else _scaled(d_low[k], -proj.sign)
+                    if proj_below.push(column) != rhs:
+                        raise InternalCheckError(
+                            f"projection does not anticommute at (p={p}, j={j})"
+                        )
 
     # --- homology and induced maps ---------------------------------------
 
-    @functools.lru_cache(maxsize=None)
     def base_pres(self, p: int, j: int):
-        if j < 0:
-            j = -2  # canonical empty degree; chain groups vanish
-        return self.base.homology(p, j)
+        j = max(j, -2)  # canonical empty degree; chain groups vanish
+        return self._memo(("base", p, j), lambda: self.base.homology(p, j))
 
-    @functools.lru_cache(maxsize=None)
     def ext_pres(self, p: int, j: int):
-        if j < 0:
-            j = -2
-        return self.ext.homology(p, j)
+        j = max(j, -2)
+        return self._memo(("ext", p, j), lambda: self.ext.homology(p, j))
 
-    def induced(self, chain_map: IntMatrix, src, tgt) -> IntMatrix:
+    def induced(self, chain_map, src, tgt) -> IntMatrix:
         """Matrix of the induced map on homology, generator to
-        target-kernel coordinates."""
+        target-kernel coordinates; chain_map takes and returns dense
+        coordinate tuples."""
         cycles = tgt.kernel_lattice()
         cols = []
         for vec in src.kernel:
-            x = cycles.coordinates(chain_map.apply(vec))
+            x = cycles.coordinates(chain_map(vec))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
 
     def tau_star_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(
-            self.tau_star_matrix(p, j), self.base_pres(p, j), self.ext_pres(p, j)
-        )
+        return self._memo(("tau* on H", p, j), lambda: self.induced(
+            self.tau_star(p, j), self.base_pres(p, j), self.ext_pres(p, j)
+        ))
 
     def tau_lower_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(
-            self.tau_lower_matrix(p, j), self.ext_pres(p, j), self.base_pres(p - 1, j - 2)
-        )
+        return self._memo(("tau_* on H", p, j), lambda: self.induced(
+            self.tau_lower(p, j), self.ext_pres(p, j), self.base_pres(p - 1, j - 2)
+        ))
 
     def delta_induced(self, p: int, j: int) -> IntMatrix:
         """Connecting map H_p(C)_{j} -> H_p(C)_{j+2} as multiplication
         by the split form on representatives."""
+        return self._memo(("delta on H", p, j), lambda: self._delta_induced(p, j))
+
+    def _delta_induced(self, p: int, j: int) -> IntMatrix:
         src = self.base_pres(p, j)
         tgt = self.base_pres(p, j + 2)
         if p < 0 or j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        mult = self.base.multiplication_map(self.split_form, p, j)
-        return self.induced(mult, src, tgt)
+        # block diagonal over the exterior subsets, one block per subset
+        block = mult_matrix(self.K, self.split_form, j - 2 * p)
+        block_columns = block.sparse_columns()
+        width = block.cols
+        blocks = len(self.base.subsets(p))
+
+        def multiply(vec):
+            out = [0] * (block.rows * blocks)
+            for s in range(blocks):
+                r0 = s * block.rows
+                c0 = s * width
+                for c, column in enumerate(block_columns):
+                    x = vec[c0 + c]
+                    if x:
+                        for r, v in column.items():
+                            out[r0 + r] += x * v
+            return tuple(out)
+
+        return self.induced(multiply, src, tgt)
 
     def delta_by_chase(self, p: int, j: int, wedge_lift: bool = False) -> IntMatrix:
         """The same connecting map via the snake-lemma chase.
@@ -226,58 +291,54 @@ class GysinData:
         tgt = self.base_pres(p, j + 2)
         if j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        proj = self.tau_lower_matrix(p + 1, j + 2)
-        d_ext = self.ext.differential(p + 1, j + 2)
-        inc = self.tau_star_matrix(p, j + 2)
-        inc_cols = Lattice(inc.rows, inc.columns())
-        solver = SnfSolver(proj) if not wedge_lift else None
+        proj = self.tau_lower(p + 1, j + 2)
+        inc = self.tau_star(p, j + 2)
+        xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
+        d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
+        solver = None if wedge_lift else SnfSolver(_dense(proj, len(d_ext)))
         cycles = tgt.kernel_lattice()
         cols = []
         for vec in src.kernel:
             if wedge_lift:
-                w = self._wedge(vec, p, j)
-                if tuple(proj.apply(w)) != tuple(vec):
+                w = self._wedge(vec, proj, len(d_ext))
+                if proj(w) != tuple(vec):
                     raise InternalCheckError("wedge lift does not project back")
             else:
                 w = solver.solve(vec)
                 if w is None:
                     raise InternalCheckError("projection failed to lift a cycle")
-            y = d_ext.apply(w)
-            if tuple(y) not in inc_cols:
+            y = {}
+            for e, x in enumerate(w):
+                if x:
+                    for r, v in d_ext[e].items():
+                        y[r] = y.get(r, 0) + x * v
+            if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
-            coords = cycles.coordinates(self._strip(y, p, j + 2))
+            coords = cycles.coordinates(
+                tuple(inc.sign * y.get(inc.target[k], 0) for k in range(len(inc.target)))
+            )
             if coords is None:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
 
-    def _wedge(self, vec, p: int, j: int):
-        """(-1)^p times the xi_{n+1}-wedge of a base chain, written in
-        extended coordinates at (p+1, j+2)."""
-        sign = -1 if p % 2 else 1
-        block = len(self.base.coefficient_basis(p, j))
-        ext_index = {S: k for k, S in enumerate(self.ext.subsets(p + 1))}
-        out = [0] * self.ext.chain_dim(p + 1, j + 2)
-        top = self.n + 1
-        for si, S in enumerate(self.base.subsets(p)):
-            r0 = ext_index[S + (top,)] * block
-            for t in range(block):
-                value = vec[si * block + t]
-                if value:
-                    out[r0 + t] = sign * value
+    @staticmethod
+    def _wedge(vec, proj: IndexMap, dim: int) -> tuple:
+        """(-1)^p times the xi_{n+1}-wedge of a base chain at (p, j),
+        written in extended coordinates at (p+1, j+2): the inverse of
+        tau_* there, whose sign is (-1)^p."""
+        out = [0] * dim
+        for e, k in proj.target.items():
+            out[e] = proj.sign * vec[k]
         return tuple(out)
 
-    def _strip(self, y, p: int, j: int):
-        """Coordinates of an extended chain known to avoid xi_{n+1},
-        rewritten in the base chain basis."""
-        block = len(self.base.coefficient_basis(p, j))
-        ext_index = {S: k for k, S in enumerate(self.ext.subsets(p))}
-        out = [0] * self.base.chain_dim(p, j)
-        for si, S in enumerate(self.base.subsets(p)):
-            r0 = ext_index[S] * block
-            for t in range(block):
-                out[si * block + t] = y[r0 + t]
-        return tuple(out)
+
+def _dense(m: IndexMap, cols: int) -> IntMatrix:
+    """An index map as a dim x cols matrix."""
+    rows = [[0] * cols for _ in range(m.dim)]
+    for k, t in m.target.items():
+        rows[t][k] = m.sign
+    return IntMatrix(rows, cols=cols)
 
 
 def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: IntMatrix, rel3: IntMatrix):
@@ -380,7 +441,7 @@ def connecting_map_check(G: GysinData) -> dict:
     for j in range(0, G.D - 1, 2):
         for p in range(G.n + 1):
             tgt = G.base_pres(p, j + 2)
-            rel = Lattice(tgt.generator_count, tgt.relations.columns())
+            rel = tgt.relation_lattice()
             mult = G.delta_induced(p, j)
             chase = G.delta_by_chase(p, j, wedge_lift=False)
             wedge = G.delta_by_chase(p, j, wedge_lift=True)

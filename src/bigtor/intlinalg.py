@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
 
@@ -70,21 +70,33 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
 
+    @classmethod
+    def _of(cls, data: tuple, cols: int) -> "IntMatrix":
+        """Wrap a tuple of equal-length int tuples without converting or
+        checking it; for results the class computes itself."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", len(data))
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "_entries", data)
+        return matrix
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == k else 0 for k in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(tuple(1 if i == k else 0 for k in range(n)) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
-        cols = list(columns)
-        return cls([[col[i] for col in cols] for i in range(rows)], cols=len(cols))
+        cols = [tuple(col) for col in columns]
+        if any(len(col) != rows for col in cols):
+            raise InputError(f"columns must have {rows} entries")
+        return cls._of(tuple(zip(*cols)) if cols else ((),) * rows, len(cols))
 
     def __getitem__(self, key):
         r, c = key
@@ -103,7 +115,16 @@ class IntMatrix:
         return tuple(row[c] for row in self._entries)
 
     def columns(self) -> list:
-        return [self.column(c) for c in range(self.cols)]
+        return list(zip(*self._entries)) if self.rows else [()] * self.cols
+
+    def sparse_columns(self) -> list:
+        """Each column as a dict row -> nonzero entry."""
+        out = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._entries):
+            for c, x in enumerate(row):
+                if x:
+                    out[c][r] = x
+        return out
 
     def to_lists(self) -> list:
         """Nested-list form; round-trips exactly through the constructor."""
@@ -118,10 +139,11 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         ot = other.transpose()._entries
-        out = []
-        for row in self._entries:
-            out.append([sum(a * b for a, b in zip(row, col) if a) for col in ot])
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._of(
+            tuple(tuple(sum(a * b for a, b in zip(row, col) if a) for col in ot)
+                  for row in self._entries),
+            other.cols,
+        )
 
     __matmul__ = mul
 
@@ -129,23 +151,27 @@ class IntMatrix:
         vec = tuple(vector)
         if len(vec) != self.cols:
             raise InputError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vec) if a) for row in self._entries)
+        support = [(k, x) for k, x in enumerate(vec) if x]
+        return tuple(sum(row[k] * x for k, x in support) for row in self._entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("row counts differ in hstack")
-        return IntMatrix(
-            [list(a) + list(b) for a, b in zip(self._entries, other._entries)],
-            cols=self.cols + other.cols,
+        return IntMatrix._of(
+            tuple(a + b for a, b in zip(self._entries, other._entries)),
+            self.cols + other.cols,
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise InputError("column counts differ in vstack")
-        return IntMatrix(list(self._entries) + list(other._entries), cols=self.cols)
+        return IntMatrix._of(self._entries + other._entries, self.cols)
 
     def scaled(self, factor: int) -> "IntMatrix":
-        return IntMatrix([[factor * x for x in row] for row in self._entries], cols=self.cols)
+        factor = int(factor)
+        return IntMatrix._of(
+            tuple(tuple(factor * x for x in row) for row in self._entries), self.cols
+        )
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self._entries)
@@ -520,11 +546,17 @@ def kernel_basis(A: IntMatrix) -> list:
     The residual's kernel is read off an echelon form of [R^T | I]: the
     rows whose first entries vanish are (0, w) with R w = 0.  Each w is
     lifted through the pivot rows, last to first, which fixes the pivot
-    columns integrally.
+    columns integrally.  A pivot row is visited only when it holds a
+    column the lift has already filled in.
     """
     pivots, residual = _eliminate_units(_sparse_rows(A))
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(A.cols) if c not in pivot_cols]
+    holders = {}  # column -> pivot rows with an entry there, off their pivot
+    for i, (c, row) in enumerate(pivots):
+        for k in row:
+            if k != c:
+                holders.setdefault(k, []).append(i)
     width = len(residual)
     lattice = Lattice(width + len(free))
     for f, c in enumerate(free):
@@ -536,10 +568,22 @@ def kernel_basis(A: IntMatrix) -> list:
         if lead < width:
             continue
         v = {c: x for c, x in zip(free, vec[width:]) if x}
-        for c, row in reversed(pivots):
+        # a pivot row holds only free columns and later pivots' columns,
+        # so taking rows latest first sees every entry it depends on
+        heap = [-i for k in v for i in holders.get(k, ())]  # max-heap of rows
+        heapq.heapify(heap)
+        last = None
+        while heap:
+            i = -heapq.heappop(heap)
+            if i == last:
+                continue
+            last = i
+            c, row = pivots[i]
             s = sum(x * v[k] for k, x in row.items() if k in v)
             if s:
                 v[c] = -row[c] * s
+                for earlier in holders.get(c, ()):
+                    heapq.heappush(heap, -earlier)
         vectors.append(tuple(v.get(c, 0) for c in range(A.cols)))
     return hermite_reduce(vectors, A.cols)
 
@@ -615,12 +659,13 @@ class Lattice:
     by pivot, with divisibility checks.
     """
 
-    __slots__ = ("n", "basis", "pivots")
+    __slots__ = ("n", "basis", "pivots", "_sparse")
 
     def __init__(self, n: int, vectors=()):
         self.n = n
         self.basis = []
         self.pivots = []
+        self._sparse = None  # pivot column -> (position, row as a dict)
         for v in vectors:
             self.add(v)
 
@@ -628,6 +673,7 @@ class Lattice:
         v = list(vec)
         if len(v) != self.n:
             raise InputError("vector width mismatch in Lattice.add")
+        self._sparse = None
         while True:
             lead = next((c for c in range(self.n) if v[c]), None)
             if lead is None:
@@ -656,23 +702,40 @@ class Lattice:
     def coordinates(self, vec):
         """Integer coordinates of vec in the basis, or None when vec is
         not in the lattice."""
-        v = list(vec)
-        if len(v) != self.n:
+        if len(vec) != self.n:
             raise InputError("vector width mismatch in Lattice.coordinates")
-        coords = []
-        start = 0
-        for row, lead in zip(self.basis, self.pivots):
-            if any(v[start:lead]):
+        if self._sparse is None:
+            self._sparse = {
+                lead: (pos, {c: x for c, x in enumerate(row) if x})
+                for pos, (row, lead) in enumerate(zip(self.basis, self.pivots))
+            }
+        rows = self._sparse
+        # clear the nonzero entries of vec from the left; a basis row only
+        # touches columns at or right of its pivot, so a column once
+        # passed stays clear, and one with no pivot row cannot be cleared
+        v = {c: x for c, x in enumerate(vec) if x}
+        heap = list(v)
+        heapq.heapify(heap)
+        coords = [0] * len(self.basis)
+        while heap:
+            c = heapq.heappop(heap)
+            x = v[c]
+            if not x:
+                continue
+            hit = rows.get(c)
+            if hit is None:
                 return None
-            q, r = divmod(v[lead], row[lead])
+            pos, row = hit
+            q, r = divmod(x, row[c])
             if r:
                 return None
-            if q:
-                v[lead:] = [x - q * y for x, y in zip(v[lead:], row[lead:])]
-            coords.append(q)
-            start = lead + 1
-        if any(v[start:]):
-            return None
+            coords[pos] = q
+            for k, y in row.items():
+                if k not in v:
+                    heapq.heappush(heap, k)
+                    v[k] = -q * y
+                else:
+                    v[k] -= q * y
         return tuple(coords)
 
     def __contains__(self, vec) -> bool:
@@ -723,6 +786,7 @@ class HomologyPresentation:
     kernel: tuple
     relations: IntMatrix
     structure: ZModule
+    _cycles: Lattice = field(repr=False, compare=False)
 
     @property
     def generator_count(self) -> int:
@@ -730,8 +794,9 @@ class HomologyPresentation:
 
     def kernel_lattice(self) -> Lattice:
         """The cycles, with the kernel rows as basis: its coordinates()
-        are generator coordinates."""
-        return Lattice(self.ambient_dim, self.kernel)
+        are generator coordinates.  The one lattice the presentation was
+        built with; callers must not add to it."""
+        return self._cycles
 
     def relation_lattice(self) -> Lattice:
         return Lattice(self.generator_count, self.relations.columns())
@@ -752,8 +817,8 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     # image column has integer coordinates in the kernel basis
     lattice = Lattice(d_out.cols, kernel)  # keeps kernel as its basis
     cols = []
-    for c in range(d_in.cols):
-        x = lattice.coordinates(d_in.column(c))
+    for column in d_in.columns():
+        x = lattice.coordinates(column)
         if x is None:
             raise InternalCheckError("image vector escaped the kernel lattice")
         cols.append(x)
@@ -763,6 +828,7 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
         kernel=tuple(kernel),
         relations=relations,
         structure=cokernel_structure(relations),
+        _cycles=lattice,
     )
 
 

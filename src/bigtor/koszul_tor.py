@@ -126,24 +126,6 @@ class KoszulComplex:
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
 
-    def multiplication_map(self, u: LinearForm, p: int, j: int) -> IntMatrix:
-        """Chain-level multiplication by u, C_{p,j} -> C_{p,j+2}
-        (block diagonal over the exterior subsets)."""
-        subsets = self.subsets(p)
-        if j - 2 * p < 0:
-            return IntMatrix.zeros(self.chain_dim(p, j + 2), 0)
-        block = mult_matrix(self.K, u, j - 2 * p)
-        rows = block.rows * len(subsets)
-        cols = block.cols * len(subsets)
-        out = [[0] * cols for _ in range(rows)]
-        for k in range(len(subsets)):
-            for r in range(block.rows):
-                row = block.row(r)
-                for c, value in enumerate(row):
-                    if value:
-                        out[k * block.rows + r][k * block.cols + c] = value
-        return IntMatrix(out, cols=cols)
-
 
 def _forms_of(S: SubgroupData) -> tuple:
     return tuple(LinearForm(S.row_coefficients(i)) for i in range(S.n))

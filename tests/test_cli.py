@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import bigtor
 from bigtor import cli
 from bigtor.errors import InternalCheckError
 
@@ -238,3 +241,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "j=4:" in proc.stdout
+
+
+def test_cli_import_leaves_gkm_unloaded():
+    # only gkm and find-torsion need gkm; every other command skips
+    # compiling it at start-up
+    src = str(pathlib.Path(bigtor.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bigtor.cli; print('bigtor.gkm' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

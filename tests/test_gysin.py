@@ -1,14 +1,18 @@
+import gc
+import weakref
+
 import pytest
 
-from bigtor.errors import InputError
+from bigtor.errors import InputError, InternalCheckError
 from bigtor.gysin import (
     GysinData,
     connecting_map_check,
     verify_exactness,
 )
 from bigtor.intlinalg import IntMatrix
-from bigtor.koszul_tor import tor_piece
+from bigtor.koszul_tor import KoszulComplex, tor_piece
 from bigtor.simplicial import SubgroupData, build_complex
+from bigtor.stanley_reisner import monomial_basis
 
 TWO_POINTS = build_complex(2, [(1,), (2,)])
 W12 = SubgroupData(IntMatrix([[2, -1]]))
@@ -51,21 +55,154 @@ def test_node_groups_match_tor_tables(corpus):
             assert node.group == tor_piece(K, G.S_base, node.p, node.j)
 
 
+def _dense_tau_star(G, p, j):
+    """tau* at (p, j) as a matrix, built from subsets() and block sizes
+    alone: the block of each base subset goes to the same subset's block."""
+    cols = G.base.chain_dim(p, j)
+    out = [[0] * cols for _ in range(G.ext.chain_dim(p, j))]
+    if cols:
+        block = cols // len(G.base.subsets(p))
+        ext_subsets = G.ext.subsets(p)
+        for si, S in enumerate(G.base.subsets(p)):
+            r0 = ext_subsets.index(S) * block
+            for t in range(block):
+                out[r0 + t][si * block + t] = 1
+    return IntMatrix(out, cols=cols)
+
+
+def _dense_tau_lower(G, p, j):
+    """tau_* at (p, j) as a matrix: the block of S + (n+1,) goes to the
+    block of S at (p-1, j-2) with sign (-1)^(p-1)."""
+    cols = G.ext.chain_dim(p, j)
+    rows = G.base.chain_dim(p - 1, j - 2)
+    out = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        block = rows // len(G.base.subsets(p - 1))
+        base_subsets = G.base.subsets(p - 1)
+        for si, S in enumerate(G.ext.subsets(p)):
+            if G.n + 1 in S:
+                r0 = base_subsets.index(S[:-1]) * block
+                for t in range(block):
+                    out[r0 + t][si * block + t] = (-1) ** (p - 1)
+    return IntMatrix(out, cols=cols)
+
+
 def test_chain_level_maps_commute_and_anticommute(corpus):
     problem = corpus["cp1cp1"]
     G = GysinData(problem.complex, problem.B, 8)
     for j in (4, 6, 8):
         for p in range(G.n + 2):
-            inc_then_d = G.ext.differential(p, j).mul(G.tau_star_matrix(p, j))
-            d_then_inc = G.tau_star_matrix(p - 1, j).mul(G.base.differential(p, j))
+            inc_then_d = G.ext.differential(p, j).mul(_dense_tau_star(G, p, j))
+            d_then_inc = _dense_tau_star(G, p - 1, j).mul(G.base.differential(p, j))
             assert inc_then_d == d_then_inc
-            proj_then_d = G.tau_lower_matrix(p, j).mul(G.ext.differential(p + 1, j))
-            d_then_proj = (
-                G.base.differential(p, j - 2).mul(G.tau_lower_matrix(p + 1, j))
-            )
+            proj_then_d = _dense_tau_lower(G, p, j).mul(G.ext.differential(p + 1, j))
+            d_then_proj = G.base.differential(p, j - 2).mul(_dense_tau_lower(G, p + 1, j))
             assert proj_then_d == d_then_proj.scaled(-1)
-            composite = G.tau_lower_matrix(p, j).mul(G.tau_star_matrix(p, j))
+            composite = _dense_tau_lower(G, p, j).mul(_dense_tau_star(G, p, j))
             assert composite.is_zero()
+
+
+def test_index_maps_match_the_dense_maps(corpus):
+    problem = corpus["prod1212"]
+    G = GysinData(problem.complex, problem.B, 8, split=0)
+    for j in range(0, 9, 2):
+        for p in range(G.n + 2):
+            basis = IntMatrix.identity(G.base.chain_dim(p, j))
+            assert IntMatrix.from_columns(
+                [G.tau_star(p, j)(col) for col in basis.columns()], G.ext.chain_dim(p, j)
+            ) == _dense_tau_star(G, p, j)
+            basis = IntMatrix.identity(G.ext.chain_dim(p, j))
+            assert IntMatrix.from_columns(
+                [G.tau_lower(p, j)(col) for col in basis.columns()], G.base.chain_dim(p - 1, j - 2)
+            ) == _dense_tau_lower(G, p, j)
+
+
+def _at(p0, j0, change):
+    """Wrap an index-map method so that its map at (p0, j0) is changed."""
+    def patch(original):
+        def patched(self, p, j):
+            m = original(self, p, j)
+            return change(m) if (p, j) == (p0, j0) else m
+        return patched
+    return patch
+
+
+def _without_first(m):
+    return m._replace(target={k: t for k, t in m.target.items() if k != min(m.target)})
+
+
+def _first_to(where):
+    def change(m):
+        target = dict(m.target)
+        target[min(target)] = where(m)
+        return m._replace(target=target)
+    return change
+
+
+BROKEN_MAPS = [
+    ("tau_star", _at(1, 4, _without_first), "inclusion not injective at (p=1, j=4)"),
+    ("tau_lower", _at(2, 4, _without_first), "projection not surjective at (p=2, j=4)"),
+    # cp1cp1 splits u2 off: at (p=1, j=4) the last ext index lies in the
+    # xi_2 block, the domain of tau_*
+    ("tau_star", _at(1, 4, _first_to(lambda m: m.dim - 1)),
+     "projection after inclusion nonzero at (p=1, j=4)"),
+    ("tau_star", _at(1, 4, _first_to(lambda m: m.dim)), "chain-level exactness fails at (p=1, j=4)"),
+    ("tau_star", _at(1, 4, lambda m: m._replace(sign=-m.sign)),
+     "inclusion is not a chain map at (p=1, j=4)"),
+    ("tau_lower", _at(2, 4, lambda m: m._replace(sign=-m.sign)),
+     "projection does not anticommute at (p=2, j=4)"),
+]
+
+
+@pytest.mark.parametrize("method, patch, message", BROKEN_MAPS, ids=[
+    "tau_star-dropped", "tau_lower-dropped", "tau_star-into-xi", "tau_star-out-of-range",
+    "tau_star-sign", "tau_lower-sign",
+])
+def test_broken_index_map_is_caught(corpus, monkeypatch, method, patch, message):
+    problem = corpus["cp1cp1"]
+    monkeypatch.setattr(GysinData, method, patch(getattr(GysinData, method)))
+    with pytest.raises(InternalCheckError) as caught:
+        GysinData(problem.complex, problem.B, 8)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("p, j, row, message", [
+    # column 0 at (1, 4) is xi_1 times a monomial: inside the image of tau*
+    pytest.param(1, 4, 0, "inclusion is not a chain map at (p=1, j=4)", id="included-column"),
+    # (2, 4) has the one column xi_1 xi_2; its xi_2 rows start after the
+    # xi_1 block of degree-2 monomials
+    pytest.param(2, 4, "xi_2", "projection does not anticommute at (p=2, j=4)", id="xi-row"),
+])
+def test_wrong_differential_entry_is_caught(corpus, monkeypatch, p, j, row, message):
+    problem = corpus["cp1cp1"]
+    K = problem.complex
+    if row == "xi_2":
+        row = len(monomial_basis(K, 2))
+    original = KoszulComplex.differential
+
+    def differential(self, q, i):
+        d = original(self, q, i)
+        if self.n == 2 and (q, i) == (p, j):
+            entries = d.to_lists()
+            entries[row][0] += 1
+            return IntMatrix(entries, cols=d.cols)
+        return d
+
+    monkeypatch.setattr(KoszulComplex, "differential", differential)
+    with pytest.raises(InternalCheckError) as caught:
+        GysinData(K, problem.B, 8)
+    assert str(caught.value) == message
+
+
+def test_gysin_data_is_freed(corpus):
+    problem = corpus["cp1cp1"]
+    G = GysinData(problem.complex, problem.B, 6)
+    verify_exactness(G)
+    connecting_map_check(G)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
 
 
 def test_split_choice_is_free(corpus):
