@@ -9,7 +9,8 @@ lines:
     form u3 = x2 + x3 - x4
 
 Exit codes: 0 for any computed verdict (a FAILS verdict is a result,
-not an error), 1 for bad input, 2 for internal consistency errors.
+not an error), 1 for bad input, 2 for a bug: a failed internal
+consistency check or any other exception.
 """
 
 from __future__ import annotations
@@ -18,19 +19,12 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
+# koszul_tor, gysin and gkm are imported by the commands that use them, so
+# a command does not pay at start-up to load the modules it never calls
 from .errors import InputError, InternalCheckError
-from .gysin import GysinData, connecting_map_check, verify_exactness
 from .intlinalg import IntMatrix, ZModule
-from .koszul_tor import (
-    depth_estimate,
-    rational_tor_ranks,
-    regular_sequence_check,
-    tor1_witness,
-    tor_table,
-    verdicts,
-)
 from .simplicial import (
     SimplicialComplex,
     SubgroupData,
@@ -47,8 +41,7 @@ from .stanley_reisner import (
 )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Parsed .tcx content plus the per-run options from flags."""
 
     complex: SimplicialComplex
@@ -225,6 +218,8 @@ def emit_json(command: str, input_path: str, max_degree: int, result: dict) -> s
 
 
 def _cmd_tor(spec: ProblemSpec):
+    from .koszul_tor import rational_tor_ranks, tor_table
+
     S = spec.require_B()
     D = spec.max_degree
     if spec.rational:
@@ -282,6 +277,8 @@ def _witness_json(w) -> dict:
 
 
 def _cmd_check_bigcm(spec: ProblemSpec):
+    from .koszul_tor import regular_sequence_check, tor1_witness, tor_table, verdicts
+
     S = spec.require_B()
     D = spec.max_degree
     table = tor_table(spec.complex, S, D)
@@ -321,6 +318,8 @@ def _cmd_check_bigcm(spec: ProblemSpec):
 
 
 def _cmd_check_free(spec: ProblemSpec):
+    from .koszul_tor import depth_estimate, tor_table, verdicts
+
     S = spec.require_B()
     D = spec.max_degree
     table = tor_table(spec.complex, S, D)
@@ -396,7 +395,6 @@ def _cmd_hilbert(spec: ProblemSpec):
 
 
 def _cmd_gkm(spec: ProblemSpec, polynomial: str):
-    # gkm is imported on use, so the other commands do not pay to load it
     from .gkm import gkm_check, phi_restrictions
 
     S = spec.require_B()
@@ -472,6 +470,8 @@ def _cmd_annihilate(spec: ProblemSpec, element: str):
 
 
 def _cmd_gysin(spec: ProblemSpec):
+    from .gysin import GysinData, connecting_map_check, verify_exactness
+
     S = spec.require_B()
     if spec.split is not None and not 1 <= spec.split <= S.n:
         raise InputError(f"--split must be between 1 and {S.n}")
@@ -601,9 +601,11 @@ def run(argv) -> int:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}")
-    spec = parse_problem(text)
-    spec = replace(
-        spec,
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {args.input}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        )
+    spec = parse_problem(text)._replace(
         max_degree=args.max_degree,
         rational=args.rational,
         split=getattr(args, "split", None),
@@ -629,6 +631,13 @@ def main(argv=None) -> int:
         return 1
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # anything else escaping a command is a bug too, not bad input
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

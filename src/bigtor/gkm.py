@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NotGKMError
 from .intlinalg import IntMatrix, det, rational_rank
@@ -169,8 +169,7 @@ class QPoly:
         return f"QPoly({self.render()})"
 
 
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(NamedTuple):
     """One maximal face with its column submatrix and inverse rows."""
 
     face: tuple  # vertices i_1 < ... < i_n
@@ -186,11 +185,16 @@ class VertexData:
         return QPoly.linear(self.alpha_rows[r])
 
 
-@dataclass(frozen=True)
 class GKMTuple:
     """One polynomial in the u's per maximal face, in input order."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GKMTuple is immutable")
 
     def __len__(self):
         return len(self.entries)
@@ -295,8 +299,7 @@ def phi_restrictions(K: SimplicialComplex, S: SubgroupData, p: Polynomial) -> GK
     return GKMTuple(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Pair of maximal faces sharing all but one vertex; the forms are
     the dropped variable's restriction seen from each side."""
 
@@ -328,8 +331,7 @@ def edge_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GKMCheckReport:
+class GKMCheckReport(NamedTuple):
     ok: bool
     failing_edges: tuple  # (v_index, w_index, alpha text)
 
@@ -350,8 +352,7 @@ def gkm_check(K: SimplicialComplex, S: SubgroupData, t: GKMTuple) -> GKMCheckRep
     return GKMCheckReport(ok=not failing, failing_edges=tuple(failing))
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(NamedTuple):
     """An integer combination g of u_1..u_n and the extra form, and the
     face monomial f it annihilates."""
 

@@ -27,7 +27,6 @@ lattices, so the verification is exact integer arithmetic end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
@@ -37,8 +36,7 @@ from .simplicial import SimplicialComplex, SubgroupData
 from .stanley_reisner import LinearForm, mult_matrix
 
 
-@dataclass(frozen=True)
-class LESNode:
+class LESNode(NamedTuple):
     """One exactness check: the group at a sequence position together
     with the incoming image and outgoing kernel as subgroups."""
 
@@ -51,8 +49,7 @@ class LESNode:
     ok: bool
 
 
-@dataclass(frozen=True)
-class GysinReport:
+class GysinReport(NamedTuple):
     D: int
     split_row: int
     nodes: tuple

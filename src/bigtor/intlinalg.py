@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
 
@@ -194,7 +193,6 @@ class IntMatrix:
         return f"IntMatrix([{body}])"
 
 
-@dataclass(frozen=True)
 class ZModule:
     """Finitely generated abelian group Z^rank + Z/d1 + ... with d1 | d2 | ...
 
@@ -202,20 +200,36 @@ class ZModule:
     never include 0 or 1.
     """
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion=()):
+        if rank < 0:
             raise InputError("negative rank")
-        tors = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tors)
+        tors = tuple(int(d) for d in torsion)
         for d in tors:
             if d < 2:
                 raise InputError(f"invariant factor {d} out of range (needs d >= 2)")
         for a, b in zip(tors, tors[1:]):
             if b % a != 0:
                 raise InputError(f"invariant factors {a}, {b} break the divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", tors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZModule is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ZModule)
+            and self.rank == other.rank
+            and self.torsion == other.torsion
+        )
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion))
+
+    def __repr__(self):
+        return f"ZModule(rank={self.rank}, torsion={self.torsion})"
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -772,7 +786,6 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
 class HomologyPresentation:
     """ker(d_out)/im(d_in) with generators and relations made explicit.
 
@@ -782,11 +795,18 @@ class HomologyPresentation:
     so the group is Z^k modulo the column span of relations.
     """
 
-    ambient_dim: int
-    kernel: tuple
-    relations: IntMatrix
-    structure: ZModule
-    _cycles: Lattice = field(repr=False, compare=False)
+    __slots__ = ("ambient_dim", "kernel", "relations", "structure", "_cycles")
+
+    def __init__(self, ambient_dim: int, kernel: tuple, relations: IntMatrix,
+                 structure: ZModule, cycles: Lattice):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "_cycles", cycles)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomologyPresentation is immutable")
 
     @property
     def generator_count(self) -> int:
@@ -828,7 +848,7 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
         kernel=tuple(kernel),
         relations=relations,
         structure=cokernel_structure(relations),
-        _cycles=lattice,
+        cycles=lattice,
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .intlinalg import (
@@ -49,8 +49,7 @@ HOLDS_UP_TO = "HOLDS_UP_TO"
 FAILS = "FAILS"
 
 
-@dataclass(frozen=True)
-class KoszulIndex:
+class KoszulIndex(NamedTuple):
     """Position (p, j) in the bigraded complex; q = j - p is the
     cohomological degree."""
 
@@ -62,8 +61,7 @@ class KoszulIndex:
         return self.j - self.p
 
 
-@dataclass(frozen=True)
-class KoszulCycle:
+class KoszulCycle(NamedTuple):
     """A chain at (p, j) in the kernel of the outgoing differential,
     split into one polynomial coefficient per exterior generator."""
 
@@ -136,8 +134,7 @@ def _complex_for(K: SimplicialComplex, S: SubgroupData) -> KoszulComplex:
     return KoszulComplex(K, _forms_of(S))
 
 
-@dataclass(frozen=True)
-class BigradedTor:
+class BigradedTor(NamedTuple):
     """Map (p, j) -> ZModule for 0 <= p <= n and even 0 <= j <= D."""
 
     n: int
@@ -268,8 +265,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, D: int):
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # HOLDS_UP_TO | FAILS
     bound: int
     witness: tuple = ()  # key/value pairs, JSON friendly
@@ -284,8 +280,7 @@ class Verdict:
         return f"{self.status}({detail})" if detail else self.status
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     bigcm: Verdict
     odd_vanishing: Verdict
     tor0_torsion_free: Verdict
@@ -361,8 +356,7 @@ def verdicts(table: BigradedTor) -> VerdictReport:
     )
 
 
-@dataclass(frozen=True)
-class DepthEstimate:
+class DepthEstimate(NamedTuple):
     """n minus the largest homological degree seen to be nonzero.
 
     The observed value can only drop as the bound D grows, so it is an
@@ -394,8 +388,7 @@ def depth_estimate(table: BigradedTor) -> DepthEstimate:
     return DepthEstimate(value=value, qualifier=qualifier, bound=table.D)
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(NamedTuple):
     stage: int  # which u_i failed (1-based)
     j: int  # internal degree of the annihilated class
     class_text: str
@@ -408,8 +401,7 @@ class RegularityWitness:
         )
 
 
-@dataclass(frozen=True)
-class RegularSequenceReport:
+class RegularSequenceReport(NamedTuple):
     regular: bool
     bound: int
     witness: RegularityWitness | None = None

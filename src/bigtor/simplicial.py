@@ -10,7 +10,7 @@ non-face.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import IntMatrix, cokernel_structure, det, rational_rank
@@ -39,8 +39,7 @@ def _to_vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Complex on [m] stored by its maximal faces (bitsets, input order)."""
 
     m: int
@@ -130,7 +129,6 @@ def minimal_nonfaces(K: SimplicialComplex) -> list:
     return sorted((_to_vertices(mask) for mask in found), key=lambda t: (len(t), t))
 
 
-@dataclass(frozen=True)
 class SubgroupData:
     """An n x m integer matrix B of full row rank over Q.
 
@@ -138,24 +136,34 @@ class SubgroupData:
     B[i][j] x_j; full rank makes Z[u_1, ..., u_n] a polynomial subring.
     """
 
-    B: IntMatrix
-    n: int = field(init=False)
-    m: int = field(init=False)
+    __slots__ = ("B", "n", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.B.rows)
-        object.__setattr__(self, "m", self.B.cols)
-        if self.n > self.m:
-            raise InputError(f"matrix is {self.n}x{self.m}; need no more rows than columns")
-        if rational_rank(self.B) != self.n:
+    def __init__(self, B: IntMatrix):
+        if B.rows > B.cols:
+            raise InputError(f"matrix is {B.rows}x{B.cols}; need no more rows than columns")
+        if rational_rank(B) != B.rows:
             raise InputError("matrix rows are linearly dependent over Q")
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "n", B.rows)
+        object.__setattr__(self, "m", B.cols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SubgroupData is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SubgroupData) and self.B == other.B
+
+    def __hash__(self):
+        return hash(self.B)
+
+    def __repr__(self):
+        return f"SubgroupData(B={self.B!r})"
 
     def row_coefficients(self, i: int) -> tuple:
         return self.B.row(i)
 
 
-@dataclass(frozen=True)
-class LocalFreenessReport:
+class LocalFreenessReport(NamedTuple):
     """Outcome of the vertex-submatrix determinant test."""
 
     status: str  # "PASS" | "FAIL" | "NOT_APPLICABLE"

@@ -13,21 +13,32 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import IntMatrix, ZModule, cokernel_structure, kernel_basis
 from .simplicial import SimplicialComplex, SubgroupData, all_faces, face_count_by_size
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """Integer linear form sum_j c_j x_j, of internal degree 2."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"LinearForm(coeffs={self.coeffs})"
 
     @property
     def nvars(self) -> int:
@@ -242,13 +253,18 @@ def parse_linear_form(text: str, nvars: int, var: str = "x") -> LinearForm:
     return LinearForm(tuple(coeffs))
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """All face-supported monomials of one even internal degree, in
     graded-lex order with x1 largest."""
 
-    degree: int
-    monomials: tuple
+    __slots__ = ("degree", "monomials")
+
+    def __init__(self, degree: int, monomials: tuple):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "monomials", monomials)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedBasis is immutable")
 
     def __len__(self):
         return len(self.monomials)
@@ -369,8 +385,7 @@ def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:
     return cokernel_structure(_stacked_form_matrix(K, forms, j))
 
 
-@dataclass(frozen=True)
-class AnnihilatorWitness:
+class AnnihilatorWitness(NamedTuple):
     """A homogeneous polynomial g in the u's with g * f = 0 in Z[K]."""
 
     degree: int  # internal degree of g

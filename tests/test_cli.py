@@ -64,6 +64,15 @@ def test_missing_file_is_an_input_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "case.tcx"
+    target.write_bytes(b"m = 2\n# \xff\n")
+    assert cli.main(["tor", "--input", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert "not UTF-8 text" in err
+
+
 def test_bad_flags_are_input_errors(capsys):
     assert cli.main(["tor"]) == 1
     assert cli.main(["frobnicate", "--input", path_of("wps12")]) == 1
@@ -233,6 +242,29 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
     assert "internal error" in captured.err
 
 
+def test_stray_exceptions_exit_two(monkeypatch, capsys):
+    def explode(spec):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._DISPATCH, "tor", explode)
+    code = cli.main(["tor", "--input", path_of("wps12")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("internal error: ZeroDivisionError")
+    assert "Traceback (most recent call last)" in err
+
+
+def test_replace_keeps_parsed_fields():
+    spec = cli.parse_problem((DATA_DIR / "cp1cp1.tcx").read_text())
+    flagged = spec._replace(max_degree=8, rational=True, split=2)
+    assert (flagged.max_degree, flagged.rational, flagged.split) == (8, True, 2)
+    assert flagged.complex == spec.complex
+    assert flagged.B == spec.B
+    assert flagged.extra_forms == spec.extra_forms
+    assert flagged.form("u3") == spec.form("u3")
+    assert cli.render_problem(flagged) == cli.render_problem(spec)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bigtor", "hilbert", "--input", path_of("wps12"), "--max-degree", "4"],
@@ -243,15 +275,34 @@ def test_module_entry_point_runs():
     assert "j=4:" in proc.stdout
 
 
-def test_cli_import_leaves_gkm_unloaded():
-    # only gkm and find-torsion need gkm; every other command skips
-    # compiling it at start-up
-    src = str(pathlib.Path(bigtor.__file__).resolve().parent.parent)
+SRC = str(pathlib.Path(bigtor.__file__).resolve().parent.parent)
+MODULES = sorted(
+    "bigtor." + path.stem
+    for path in pathlib.Path(bigtor.__file__).parent.glob("*.py")
+    if path.stem not in ("__init__", "__main__")
+)
+MAIN = "from bigtor import cli; cli.main({!r})"
+
+
+@pytest.mark.parametrize(
+    "code, absent, present",
+    [
+        ("import bigtor.cli", ("dataclasses", "bigtor.koszul_tor", "bigtor.gysin", "bigtor.gkm"), ()),
+        (MAIN.format(["hilbert", "--input", path_of("cp1cp1")]), ("bigtor.koszul_tor", "bigtor.gysin"), ()),
+        (MAIN.format(["tor", "--input", path_of("cp1cp1")]), ("bigtor.gysin",), ("bigtor.koszul_tor",)),
+        ("; ".join("import " + name for name in MODULES), ("dataclasses",), MODULES),
+    ],
+    ids=["import-cli", "hilbert", "tor", "every-module"],
+)
+def test_import_footprint(code, absent, present):
+    # each command loads only the modules it runs; a fresh interpreter
+    # shows what a CLI call compiles at start-up
+    script = code + "; import sys; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bigtor.cli; print('bigtor.gkm' in sys.modules)"],
+        [sys.executable, "-c", script, *absent, *present],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == repr(sorted(present))

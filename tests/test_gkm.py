@@ -111,6 +111,12 @@ def test_gkm_check_accepts_restrictions_and_constants():
     assert gkm_check(SQUARE, DELZANT, ones).ok
 
 
+def test_gkm_tuple_is_immutable():
+    t = phi("x1")
+    with pytest.raises(AttributeError):
+        t.entries = ()
+
+
 def test_gkm_check_flags_bad_tuple():
     u1 = QPoly.linear((1, 0))
     zero = QPoly.zero(2)

@@ -65,12 +65,29 @@ def test_zmodule_str():
 
 
 def test_zmodule_rejects_broken_invariant_chain():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="break the divisibility chain"):
         ZModule(0, (4, 2))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="out of range"):
         ZModule(0, (1,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="negative rank"):
         ZModule(-1)
+
+
+def test_zmodule_value_semantics():
+    a = ZModule(1, [2, 4])
+    assert a.torsion == (2, 4)
+    assert a == ZModule(1, (2, 4)) and hash(a) == hash(ZModule(1, (2, 4)))
+    assert a != ZModule(1, (2,)) and a != ZModule(2, (2, 4))
+    assert a != (1, (2, 4))
+    with pytest.raises(AttributeError):
+        a.rank = 3
+    assert len({a, ZModule(1, (2, 4)), ZModule(0)}) == 2
+
+
+def test_homology_presentation_is_immutable():
+    pres = homology_presentation(IntMatrix([[0]]), IntMatrix([[2]]))
+    with pytest.raises(AttributeError):
+        pres.kernel = ()
 
 
 def test_smith_normal_form_known_values():

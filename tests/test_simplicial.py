@@ -76,10 +76,20 @@ def test_subgroup_data_validation():
     assert S.n == 1
     assert S.m == 2
     assert S.row_coefficients(0) == (2, -1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="linearly dependent"):
         SubgroupData(IntMatrix([[1, 2], [2, 4]]))  # rank-deficient rows
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="no more rows than columns"):
         SubgroupData(IntMatrix([[1, 0], [0, 1], [1, 1]]))  # n > m
+
+
+def test_subgroup_data_value_semantics():
+    S = SubgroupData(IntMatrix([[1, 0, -2], [0, 2, -1]]))
+    same = SubgroupData(IntMatrix([[1, 0, -2], [0, 2, -1]]))
+    assert S == same and hash(S) == hash(same)
+    assert S != SubgroupData(IntMatrix([[1, 0, -2], [0, 2, 1]]))
+    assert S != S.B
+    with pytest.raises(AttributeError):
+        S.n = 3
 
 
 def test_local_freeness_pass_cases():

@@ -78,6 +78,19 @@ def test_parse_linear_form():
         parse_linear_form("x1 + 1", 4)
 
 
+def test_linear_form_value_semantics():
+    form = LinearForm([1, 0, -2])
+    assert form.coeffs == (1, 0, -2)
+    assert form == LinearForm((1, 0, -2)) and hash(form) == hash(LinearForm((1, 0, -2)))
+    assert form != LinearForm((1, 0, 2))
+    assert form != (1, 0, -2)
+    with pytest.raises(AttributeError):
+        form.coeffs = (0, 0, 0)
+    basis = monomial_basis(SQUARE, 2)
+    with pytest.raises(AttributeError):
+        basis.degree = 4
+
+
 def test_hilbert_matches_binomial_oracle():
     cases = [
         SQUARE,

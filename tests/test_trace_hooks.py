@@ -46,22 +46,34 @@ def test_every_traced_method_exists():
     assert hasattr(differential, "cache_info")  # read for koszul_tor.differential.misses
 
 
-def test_installed_tracer_sees_a_gysin_run():
-    # in a child process, because install() rebinds names in bigtor's modules
+def test_installed_tracer_sees_lazily_imported_layers():
+    # in a child process, because install() rebinds names in bigtor's modules;
+    # the commands import koszul_tor and gysin inside their handlers, so this
+    # shows that those layers are still traced and no per-layer metric reads 0
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); from layers import Tracer; "
         "tracer = Tracer().install(); from bigtor import cli; "
-        "cli.main(['gysin', '--input', sys.argv[2], '--max-degree', '4', '--json']); "
+        "codes = [cli.main([command, '--input', sys.argv[2], '--max-degree', '4', '--json']) "
+        "for command in ('tor', 'check-free', 'gysin')]; "
         "report = tracer.report(); "
-        "print(report['gysin.GysinData.induced.calls'], report['koszul_tor.differential.misses'])"
+        "print(codes, *(report[name] for name in sys.argv[3:]))"
     )
     data = pathlib.Path(__file__).resolve().parent / "data" / "cp1cp1.tcx"
+    counts = (
+        "koszul_tor.tor_table.calls",
+        "koszul_tor.verdicts.calls",
+        "gysin.GysinData.induced.calls",
+        "koszul_tor.differential.misses",
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(LAYERS.parent), str(data)],
+        [sys.executable, "-c", script, str(LAYERS.parent), str(data), *counts],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    induced, misses = proc.stdout.split()[-2:]
-    assert int(induced) > 0 and int(misses) > 0
+    line = proc.stdout.splitlines()[-1]
+    assert line.startswith("[0, 0, 0] ")
+    tor_calls, verdict_calls, induced, misses = map(int, line.split("] ")[1].split())
+    assert tor_calls == 2 and verdict_calls == 1
+    assert induced > 0 and misses > 0
