@@ -33,7 +33,7 @@ from .errors import InputError, InternalCheckError
 from .intlinalg import IntMatrix, Lattice, SnfSolver, ZModule, cokernel_structure, kernel_basis
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData
-from .stanley_reisner import LinearForm, mult_matrix
+from .stanley_reisner import LinearForm
 
 
 class LESNode(NamedTuple):
@@ -257,7 +257,7 @@ class GysinData:
         if p < 0 or j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
         # block diagonal over the exterior subsets, one block per subset
-        block = mult_matrix(self.K, self.split_form, j - 2 * p)
+        block = self.ext.mult_block(self.n + 1, j - 2 * p)
         block_columns = block.sparse_columns()
         width = block.cols
         blocks = len(self.base.subsets(p))

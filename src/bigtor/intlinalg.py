@@ -1,5 +1,11 @@
 """Exact integer linear algebra.
 
+Two matrix types: SparseMatrix, a shape plus one dict per row, holds the
+Koszul differentials and multiplication maps from assembly to the
+engine, and dense IntMatrix holds small matrices (B, relations, induced
+maps) and rendering.  Both hand the engine their rows as fresh dicts
+(sparse_rows), so a sparse matrix is never densified.
+
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
 (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); a unit pivot
@@ -8,15 +14,16 @@ identity on the pivots plus a small residual.  A fraction-free Bareiss
 pass gives the residual's rank r and a nonzero r x r minor M, and its
 invariant factors come from a Smith normal form of [R | M I] with every
 entry reduced mod M (Domich, Kannan and Trotter 1987; Cohen, GTM 138,
-section 2.4), so no entry ever exceeds M.  Kernels are lifted back
+section 2.4), so no entry ever exceeds M; a stage whose pivot is prime
+to M splits off a factor 1 at once.  Kernels are lifted back
 through the logged pivot rows and Hermite-reduced.  Homology
 subquotients ker/im are presented as finitely generated abelian groups
 with coordinates in a kernel basis found by echelon back-substitution.
 
 Smith normal form with transformation matrices remains only behind
 SnfSolver.  rational_rank is a separate sparse fraction-free
-elimination that shares no code with the engine, so the two can
-cross-check each other.  Everything runs on arbitrary-precision Python
+elimination over the same rows that shares no elimination code with the
+engine, so the two can cross-check each other.  Everything runs on arbitrary-precision Python
 ints; no floating point anywhere.
 """
 
@@ -29,6 +36,7 @@ from .errors import InputError, InternalCheckError
 
 __all__ = [
     "IntMatrix",
+    "SparseMatrix",
     "ZModule",
     "HomologyPresentation",
     "Lattice",
@@ -48,13 +56,14 @@ class IntMatrix:
     """Immutable dense matrix of arbitrary-precision integers.
 
     Rows or columns may be zero; the shape is kept explicitly so that
-    0 x n and n x 0 matrices stay distinguishable.
+    0 x n and n x 0 matrices stay distinguishable.  Entries must be ints
+    and are stored as given.
     """
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(row) for row in entries)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -115,6 +124,10 @@ class IntMatrix:
 
     def columns(self) -> list:
         return list(zip(*self._entries)) if self.rows else [()] * self.cols
+
+    def sparse_rows(self) -> list:
+        """Each row as a new dict column -> nonzero entry."""
+        return [{c: x for c, x in enumerate(row) if x} for row in self._entries]
 
     def sparse_columns(self) -> list:
         """Each column as a dict row -> nonzero entry."""
@@ -191,6 +204,115 @@ class IntMatrix:
             return f"IntMatrix([], shape=({self.rows}, {self.cols}))"
         body = ", ".join(repr(list(row)) for row in self._entries)
         return f"IntMatrix([{body}])"
+
+
+class SparseMatrix:
+    """Immutable sparse matrix of arbitrary-precision integers: a shape
+    plus one dict per row, column -> nonzero entry.
+
+    Koszul differentials and multiplication maps are assembled in this
+    form and reach the engine without ever being densified.  No zero is
+    stored, so equal matrices have equal rows.  The constructor takes
+    the row dicts as they are and checks only their number.
+    """
+
+    __slots__ = ("rows", "cols", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries):
+        data = tuple(entries)
+        if len(data) != rows:
+            raise InputError(f"declared {rows} rows, got {len(data)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_entries", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseMatrix is immutable")
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
+        return cls(rows, cols, [{} for _ in range(rows)])
+
+    def row(self, r: int) -> dict:
+        """Row r as stored, column -> nonzero entry; not to be changed."""
+        return self._entries[r]
+
+    def sparse_rows(self) -> list:
+        """A shallow copy of the stored rows, free for the caller to
+        change."""
+        return [dict(row) for row in self._entries]
+
+    def sparse_columns(self) -> list:
+        """Each column as a dict row -> nonzero entry."""
+        out = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._entries):
+            for c, x in row.items():
+                out[c][r] = x
+        return out
+
+    def columns(self) -> list:
+        """Each column as a dense tuple."""
+        return [tuple(column.get(r, 0) for r in range(self.rows))
+                for column in self.sparse_columns()]
+
+    def to_dense(self) -> IntMatrix:
+        return IntMatrix._of(
+            tuple(tuple(row.get(c, 0) for c in range(self.cols)) for row in self._entries),
+            self.cols,
+        )
+
+    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise InputError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        rows_in = other._entries
+        out = []
+        for row in self._entries:
+            acc = {}
+            for i, x in row.items():
+                for c, y in rows_in[i].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: x for c, x in acc.items() if x})
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def apply(self, vector) -> tuple:
+        vec = tuple(vector)
+        if len(vec) != self.cols:
+            raise InputError("vector length does not match column count")
+        return tuple(sum(x * vec[c] for c, x in row.items()) for row in self._entries)
+
+    def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.rows != other.rows:
+            raise InputError("row counts differ in hstack")
+        shift = self.cols
+        return SparseMatrix(self.rows, self.cols + other.cols, [
+            {**a, **{shift + c: x for c, x in b.items()}}
+            for a, b in zip(self._entries, other._entries)
+        ])
+
+    def scaled(self, factor: int) -> "SparseMatrix":
+        if not factor:
+            return SparseMatrix.zeros(self.rows, self.cols)
+        return SparseMatrix(self.rows, self.cols, [
+            {c: factor * x for c, x in row.items()} for row in self._entries
+        ])
+
+    def is_zero(self) -> bool:
+        return not any(self._entries)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._entries == other._entries
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}, {self.cols}, {list(self._entries)!r})"
 
 
 class ZModule:
@@ -375,10 +497,6 @@ def smith_normal_form(A: IntMatrix):
     )
 
 
-def _sparse_rows(A: IntMatrix) -> list:
-    return [{c: x for c, x in enumerate(row) if x} for row in A._entries]
-
-
 def _eliminate_units(rows: list) -> tuple:
     """Remove +-1 pivots from sparse rows (dicts column -> entry), in
     Markowitz order: lowest (row count - 1) * (column count - 1) first,
@@ -536,6 +654,8 @@ def _smith_mod(m: list, modulus: int, count: int) -> list:
             if dirty:
                 continue
             d = math.gcd(a[t][t], modulus)
+            if d == 1:
+                break  # every entry is divisible by 1: nothing to scan for
             bad = next((i for i in range(t + 1, rows) if any(x % d for x in a[i][t + 1:])), None)
             if bad is None:
                 break
@@ -554,7 +674,7 @@ def hermite_reduce(vectors, width: int) -> list:
     return Lattice(width, vectors).hnf_basis()
 
 
-def kernel_basis(A: IntMatrix) -> list:
+def kernel_basis(A: IntMatrix | SparseMatrix) -> list:
     """Z-basis of {v : A v = 0}, Hermite-reduced for determinism.
 
     The residual's kernel is read off an echelon form of [R^T | I]: the
@@ -563,7 +683,7 @@ def kernel_basis(A: IntMatrix) -> list:
     columns integrally.  A pivot row is visited only when it holds a
     column the lift has already filled in.
     """
-    pivots, residual = _eliminate_units(_sparse_rows(A))
+    pivots, residual = _eliminate_units(A.sparse_rows())
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(A.cols) if c not in pivot_cols]
     holders = {}  # column -> pivot rows with an entry there, off their pivot
@@ -602,11 +722,11 @@ def kernel_basis(A: IntMatrix) -> list:
     return hermite_reduce(vectors, A.cols)
 
 
-def cokernel_structure(A: IntMatrix) -> ZModule:
+def cokernel_structure(A: IntMatrix | SparseMatrix) -> ZModule:
     """Structure of Z^rows / column span of A: each unit pivot adds 1 to
     the rank and an invariant factor 1; the residual adds its rank and
     invariant factors, found modulo a nonzero minor."""
-    pivots, residual = _eliminate_units(_sparse_rows(A))
+    pivots, residual = _eliminate_units(A.sparse_rows())
     rank = len(pivots)
     factors = []
     if residual:
@@ -618,21 +738,15 @@ def cokernel_structure(A: IntMatrix) -> ZModule:
     return ZModule(A.rows - rank, tuple(d for d in factors if d >= 2))
 
 
-def check_complex(d_out: IntMatrix, d_in: IntMatrix):
+def check_complex(d_out: SparseMatrix | IntMatrix, d_in: SparseMatrix | IntMatrix):
     """Raise InternalCheckError unless d_out * d_in = 0, checked as one
-    sparse product."""
+    product of the two matrices as they are stored."""
     if d_out.cols != d_in.rows:
         raise InternalCheckError(
             f"chain spaces disagree: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows"
         )
-    rows_in = _sparse_rows(d_in)
-    for row in _sparse_rows(d_out):
-        acc = {}
-        for i, x in row.items():
-            for c, y in rows_in[i].items():
-                acc[c] = acc.get(c, 0) + x * y
-        if any(acc.values()):
-            raise InternalCheckError("differentials do not compose to zero")
+    if not d_out.mul(d_in).is_zero():
+        raise InternalCheckError("differentials do not compose to zero")
 
 
 class SnfSolver:
@@ -715,9 +829,14 @@ class Lattice:
 
     def coordinates(self, vec):
         """Integer coordinates of vec in the basis, or None when vec is
-        not in the lattice."""
-        if len(vec) != self.n:
+        not in the lattice.  vec is a sequence of n entries or a sparse
+        vector, a dict index -> entry."""
+        if isinstance(vec, dict):
+            v = dict(vec)
+        elif len(vec) != self.n:
             raise InputError("vector width mismatch in Lattice.coordinates")
+        else:
+            v = {c: x for c, x in enumerate(vec) if x}
         if self._sparse is None:
             self._sparse = {
                 lead: (pos, {c: x for c, x in enumerate(row) if x})
@@ -727,7 +846,6 @@ class Lattice:
         # clear the nonzero entries of vec from the left; a basis row only
         # touches columns at or right of its pivot, so a column once
         # passed stays clear, and one with no pivot row cannot be cleared
-        v = {c: x for c, x in enumerate(vec) if x}
         heap = list(v)
         heapq.heapify(heap)
         coords = [0] * len(self.basis)
@@ -825,7 +943,8 @@ class HomologyPresentation:
         return tuple(coords) in self.relation_lattice()
 
 
-def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresentation:
+def homology_presentation(d_out: SparseMatrix | IntMatrix,
+                          d_in: SparseMatrix | IntMatrix) -> HomologyPresentation:
     """Presentation of ker(d_out)/im(d_in).
 
     Requires d_out * d_in = 0; anything else means the complex handed in
@@ -837,7 +956,7 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     # image column has integer coordinates in the kernel basis
     lattice = Lattice(d_out.cols, kernel)  # keeps kernel as its basis
     cols = []
-    for column in d_in.columns():
+    for column in d_in.sparse_columns():
         x = lattice.coordinates(column)
         if x is None:
             raise InternalCheckError("image vector escaped the kernel lattice")
@@ -852,7 +971,7 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     )
 
 
-def rational_rank(A: IntMatrix) -> int:
+def rational_rank(A: IntMatrix | SparseMatrix) -> int:
     """Rank over Q by sparse fraction-free row echelon over Z.
 
     Each row is reduced against the pivot rows found so far, keyed by
@@ -861,8 +980,7 @@ def rational_rank(A: IntMatrix) -> int:
     from the unit-pivot engine so the two can cross-check each other.
     """
     pivots = {}  # leading column -> primitive row
-    for entries in A._entries:
-        row = {c: x for c, x in enumerate(entries) if x}
+    for row in A.sparse_rows():
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

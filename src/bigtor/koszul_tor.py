@@ -9,6 +9,13 @@ preserves j.  Homology is therefore computed one internal degree at a
 time with no truncation error; only statements quantified over all j
 carry the degree bound D.
 
+Each differential is assembled straight into sparse rows from the rows
+of the multiplication blocks (Davis, Direct Methods for Sparse Linear
+Systems, 2006, ch. 2) and goes to the elimination engine as it is.  A
+KoszulComplex owns its subsets, multiplication blocks and differentials
+in an instance memo, so they are freed with it; the module keeps no
+complex alive.
+
 Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
 second, independent regular-sequence checker that never touches the
@@ -20,12 +27,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .intlinalg import (
-    IntMatrix,
     Lattice,
+    SparseMatrix,
     ZModule,
     HomologyPresentation,
     check_complex,
@@ -39,7 +47,6 @@ from .stanley_reisner import (
     GradedBasis,
     LinearForm,
     Polynomial,
-    _stacked_form_matrix,
     hilbert_coefficient,
     monomial_basis,
     mult_matrix,
@@ -71,16 +78,52 @@ class KoszulCycle(NamedTuple):
     explanation: str
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+class _memoized:
+    """Method decorator that keeps each result in the instance's own
+    _cache dict, keyed by the method name and arguments, so a result
+    lives exactly as long as its instance.  Hits and misses are counted
+    over all instances and read with cache_info(), as for
+    functools.lru_cache."""
+
+    def __init__(self, method):
+        functools.update_wrapper(self, method)
+        self.hits = self.misses = 0
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else types.MethodType(self, instance)
+
+    def __call__(self, instance, *args):
+        key = (self.__name__, *args)
+        cache = instance._cache
+        if key in cache:
+            self.hits += 1
+            return cache[key]
+        self.misses += 1
+        value = cache[key] = self.__wrapped__(instance, *args)
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses)
+
+
 class KoszulComplex:
     """Chain-level data for Z[K] tensor the exterior algebra on the
-    given linear forms."""
+    given linear forms.  The instance owns its caches: subsets,
+    multiplication blocks and differentials are each built once and
+    freed with it."""
 
     def __init__(self, K: SimplicialComplex, forms):
         self.K = K
         self.forms = tuple(forms)
         self.n = len(self.forms)
+        self._cache = {}  # (method name, *args) -> result, see _memoized
 
-    @functools.lru_cache(maxsize=None)
+    @_memoized
     def subsets(self, p: int) -> tuple:
         """Size-p subsets of {1..n} in ascending lexicographic order."""
         return tuple(itertools.combinations(range(1, self.n + 1), p))
@@ -93,33 +136,46 @@ class KoszulComplex:
             return 0
         return len(self.coefficient_basis(p, j)) * len(self.subsets(p))
 
-    @functools.lru_cache(maxsize=None)
-    def differential(self, p: int, j: int) -> IntMatrix:
+    @_memoized
+    def mult_block(self, i: int, d: int) -> SparseMatrix:
+        """Multiplication by u_i (1-based) from degree d to degree d + 2."""
+        return mult_matrix(self.K, self.forms[i - 1], d)
+
+    @_memoized
+    def differential(self, p: int, j: int) -> SparseMatrix:
         """Matrix of d: C_{p,j} -> C_{p-1,j} in the canonical bases
-        (subset-major, monomials graded-lex within each block)."""
+        (subset-major, monomials graded-lex within each block).
+
+        Assembled straight into sparse rows: the row block of T holds,
+        for each i outside T, the rows of u_i's multiplication block
+        with sign (-1)^{#{t in T : t < i}}, shifted to the column block
+        of T + {i}.  Distinct i give disjoint columns, so nothing adds.
+        """
         cols = self.chain_dim(p, j)
         rows = self.chain_dim(p - 1, j)
         if cols == 0 or rows == 0:
-            return IntMatrix.zeros(rows, cols)
-        src_subsets = self.subsets(p)
-        dst_subsets = self.subsets(p - 1)
-        dst_index = {S: k for k, S in enumerate(dst_subsets)}
+            return SparseMatrix.zeros(rows, cols)
+        d = j - 2 * p
         src_block = len(self.coefficient_basis(p, j))
         dst_block = len(self.coefficient_basis(p - 1, j))
-        out = [[0] * cols for _ in range(rows)]
-        for si, S in enumerate(src_subsets):
-            for pos, i in enumerate(S):
-                sign = -1 if pos % 2 else 1
-                T = S[:pos] + S[pos + 1:]
-                block = mult_matrix(self.K, self.forms[i - 1], j - 2 * p)
-                r0 = dst_index[T] * dst_block
-                c0 = si * src_block
-                for r in range(block.rows):
-                    row = block.row(r)
-                    for c, value in enumerate(row):
-                        if value:
-                            out[r0 + r][c0 + c] += sign * value
-        return IntMatrix(out, cols=cols)
+        src_index = {S: k for k, S in enumerate(self.subsets(p))}
+        out = []
+        for T in self.subsets(p - 1):
+            parts = []
+            pos = 0  # elements of T below i
+            for i in range(1, self.n + 1):
+                if pos < len(T) and T[pos] == i:
+                    pos += 1
+                    continue
+                S = T[:pos] + (i,) + T[pos:]
+                parts.append((self.mult_block(i, d), src_index[S] * src_block, -1 if pos % 2 else 1))
+            for r in range(dst_block):
+                row = {}
+                for block, c0, sign in parts:
+                    for c, x in block.row(r).items():
+                        row[c0 + c] = sign * x
+                out.append(row)
+        return SparseMatrix(rows, cols, out)
 
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
@@ -129,7 +185,6 @@ def _forms_of(S: SubgroupData) -> tuple:
     return tuple(LinearForm(S.row_coefficients(i)) for i in range(S.n))
 
 
-@functools.lru_cache(maxsize=None)
 def _complex_for(K: SimplicialComplex, S: SubgroupData) -> KoszulComplex:
     return KoszulComplex(K, _forms_of(S))
 
@@ -417,20 +472,17 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     """
     if D < 0 or D % 2:
         raise InputError(f"degree bound must be even and nonnegative, got {D}")
-    forms = _forms_of(S)
-    for stage in range(1, S.n + 1):
-        earlier = forms[: stage - 1]
-        u = forms[stage - 1]
+    # -[u_1 | ... | u_{stage-1}] into each degree j, one block per
+    # earlier form, grown by one block at the end of every stage
+    ideal = {j: SparseMatrix.zeros(len(monomial_basis(K, j)), 0) for j in range(0, D + 1, 2)}
+    for stage, u in enumerate(_forms_of(S), 1):
+        mults = {}
         for j in range(0, D - 1, 2):
-            mult = mult_matrix(K, u, j)
-            ideal_next = _stacked_form_matrix(K, earlier, j + 2)
-            stacked = mult.hstack(ideal_next.scaled(-1))
-            candidates = [vec[: mult.cols] for vec in kernel_basis(stacked)]
+            mult = mults[j] = mult_matrix(K, u, j)
+            candidates = [vec[: mult.cols] for vec in kernel_basis(mult.hstack(ideal[j + 2]))]
             if not candidates:
                 continue
-            ideal_here = Lattice(
-                mult.cols, _stacked_form_matrix(K, earlier, j).columns()
-            )
+            ideal_here = Lattice(mult.cols, ideal[j].columns())
             for v in candidates:
                 if v not in ideal_here:
                     basis = monomial_basis(K, j)
@@ -447,6 +499,8 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
                             form_text=u.render(),
                         ),
                     )
+        for j, mult in mults.items():
+            ideal[j + 2] = ideal[j + 2].hstack(mult.scaled(-1))
     return RegularSequenceReport(regular=True, bound=D)
 
 

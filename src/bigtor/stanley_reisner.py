@@ -16,7 +16,7 @@ import re
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, ZModule, cokernel_structure, kernel_basis
+from .intlinalg import IntMatrix, SparseMatrix, ZModule, cokernel_structure, kernel_basis
 from .simplicial import SimplicialComplex, SubgroupData, all_faces, face_count_by_size
 
 
@@ -339,10 +339,11 @@ def reduce(K: SimplicialComplex, p: Polynomial) -> Polynomial:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> IntMatrix:
+def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> SparseMatrix:
     """Matrix of multiplication by u from degree j to degree j + 2, in
-    the canonical monomial bases."""
+    the canonical monomial bases, assembled row by row: the target
+    monomial x^a receives u_k times x^(a - e_k) for every k with a_k > 0,
+    and x^(a - e_k) lies on a face whenever x^a does."""
     _require_even(j)
     if u.nvars != K.m:
         raise InputError(f"form in {u.nvars} variables against a complex on [{K.m}]")
@@ -350,39 +351,28 @@ def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> IntMatrix:
         raise InputError("multiplication by the zero form is not allowed")
     source = monomial_basis(K, j)
     target = monomial_basis(K, j + 2)
-    index = target.index_map()
-    rows = [[0] * len(source) for _ in range(len(target))]
-    for col, mono in enumerate(source.monomials):
-        for pos, c in enumerate(u.coeffs):
-            if not c:
-                continue
-            shifted = list(mono)
-            shifted[pos] += 1
-            key = tuple(shifted)
-            row = index.get(key)
-            if row is not None:
-                rows[row][col] += c
-    return IntMatrix(rows, cols=len(source))
-
-
-def _stacked_form_matrix(K: SimplicialComplex, forms, j: int) -> IntMatrix:
-    """Horizontal stack of the multiplication matrices into degree j,
-    one block per form; empty blocks when j < 2."""
-    target = monomial_basis(K, j)
-    out = IntMatrix.zeros(len(target), 0)
-    for u in forms:
-        block = (
-            mult_matrix(K, u, j - 2) if j >= 2 else IntMatrix.zeros(len(target), 0)
-        )
-        out = out.hstack(block)
-    return out
+    index = source.index_map()
+    terms = [(k, c) for k, c in enumerate(u.coeffs) if c]
+    rows = []
+    for mono in target.monomials:
+        row = {}
+        for k, c in terms:
+            if mono[k]:
+                row[index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]] = c
+        rows.append(row)
+    return SparseMatrix(len(target), len(source), rows)
 
 
 def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:
-    """Degree-j piece of Z[K]/(forms) as an abelian group."""
+    """Degree-j piece of Z[K]/(forms) as an abelian group: the cokernel
+    of the multiplication matrices into degree j, side by side (none
+    when j < 2)."""
     _require_even(j)
-    forms = tuple(forms)
-    return cokernel_structure(_stacked_form_matrix(K, forms, j))
+    ideal = SparseMatrix.zeros(len(monomial_basis(K, j)), 0)
+    if j >= 2:
+        for u in forms:
+            ideal = ideal.hstack(mult_matrix(K, u, j - 2))
+    return cokernel_structure(ideal)
 
 
 class AnnihilatorWitness(NamedTuple):

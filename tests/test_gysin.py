@@ -9,7 +9,7 @@ from bigtor.gysin import (
     connecting_map_check,
     verify_exactness,
 )
-from bigtor.intlinalg import IntMatrix
+from bigtor.intlinalg import IntMatrix, SparseMatrix
 from bigtor.koszul_tor import KoszulComplex, tor_piece
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis
@@ -92,11 +92,11 @@ def test_chain_level_maps_commute_and_anticommute(corpus):
     G = GysinData(problem.complex, problem.B, 8)
     for j in (4, 6, 8):
         for p in range(G.n + 2):
-            inc_then_d = G.ext.differential(p, j).mul(_dense_tau_star(G, p, j))
-            d_then_inc = _dense_tau_star(G, p - 1, j).mul(G.base.differential(p, j))
+            inc_then_d = G.ext.differential(p, j).to_dense().mul(_dense_tau_star(G, p, j))
+            d_then_inc = _dense_tau_star(G, p - 1, j).mul(G.base.differential(p, j).to_dense())
             assert inc_then_d == d_then_inc
-            proj_then_d = _dense_tau_lower(G, p, j).mul(G.ext.differential(p + 1, j))
-            d_then_proj = G.base.differential(p, j - 2).mul(_dense_tau_lower(G, p + 1, j))
+            proj_then_d = _dense_tau_lower(G, p, j).mul(G.ext.differential(p + 1, j).to_dense())
+            d_then_proj = G.base.differential(p, j - 2).to_dense().mul(_dense_tau_lower(G, p + 1, j))
             assert proj_then_d == d_then_proj.scaled(-1)
             composite = _dense_tau_lower(G, p, j).mul(_dense_tau_star(G, p, j))
             assert composite.is_zero()
@@ -183,9 +183,9 @@ def test_wrong_differential_entry_is_caught(corpus, monkeypatch, p, j, row, mess
     def differential(self, q, i):
         d = original(self, q, i)
         if self.n == 2 and (q, i) == (p, j):
-            entries = d.to_lists()
-            entries[row][0] += 1
-            return IntMatrix(entries, cols=d.cols)
+            entries = d.sparse_rows()
+            entries[row][0] = entries[row].get(0, 0) + 1
+            return SparseMatrix(d.rows, d.cols, entries)
         return d
 
     monkeypatch.setattr(KoszulComplex, "differential", differential)
@@ -203,6 +203,17 @@ def test_gysin_data_is_freed(corpus):
     del G
     gc.collect()
     assert ref() is None
+
+
+def test_dropped_gysin_data_frees_its_complexes(corpus):
+    problem = corpus["cp1cp1"]
+    G = GysinData(problem.complex, problem.B, 8)
+    verify_exactness(G)
+    connecting_map_check(G)
+    refs = [weakref.ref(G.ext), weakref.ref(G.base)]
+    del G
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_split_choice_is_free(corpus):

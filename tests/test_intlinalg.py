@@ -15,6 +15,8 @@ from bigtor.intlinalg import (
     kernel_basis,
     rational_rank,
     smith_normal_form,
+    _bareiss,
+    _smith_mod,
 )
 
 import oracles
@@ -118,6 +120,22 @@ def test_smith_normal_form_random():
         assert nonzero == oracles.smith_diagonal(A.to_lists())
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
+
+
+def test_smith_mod_matches_oracle_on_random_residuals():
+    # residuals as the unit-pivot pass leaves them: no entry is +-1, so
+    # a stage often meets gcd(pivot, minor) = 1 only after merging rows
+    rng = random.Random(1987)
+    residuals = [structured_matrix(rng, units=False) for _ in range(60)]
+    values = [x for x in range(-12, 13) if x not in (-1, 1)]
+    residuals += [
+        IntMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        for rows, cols in ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60))
+    ]
+    for A in residuals:
+        m = A.to_lists()
+        rank, minor, _ = _bareiss([list(row) for row in m])
+        assert _smith_mod(m, abs(minor), rank) == oracles.smith_diagonal(m), m
 
 
 def test_kernel_basis_random():

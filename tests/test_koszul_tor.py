@@ -1,5 +1,15 @@
+import gc
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import weakref
+
 import pytest
 
+import bigtor
 from bigtor.errors import InputError
 from bigtor.intlinalg import IntMatrix, ZModule
 from bigtor.koszul_tor import (
@@ -16,7 +26,7 @@ from bigtor.koszul_tor import (
     verdicts,
 )
 from bigtor.simplicial import SubgroupData, build_complex
-from bigtor.stanley_reisner import LinearForm, quotient_piece
+from bigtor.stanley_reisner import LinearForm, Polynomial, monomial_basis, quotient_piece, reduce
 
 import oracles
 
@@ -36,6 +46,92 @@ def test_differential_squares_to_zero(corpus_problem):
     for p in range(n + 1):
         for j in (4, 8):
             assert kc.differential(p, j).mul(kc.differential(p + 1, j)).is_zero()
+
+
+def formula_differential(K, forms, p, j):
+    """d: C_{p,j} -> C_{p-1,j} as dense rows, straight from the defining
+    formula d(a xi_S) = sum_{i in S} (-1)^{#{s in S : s < i}} (u_i a) xi_{S - i},
+    with each product u_i a taken in Z[K] by Polynomial arithmetic."""
+    n = len(forms)
+
+    def chain_basis(q):
+        if q < 0 or q > n or j - 2 * q < 0:
+            return []
+        monomials = monomial_basis(K, j - 2 * q).monomials
+        return [(S, mono) for S in itertools.combinations(range(1, n + 1), q) for mono in monomials]
+
+    source, target = chain_basis(p), chain_basis(p - 1)
+    row_of = {key: r for r, key in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for c, (S, mono) in enumerate(source):
+        a = Polynomial.monomial(K.m, mono)
+        for i in S:
+            sign = (-1) ** sum(1 for s in S if s < i)
+            T = tuple(s for s in S if s != i)
+            for exp, coeff in reduce(K, forms[i - 1].as_polynomial() * a).terms.items():
+                rows[row_of[(T, exp)]][c] += sign * coeff
+    return rows, len(source)
+
+
+def test_sparse_differential_matches_formula(corpus_problem):
+    _, problem = corpus_problem
+    kc = koszul_of(problem)
+    for p in range(problem.B.n + 2):
+        for j in range(0, 9, 2):
+            d = kc.differential(p, j)
+            rows, cols = formula_differential(problem.complex, kc.forms, p, j)
+            assert (d.rows, d.cols) == (len(rows), cols), (p, j)
+            assert d.to_dense().to_lists() == rows, (p, j)
+            assert all(all(row.values()) for row in d.sparse_rows()), "stored zero"
+
+
+OCTAHEDRON = """\
+m = 6
+faces = {1 2 3} {1 2 6} {1 5 3} {1 5 6} {4 2 3} {4 2 6} {4 5 3} {4 5 6}
+B = [1 0 0 -1 0 0 ; 0 1 0 0 -1 0 ; 0 0 1 0 0 -1]
+"""
+
+
+def test_octahedron_tor_at_degree_24_is_fast_and_small(tmp_path, budget):
+    # a fresh interpreter, so the peak resident set (VmHWM) is the
+    # command's own
+    path = tmp_path / "octahedron.tcx"
+    path.write_text(OCTAHEDRON)
+    script = textwrap.dedent("""\
+        import contextlib, io, sys
+        from bigtor import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["tor", "--input", sys.argv[1], "--max-degree", "24", "--json"])
+        hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM"))
+        print(code, int(hwm.split()[1]))
+    """)
+    src = str(pathlib.Path(bigtor.__file__).resolve().parent.parent)
+    with budget(5):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert proc.returncode == 0, proc.stderr
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert hwm_kb < 30 * 1024
+
+
+def test_koszul_complex_is_freed(corpus):
+    problem = corpus["prod1212"]
+    kc = koszul_of(problem)
+    before = KoszulComplex.differential.cache_info()
+    for p in range(problem.B.n + 1):
+        for j in range(0, 11, 2):
+            kc.homology(p, j)
+    after = KoszulComplex.differential.cache_info()
+    assert after.misses > before.misses and after.hits > before.hits
+    ref = weakref.ref(kc)
+    del kc
+    gc.collect()
+    assert ref() is None
 
 
 def test_chain_dims_count_subset_blocks(corpus_problem):
@@ -59,8 +155,8 @@ def test_homology_matches_naive_oracle(corpus_problem):
         for j in range(0, 10, 2):
             got = tor_piece(K, S, p, j)
             rank, torsion = oracles.homology_structure(
-                kc.differential(p, j).to_lists(),
-                kc.differential(p + 1, j).to_lists(),
+                kc.differential(p, j).to_dense().to_lists(),
+                kc.differential(p + 1, j).to_dense().to_lists(),
                 kc.chain_dim(p, j),
             )
             assert (got.rank, list(got.torsion)) == (rank, torsion), (p, j)
