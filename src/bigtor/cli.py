@@ -402,7 +402,7 @@ def _cmd_gkm(spec: ProblemSpec, polynomial: str):
     t = phi_restrictions(spec.complex, S, p)
     check = gkm_check(spec.complex, S, t)
     result = {
-        "tuple": [entry.render() for entry in t.entries],
+        "tuple": [entry.render("u") for entry in t.entries],
         "gkm_condition": {
             "ok": check.ok,
             "failing_edges": [

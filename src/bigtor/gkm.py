@@ -4,9 +4,11 @@ A pure complex whose maximal faces all have nonsingular column
 submatrices B_v plays the role of the vertex set of a polytope: the
 restriction of x_i at the vertex v = {i_1 < ... < i_n} is the linear
 form (row r of B_v^{-1}) . (u_1, ..., u_n)^T when i = i_r, and zero
-when i lies outside the face.  Everything here is exact rational
-arithmetic; integrality is a property of the input (|det B_v| = 1),
-not of the code path.
+when i lies outside the face.  B_v^{-1} comes from cofactors over
+intlinalg.det, and restrictions are stanley_reisner Polynomials in
+u_1..u_n.  Everything here is exact rational arithmetic: the
+coefficients are Fractions, integral exactly when |det B_v| = 1, a
+property of the input and not of the code path.
 """
 
 from __future__ import annotations
@@ -29,146 +31,6 @@ from .stanley_reisner import (
 )
 
 
-class QPoly:
-    """Polynomial in u_1..u_n with Fraction coefficients."""
-
-    __slots__ = ("nvars", "_terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for expo, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(expo)] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "QPoly":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "QPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def linear(cls, coeffs) -> "QPoly":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        n = len(coeffs)
-        terms = {}
-        for r, c in enumerate(coeffs):
-            if c:
-                expo = [0] * n
-                expo[r] = 1
-                terms[tuple(expo)] = c
-        return cls(n, terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, expo) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
-
-    def terms(self):
-        return dict(self._terms)
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self._terms)
-        for expo, c in other._terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + c
-        return QPoly(self.nvars, out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = dict(self._terms)
-        for expo, c in other._terms.items():
-            out[expo] = out.get(expo, Fraction(0)) - c
-        return QPoly(self.nvars, out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly(self.nvars, {e: c * other for e, c in self._terms.items()})
-        out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, Fraction(0)) + c1 * c2
-        return QPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        out = QPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.nvars == other.nvars and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
-
-    def substitute(self, var: int, replacement: "QPoly") -> "QPoly":
-        """Replace u_{var} (1-based) by the given polynomial."""
-        out = QPoly.zero(self.nvars)
-        for expo, c in self._terms.items():
-            e = expo[var - 1]
-            rest = list(expo)
-            rest[var - 1] = 0
-            base = QPoly(self.nvars, {tuple(rest): c})
-            out = out + base * (replacement ** e)
-        return out
-
-    def divisible_by_linear(self, alpha: "QPoly") -> bool:
-        """Whether the linear form alpha divides this polynomial,
-        tested by substituting away one variable of alpha."""
-        pivots = [
-            (e.index(1), c) for e, c in alpha._terms.items() if sum(e) == 1
-        ]
-        if len(pivots) != len(alpha._terms) or not pivots:
-            raise InputError("edge form must be linear and nonzero")
-        k, a_k = min(pivots)
-        rest = QPoly(
-            self.nvars,
-            {e: -c / a_k for e, c in alpha._terms.items() if e[k] != 1},
-        )
-        return self.substitute(k + 1, rest).is_zero()
-
-    def sorted_terms(self):
-        return sorted(
-            self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True
-        )
-
-    def render(self, var: str = "u") -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for expo, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                factors.append(f"{var}{i + 1}" + (f"^{e}" if e > 1 else ""))
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return f"QPoly({self.render()})"
-
-
 class VertexData(NamedTuple):
     """One maximal face with its column submatrix and inverse rows."""
 
@@ -177,12 +39,12 @@ class VertexData(NamedTuple):
     det: int
     alpha_rows: tuple  # rows of B_v^{-1}, tuples of Fraction
 
-    def restriction_of(self, i: int, n: int) -> QPoly:
+    def restriction_of(self, i: int, n: int) -> Polynomial:
         """The image of x_i at this vertex."""
         if i not in self.face:
-            return QPoly.zero(n)
-        r = self.face.index(i)
-        return QPoly.linear(self.alpha_rows[r])
+            return Polynomial.zero(n)
+        row = self.alpha_rows[self.face.index(i)]
+        return Polynomial(n, {tuple(int(k == r) for k in range(n)): c for r, c in enumerate(row)})
 
 
 class GKMTuple:
@@ -209,26 +71,26 @@ class GKMTuple:
         return all(e.is_zero() for e in self.entries)
 
     def render(self) -> str:
-        return "(" + ", ".join(e.render() for e in self.entries) + ")"
+        return "(" + ", ".join(e.render("u") for e in self.entries) + ")"
 
 
-def _invert(B: IntMatrix):
-    """Exact inverse rows of a square integer matrix, or None."""
-    n = B.rows
-    work = [[Fraction(B[(r, c)]) for c in range(n)] + [Fraction(int(r == k)) for k in range(n)]
-            for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+def _cofactor(M: IntMatrix, r: int, c: int) -> int:
+    """(-1)^(r+c) times the minor of M without row r and column c."""
+    minor = [row[:c] + row[c + 1:] for i, row in enumerate(M.to_lists()) if i != r]
+    return (-1) ** (r + c) * det(IntMatrix(minor, cols=M.cols - 1))
+
+
+def _divisible_by_linear(f: Polynomial, alpha: Polynomial) -> bool:
+    """Whether the linear form alpha divides f, tested by substituting
+    away one variable of alpha."""
+    pivots = [(e.index(1), c) for e, c in alpha.terms.items() if sum(e) == 1]
+    if len(pivots) != len(alpha.terms) or not pivots:
+        raise InputError("edge form must be linear and nonzero")
+    k, a_k = min(pivots)
+    rest = Polynomial(
+        f.nvars, {e: -Fraction(c) / a_k for e, c in alpha.terms.items() if e[k] != 1}
+    )
+    return f.substitute(k + 1, rest).is_zero()
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,20 +112,21 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
         sub = IntMatrix.from_columns(
             [tuple(S.B[(r, i - 1)] for r in range(n)) for i in face], rows=n
         )
-        inverse = _invert(sub)
-        if inverse is None:
-            raise NotGKMError(f"vertex submatrix at face {set(face)} is singular")
         d = det(sub)
         if d == 0:
-            raise InternalCheckError("invertible submatrix with zero determinant")
+            raise NotGKMError(f"vertex submatrix at face {set(face)} is singular")
+        # B_v^{-1} by cofactors: entry (r, c) is the (c, r) cofactor over d
+        inverse = tuple(
+            tuple(Fraction(_cofactor(sub, c, r), d) for c in range(n)) for r in range(n)
+        )
         out.append(
             VertexData(face=face, submatrix=sub, det=d, alpha_rows=inverse)
         )
     data = tuple(out)
     for r in range(n):
-        expected = QPoly.linear([Fraction(int(k == r)) for k in range(n)])
+        expected = Polynomial.variable(n, r + 1)
         for v in data:
-            image = QPoly.zero(n)
+            image = Polynomial.zero(n)
             for i in v.face:
                 c = S.B[(r, i - 1)]
                 if c:
@@ -283,17 +146,12 @@ def phi_restrictions(K: SimplicialComplex, S: SubgroupData, p: Polynomial) -> GK
     n = S.n
     entries = []
     for v in data:
-        total = QPoly.zero(n)
+        total = Polynomial.zero(n)
         for mono, c in p.sorted_terms():
-            factor = QPoly.constant(n, c)
+            factor = Polynomial.constant(n, c)
             for i, e in enumerate(mono, start=1):
-                if e == 0:
-                    continue
-                img = v.restriction_of(i, n)
-                if img.is_zero():
-                    factor = QPoly.zero(n)
-                    break
-                factor = factor * (img ** e)
+                if e:
+                    factor = factor * v.restriction_of(i, n) ** e
             total = total + factor
         entries.append(total)
     return GKMTuple(tuple(entries))
@@ -305,8 +163,8 @@ class Edge(NamedTuple):
 
     v_index: int  # 1-based, input face order
     w_index: int
-    alpha_from_v: QPoly
-    alpha_from_w: QPoly
+    alpha_from_v: Polynomial
+    alpha_from_w: Polynomial
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,8 +205,8 @@ def gkm_check(K: SimplicialComplex, S: SubgroupData, t: GKMTuple) -> GKMCheckRep
     failing = []
     for edge in edge_data(K, S):
         diff = t[edge.v_index - 1] - t[edge.w_index - 1]
-        if not diff.divisible_by_linear(edge.alpha_from_v):
-            failing.append((edge.v_index, edge.w_index, edge.alpha_from_v.render()))
+        if not _divisible_by_linear(diff, edge.alpha_from_v):
+            failing.append((edge.v_index, edge.w_index, edge.alpha_from_v.render("u")))
     return GKMCheckReport(ok=not failing, failing_edges=tuple(failing))
 
 
@@ -473,12 +331,12 @@ def phi_matrix(K: SimplicialComplex, S: SubgroupData, j: int) -> IntMatrix:
     denom = 1
     for t in images:
         for entry in t.entries:
-            for c in entry.terms().values():
+            for c in entry.terms.values():
                 denom = math.lcm(denom, c.denominator)
     rows = []
     for vi in range(len(data)):
         for um in u_monos:
             rows.append(
-                [int(t[vi].coefficient(um) * denom) for t in images]
+                [int(t[vi].terms.get(um, 0) * denom) for t in images]
             )
     return IntMatrix(rows, cols=len(basis))

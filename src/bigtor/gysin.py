@@ -373,60 +373,28 @@ def verify_exactness(G: GysinData) -> GysinReport:
             pres_ext = G.ext_pres(p, j)
             pres_low = G.base_pres(p - 1, j - 2)
             pres_base = G.base_pres(p - 1, j)
-
-            # at Tor_p over the extended ring, degree j
-            f = G.tau_star_induced(p, j)
-            g = G.tau_lower_induced(p, j)
-            image, kernel = _subgroup_pair(
-                f, g, pres_ext.relations, pres_low.relations
-            )
-            nodes.append(
-                LESNode(
-                    term="tor_ext",
-                    p=p,
-                    j=j,
-                    group=pres_ext.structure,
-                    image=_quotient_structure(image, pres_ext.relations),
-                    kernel=_quotient_structure(kernel, pres_ext.relations),
-                    ok=image == kernel,
+            tau_lower = G.tau_lower_induced(p, j)
+            delta = G.delta_induced(p - 1, j - 2)
+            # per node: its group, the incoming and outgoing maps, and the
+            # relations of the outgoing map's target
+            for term, node_p, node_j, pres, f, g, next_relations in (
+                ("tor_ext", p, j, pres_ext, G.tau_star_induced(p, j), tau_lower, pres_low.relations),
+                ("tor_base_lower", p - 1, j - 2, pres_low, tau_lower, delta, pres_base.relations),
+                ("tor_base", p - 1, j, pres_base, delta, G.tau_star_induced(p - 1, j),
+                 G.ext_pres(p - 1, j).relations),
+            ):
+                image, kernel = _subgroup_pair(f, g, pres.relations, next_relations)
+                nodes.append(
+                    LESNode(
+                        term=term,
+                        p=node_p,
+                        j=node_j,
+                        group=pres.structure,
+                        image=_quotient_structure(image, pres.relations),
+                        kernel=_quotient_structure(kernel, pres.relations),
+                        ok=image == kernel,
+                    )
                 )
-            )
-
-            # at Tor_{p-1} over the base ring, degree j-2 (before delta)
-            f = G.tau_lower_induced(p, j)
-            g = G.delta_induced(p - 1, j - 2)
-            image, kernel = _subgroup_pair(
-                f, g, pres_low.relations, pres_base.relations
-            )
-            nodes.append(
-                LESNode(
-                    term="tor_base_lower",
-                    p=p - 1,
-                    j=j - 2,
-                    group=pres_low.structure,
-                    image=_quotient_structure(image, pres_low.relations),
-                    kernel=_quotient_structure(kernel, pres_low.relations),
-                    ok=image == kernel,
-                )
-            )
-
-            # at Tor_{p-1} over the base ring, degree j (after delta)
-            f = G.delta_induced(p - 1, j - 2)
-            g = G.tau_star_induced(p - 1, j)
-            image, kernel = _subgroup_pair(
-                f, g, pres_base.relations, G.ext_pres(p - 1, j).relations
-            )
-            nodes.append(
-                LESNode(
-                    term="tor_base",
-                    p=p - 1,
-                    j=j,
-                    group=pres_base.structure,
-                    image=_quotient_structure(image, pres_base.relations),
-                    kernel=_quotient_structure(kernel, pres_base.relations),
-                    ok=image == kernel,
-                )
-            )
     return GysinReport(D=G.D, split_row=G.split, nodes=tuple(nodes))
 
 

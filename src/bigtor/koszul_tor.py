@@ -275,10 +275,11 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, D: int):
     if S.n == 0:
         return None
     complex_ = _complex_for(K, S)
+    cokernels = {}
     for j in range(0, D + 1, 2):
-        pres = complex_.homology(1, j)
-        if pres.structure.is_zero():
+        if _tor_structure(complex_, 1, j, cokernels).is_zero():
             continue
+        pres = complex_.homology(1, j)
         relations = pres.relation_lattice()
         k = len(pres.kernel)
         chosen = None

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import InputError
@@ -26,7 +27,10 @@ class LinearForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise InputError(f"linear form coefficients must be integers, got {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
@@ -65,8 +69,15 @@ def _monomial_key(exponents: tuple):
     return (sum(exponents), exponents)
 
 
+def _is_fraction(c) -> bool:
+    # a Fraction exists only once fractions is loaded, so looking it up in
+    # sys.modules keeps this module from loading fractions (and decimal)
+    return isinstance(c, getattr(sys.modules.get("fractions"), "Fraction", ()))
+
+
 class Polynomial:
-    """Polynomial with integer coefficients in m variables.
+    """Polynomial with exact rational coefficients in m variables: ints,
+    or Fractions where gkm's restrictions need them.
 
     Stored as a map from exponent tuples to nonzero coefficients; terms
     serialize in graded-lex order with x1 largest.
@@ -77,8 +88,9 @@ class Polynomial:
     def __init__(self, nvars: int, terms=None):
         clean = {}
         for exp, c in (terms or {}).items():
-            c = int(c)
-            if c == 0:
+            if type(c) is not int and not _is_fraction(c):
+                raise InputError(f"coefficient {c!r} is not an integer or a Fraction")
+            if not c:
                 continue
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
@@ -140,7 +152,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             return Polynomial(self.nvars, {e: other * c for e, c in self.terms.items()})
         self._check_compatible(other)
         terms = {}
@@ -151,6 +163,20 @@ class Polynomial:
         return Polynomial(self.nvars, terms)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Polynomial":
+        out = Polynomial.constant(self.nvars, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def substitute(self, index: int, replacement: "Polynomial") -> "Polynomial":
+        """Replace x_index (1-based) by the given polynomial."""
+        out = Polynomial.zero(self.nvars)
+        for exp, c in self.terms.items():
+            rest = exp[: index - 1] + (0,) + exp[index:]
+            out = out + Polynomial(self.nvars, {rest: c}) * replacement ** exp[index - 1]
+        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -287,9 +287,9 @@ MAIN = "from bigtor import cli; cli.main({!r})"
 @pytest.mark.parametrize(
     "code, absent, present",
     [
-        ("import bigtor.cli", ("dataclasses", "bigtor.koszul_tor", "bigtor.gysin", "bigtor.gkm"), ()),
-        (MAIN.format(["hilbert", "--input", path_of("cp1cp1")]), ("bigtor.koszul_tor", "bigtor.gysin"), ()),
-        (MAIN.format(["tor", "--input", path_of("cp1cp1")]), ("bigtor.gysin",), ("bigtor.koszul_tor",)),
+        ("import bigtor.cli", ("dataclasses", "fractions", "bigtor.koszul_tor", "bigtor.gysin", "bigtor.gkm"), ()),
+        (MAIN.format(["hilbert", "--input", path_of("cp1cp1")]), ("fractions", "bigtor.koszul_tor", "bigtor.gysin"), ()),
+        (MAIN.format(["tor", "--input", path_of("cp1cp1")]), ("fractions", "bigtor.gysin"), ("bigtor.koszul_tor",)),
         ("; ".join("import " + name for name in MODULES), ("dataclasses",), MODULES),
     ],
     ids=["import-cli", "hilbert", "tor", "every-module"],

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bigtor.errors import InputError, NotGKMError
+from bigtor import gkm
+from bigtor.errors import InputError, InternalCheckError, NotGKMError
 from bigtor.gkm import (
     GKMTuple,
-    QPoly,
     edge_data,
     find_torsion,
     gkm_check,
@@ -14,7 +14,7 @@ from bigtor.gkm import (
     phi_restrictions,
     vertex_data,
 )
-from bigtor.intlinalg import IntMatrix, rational_rank
+from bigtor.intlinalg import IntMatrix, det, rational_rank
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import (
     LinearForm,
@@ -98,16 +98,16 @@ def test_edge_forms_point_in_opposite_directions():
         assert len(edges) == 4
         for e in edges:
             (expo, lead_v) = e.alpha_from_v.sorted_terms()[0]
-            lead_w = e.alpha_from_w.coefficient(expo)
+            lead_w = e.alpha_from_w.terms[expo]
             ratio = lead_v / lead_w
             assert ratio < 0
-            assert e.alpha_from_v == e.alpha_from_w * QPoly.constant(S.n, ratio)
+            assert e.alpha_from_v == e.alpha_from_w * Polynomial.constant(S.n, ratio)
 
 
 def test_gkm_check_accepts_restrictions_and_constants():
     for text in ("x1", "x2", "x3", "x4", "x1*x2", "x2 + x3 - x4"):
         assert gkm_check(SQUARE, DELZANT, phi(text)).ok
-    ones = GKMTuple(tuple(QPoly.constant(2, 7) for _ in range(4)))
+    ones = GKMTuple(tuple(Polynomial.constant(2, 7) for _ in range(4)))
     assert gkm_check(SQUARE, DELZANT, ones).ok
 
 
@@ -118,8 +118,8 @@ def test_gkm_tuple_is_immutable():
 
 
 def test_gkm_check_flags_bad_tuple():
-    u1 = QPoly.linear((1, 0))
-    zero = QPoly.zero(2)
+    u1 = Polynomial.variable(2, 1)
+    zero = Polynomial.zero(2)
     report = gkm_check(SQUARE, DELZANT, GKMTuple((u1, zero, zero, zero)))
     assert not report.ok
     assert report.failing_edges == ((1, 4, "u2"),)
@@ -127,7 +127,7 @@ def test_gkm_check_flags_bad_tuple():
 
 def test_gkm_check_rejects_wrong_length():
     with pytest.raises(InputError):
-        gkm_check(SQUARE, DELZANT, GKMTuple((QPoly.zero(2),)))
+        gkm_check(SQUARE, DELZANT, GKMTuple((Polynomial.zero(2),)))
 
 
 def test_find_torsion_smooth_square():
@@ -183,3 +183,63 @@ def test_phi_matrix_injective_in_smooth_case():
     for j in range(2, 14, 2):
         M = phi_matrix(SQUARE, DELZANT, j)
         assert rational_rank(M) == hilbert_coefficient(SQUARE, j)
+
+
+def random_polynomial(rng, m):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = tuple(rng.randint(0, 2) for _ in range(m))
+        terms[exp] = terms.get(exp, 0) + rng.randint(-3, 3)
+    return Polynomial(m, terms)
+
+
+def test_fraction_restrictions_satisfy_gkm_and_multiply(corpus):
+    # ORBIFOLD and the corpus inputs with |det B_v| > 1 restrict to
+    # Fraction coefficients; ann_square is not pure and fails the gate
+    rng = random.Random(2025)
+    inputs = [("square_orbifold", SQUARE, ORBIFOLD)] + [
+        (name, problem.complex, problem.B) for name, problem in corpus.items()
+    ]
+    checked = []
+    for name, K, S in inputs:
+        try:
+            vertex_data(K, S)
+        except NotGKMError:
+            continue
+        checked.append(name)
+        for _ in range(10):
+            p, q = random_polynomial(rng, K.m), random_polynomial(rng, K.m)
+            phi_p = phi_restrictions(K, S, p)
+            assert gkm_check(K, S, phi_p).ok
+            product = phi_p.componentwise_mul(phi_restrictions(K, S, q))
+            assert phi_restrictions(K, S, p * q).entries == product.entries
+    assert checked == ["square_orbifold"] + [name for name in corpus if name != "ann_square"]
+    fractional = phi("x2", ORBIFOLD)
+    assert fractional.render() == "(1/2u2, 1/2u2, 0, 0)"
+
+
+def test_alpha_rows_are_inverse_to_random_submatrices():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        K = build_complex(n, [tuple(range(1, n + 1))])
+        found = 0
+        while found < 5:
+            B = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            if det(B) == 0:
+                continue
+            found += 1
+            (v,) = vertex_data(K, SubgroupData(B))
+            assert v.det == det(B)
+            product = [
+                [sum(v.alpha_rows[r][k] * B[k, c] for k in range(n)) for c in range(n)]
+                for r in range(n)
+            ]
+            assert product == IntMatrix.identity(n).to_lists()
+
+
+def test_wrong_cofactor_sign_trips_restriction_gate(monkeypatch):
+    right = gkm._cofactor
+    monkeypatch.setattr(gkm, "_cofactor", lambda M, r, c: (-1) ** (r + c) * right(M, r, c))
+    vertex_data.cache_clear()
+    with pytest.raises(InternalCheckError, match="does not fix"):
+        vertex_data(SQUARE, ORBIFOLD)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,40 @@ def test_linear_form_value_semantics():
     basis = monomial_basis(SQUARE, 2)
     with pytest.raises(AttributeError):
         basis.degree = 4
+
+
+def test_polynomial_rejects_float_coefficient():
+    with pytest.raises(InputError):
+        Polynomial(1, {(1,): 2.5})
+    with pytest.raises(InputError):
+        Polynomial.variable(2, 1) * 0.5
+
+
+def test_polynomial_rejects_string_coefficient():
+    with pytest.raises(InputError):
+        Polynomial(1, {(1,): "3"})
+
+
+def test_linear_form_rejects_non_integer_coefficient():
+    for bad in ((0.5, 1), ("1", 0), (Fraction(1, 2), 1)):
+        with pytest.raises(InputError):
+            LinearForm(bad)
+
+
+def test_polynomial_fraction_coefficients():
+    u1 = Polynomial.variable(2, 1)
+    u2 = Polynomial.variable(2, 2)
+    p = Fraction(10, 3) * u2 - u1 * Fraction(1, 2)
+    assert p.render("u") == "-1/2u1 + 10/3u2"
+    assert (p * 6).terms == {(1, 0): -3, (0, 1): 20}
+    assert Polynomial(2, {(0, 0): Fraction(0)}).is_zero()
+    assert (u1 + u2) ** 2 == u1 * u1 + 2 * u1 * u2 + u2 * u2
+    assert (u1 + u2) ** 0 == Polynomial.constant(2, 1)
+    # u1 -> -2 u2 kills exactly the multiples of u1 + 2 u2
+    rest = Polynomial.monomial(2, (0, 1), -2)
+    assert ((u1 + 2 * u2) * (u1 - u2)).substitute(1, rest).is_zero()
+    assert (u1 * u1 + u2).substitute(1, rest) == 4 * u2 * u2 + u2
+    assert p.substitute(1, Fraction(20, 3) * u2).is_zero()
 
 
 def test_hilbert_matches_binomial_oracle():
