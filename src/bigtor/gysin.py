@@ -20,9 +20,14 @@ identities are checked column by column on sparse differentials.  Only
 the generic snake-chase lift builds tau_* as a matrix, for its Smith
 normal form solve.
 
-Every induced map on homology is computed on explicit kernel-basis
-generators, and exactness at a node is an equality of two coordinate
-lattices, so the verification is exact integer arithmetic end to end.
+Every presentation is pruned before anything is computed on it: its
+unit relations are eliminated (HomologyPresentation.pruned), which
+leaves one generator per kernel row that survives and only the residual
+relations.  Induced maps run the chain maps on those generators' kernel
+rows and project the image's coordinates to the target's pruned
+generators; exactness at a node is an equality of two coordinate
+lattices over the residual relations.  The verification is exact
+integer arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -30,7 +35,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
-from .intlinalg import IntMatrix, Lattice, SnfSolver, ZModule, cokernel_structure, kernel_basis
+from .intlinalg import (
+    IntMatrix,
+    Lattice,
+    PrunedPresentation,
+    SnfSolver,
+    ZModule,
+    cokernel_structure,
+    kernel_basis,
+)
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData
 from .stanley_reisner import LinearForm
@@ -215,22 +228,21 @@ class GysinData:
 
     # --- homology and induced maps ---------------------------------------
 
-    def base_pres(self, p: int, j: int):
+    def base_pres(self, p: int, j: int) -> PrunedPresentation:
         j = max(j, -2)  # canonical empty degree; chain groups vanish
-        return self._memo(("base", p, j), lambda: self.base.homology(p, j))
+        return self._memo(("base", p, j), lambda: self.base.homology(p, j).pruned())
 
-    def ext_pres(self, p: int, j: int):
+    def ext_pres(self, p: int, j: int) -> PrunedPresentation:
         j = max(j, -2)
-        return self._memo(("ext", p, j), lambda: self.ext.homology(p, j))
+        return self._memo(("ext", p, j), lambda: self.ext.homology(p, j).pruned())
 
     def induced(self, chain_map, src, tgt) -> IntMatrix:
-        """Matrix of the induced map on homology, generator to
-        target-kernel coordinates; chain_map takes and returns dense
+        """Matrix of the induced map on homology, pruned generator to
+        pruned target coordinates; chain_map takes and returns dense
         coordinate tuples."""
-        cycles = tgt.kernel_lattice()
         cols = []
         for vec in src.kernel:
-            x = cycles.coordinates(chain_map(vec))
+            x = tgt.coordinates(chain_map(vec))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
@@ -293,7 +305,6 @@ class GysinData:
         xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
         solver = None if wedge_lift else SnfSolver(_dense(proj, len(d_ext)))
-        cycles = tgt.kernel_lattice()
         cols = []
         for vec in src.kernel:
             if wedge_lift:
@@ -311,7 +322,7 @@ class GysinData:
                         y[r] = y.get(r, 0) + x * v
             if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
-            coords = cycles.coordinates(
+            coords = tgt.coordinates(
                 tuple(inc.sign * y.get(inc.target[k], 0) for k in range(len(inc.target)))
             )
             if coords is None:

@@ -19,6 +19,9 @@ to M splits off a factor 1 at once.  Kernels are lifted back
 through the logged pivot rows and Hermite-reduced.  Homology
 subquotients ker/im are presented as finitely generated abelian groups
 with coordinates in a kernel basis found by echelon back-substitution.
+The same engine prunes a presentation: run on its relation columns, each
+unit pivot writes one generator in terms of the others, which leaves the
+group as Z^free modulo the residual relations.
 
 Smith normal form with transformation matrices remains only behind
 SnfSolver.  rational_rank is a separate sparse fraction-free
@@ -39,6 +42,7 @@ __all__ = [
     "SparseMatrix",
     "ZModule",
     "HomologyPresentation",
+    "PrunedPresentation",
     "Lattice",
     "smith_normal_form",
     "kernel_basis",
@@ -427,6 +431,10 @@ def _diagonalize(S, U, V, start):
                     ax = -x if x < 0 else x
                     if pivot is None or ax < pivot[0]:
                         pivot = (ax, i, k)
+                        if ax == 1:
+                            break  # nothing is smaller, and (i, k) wins ties
+            if pivot is not None and pivot[0] == 1:
+                break
         if pivot is None:
             return t
         _, pi, pk = pivot
@@ -941,6 +949,112 @@ class HomologyPresentation:
 
     def class_is_zero(self, coords) -> bool:
         return tuple(coords) in self.relation_lattice()
+
+    def pruned(self) -> "PrunedPresentation":
+        """The same group with its unit relations eliminated.
+
+        The engine runs on the relation columns: each +-1 pivot
+        (generator g, relation) writes g in terms of other generators, and
+        what remains is Z^free modulo the residual relations.  Verified,
+        not trusted: the residual must have this presentation's structure,
+        and every relation must project into the residual lattice; since
+        project is onto, the two make it an isomorphism.
+        """
+        columns = self.relations.sparse_columns()
+        pivots, residual = _eliminate_units([dict(column) for column in columns])
+        pivot_gens = {g for g, _ in pivots}
+        free = tuple(g for g in range(self.generator_count) if g not in pivot_gens)
+        relations = IntMatrix.from_columns(
+            [tuple(row.get(g, 0) for g in free) for row in residual], rows=len(free)
+        )
+        pruned = PrunedPresentation(self, free, pivots, relations)
+        if cokernel_structure(relations) != self.structure:
+            raise InternalCheckError("pruned relations present a different group")
+        lattice = pruned.relation_lattice()
+        for column in columns:
+            if pruned.project(column) not in lattice:
+                raise InternalCheckError("a relation escaped the pruned relation lattice")
+        return pruned
+
+
+class PrunedPresentation:
+    """A homology presentation with its unit relations eliminated
+    (HomologyPresentation.pruned).
+
+    Pruned generator f stands for the source's generator free[f], whose
+    cycle is kernel[f]; relations holds the residual relations in pruned
+    coordinates.  project maps the source's generator coordinates to
+    pruned ones.
+    """
+
+    __slots__ = ("source", "free", "kernel", "relations", "structure",
+                 "_pivots", "_position", "_index", "_relation_lattice")
+
+    def __init__(self, source: HomologyPresentation, free: tuple, pivots: list,
+                 relations: IntMatrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "kernel", tuple(source.kernel[g] for g in free))
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "structure", source.structure)
+        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_position", {g: i for i, (g, _) in enumerate(pivots)})
+        object.__setattr__(self, "_index", {g: f for f, g in enumerate(free)})
+        object.__setattr__(self, "_relation_lattice", Lattice(len(free), relations.columns()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrunedPresentation is immutable")
+
+    @property
+    def generator_count(self) -> int:
+        return len(self.free)
+
+    def relation_lattice(self) -> Lattice:
+        """The residual relations' lattice, built once; callers must not
+        add to it."""
+        return self._relation_lattice
+
+    def project(self, coords) -> tuple:
+        """Pruned coordinates of the class with the given source generator
+        coordinates, a sequence or a sparse dict index -> entry.
+
+        Substitutes the pivots in elimination order.  A pivot row holds
+        only free generators and later pivots' generators, so taking the
+        pivots earliest first leaves only free generators.
+        """
+        if isinstance(coords, dict):
+            v = dict(coords)
+        else:
+            v = {g: x for g, x in enumerate(coords) if x}
+        position = self._position
+        heap = [position[g] for g in v if g in position]
+        heapq.heapify(heap)
+        while heap:
+            g, row = self._pivots[heapq.heappop(heap)]
+            x = v.pop(g, 0)
+            if not x:
+                continue
+            factor = x * row[g]  # g = -row[g] * (the rest of row), row[g] = +-1
+            for k, y in row.items():
+                if k == g:
+                    continue
+                if k in v:
+                    v[k] -= factor * y
+                else:
+                    v[k] = -factor * y
+                    if k in position:
+                        heapq.heappush(heap, position[k])
+        out = [0] * len(self.free)
+        index = self._index
+        for g, x in v.items():
+            out[index[g]] = x
+        return tuple(out)
+
+    def coordinates(self, cycle):
+        """Pruned coordinates of an ambient cycle, or None when it is not
+        a cycle."""
+        x = self.source.kernel_lattice().coordinates(cycle)
+        return None if x is None else self.project(x)
 
 
 def homology_presentation(d_out: SparseMatrix | IntMatrix,

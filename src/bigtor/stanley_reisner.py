@@ -90,12 +90,13 @@ class Polynomial:
         for exp, c in (terms or {}).items():
             if type(c) is not int and not _is_fraction(c):
                 raise InputError(f"coefficient {c!r} is not an integer or a Fraction")
-            if not c:
-                continue
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
+            if any(type(e) is not int for e in exp):
+                raise InputError(f"exponent vector {exp!r} has an entry that is not an integer")
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise InputError(f"bad exponent vector {exp} for {nvars} variables")
-            clean[exp] = c
+            if c:
+                clean[exp] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 

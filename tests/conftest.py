@@ -5,6 +5,7 @@ import signal
 import pytest
 
 from bigtor.cli import parse_problem
+from bigtor.intlinalg import PrunedPresentation
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -53,6 +54,22 @@ def budget():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+@pytest.fixture
+def broken_prune(monkeypatch):
+    """Patch PrunedPresentation.project so that every pivot generator is
+    substituted with the wrong sign; the gate in pruned() must catch it."""
+    original = PrunedPresentation.project
+
+    def flipped(self, coords):
+        free = set(self.free)
+        return original(self, [x if g in free else -x for g, x in enumerate(coords)])
+
+    def install():
+        monkeypatch.setattr(PrunedPresentation, "project", flipped)
+
+    return install
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,7 +4,9 @@
 `--input` relative to the repository root, and the exact stdout.  The
 command lines are every command on every tests/data input at the default
 D = 12, with the polynomials, elements, forms and vertices of one seeded
-round of the corpus-commands benchmark workload.
+round of the corpus-commands benchmark workload, and `gysin --split k`
+for every valid k on the same inputs, since the gysin benchmark workload
+runs every split row.
 """
 
 import json

@@ -8,14 +8,22 @@ Each case runs the calls a library user makes on one problem under a
 oracles that share no code with bigtor's elimination: Fraction ranks
 for the ranks, and F_p ranks for the torsion, since rank_Q - rank_Fp of
 d_in counts the invariant factors divisible by p.
+
+The Gysin cases run the long exact sequence check at D = 12 on these
+inputs, with the splits whose presentations would otherwise drown in
+eliminable unit relations (each ran for more than 60 s, or 24 s for
+fuzz_p078 with split 2, before presentations were pruned), under the
+same budget.
 """
 
 import pytest
 
+from bigtor.gysin import GysinData, connecting_map_check, verify_exactness
 from bigtor.koszul_tor import (
     KoszulComplex,
     euler_discrepancies,
     regular_sequence_check,
+    tor_piece,
     tor_table,
     verdicts,
 )
@@ -89,3 +97,31 @@ def test_growth_case_matches_rank_oracles(name):
             for prime in PRIMES:
                 divisible = sum(1 for d in torsion if d % prime == 0)
                 assert ranks[p + 1] - oracles.fp_rank(d_in, prime) == divisible, (p, j, prime)
+
+
+# (name, 1-based split row), all at D = 12
+GYSIN_CASES = [
+    ("growth_repro", 1), ("growth_repro", 2),
+    ("fuzz_p154", 1), ("fuzz_p154", 2), ("fuzz_p154", 3),
+    ("fuzz_p078", 2),
+    ("fuzz_p044", 2),
+]
+
+
+@pytest.mark.parametrize("name, split", GYSIN_CASES, ids=[f"{n}-split{k}" for n, k in GYSIN_CASES])
+def test_gysin_growth_case_finishes(name, split, budget):
+    problem = load_problem(name)
+    K, S_ext = problem.complex, problem.B
+    with budget(BUDGET_S):
+        G = GysinData(K, S_ext, 12, split=split - 1)
+        report = verify_exactness(G)
+        connecting = connecting_map_check(G)
+    assert report.all_pass
+    assert connecting and all(connecting.values())
+    for node in report.nodes:
+        if node.j < 0:
+            continue
+        if node.term == "tor_ext" and 0 <= node.p <= S_ext.n:
+            assert node.group == tor_piece(K, S_ext, node.p, node.j), (node.p, node.j)
+        if node.term == "tor_base" and 0 <= node.p <= G.n:
+            assert node.group == tor_piece(K, G.S_base, node.p, node.j), (node.p, node.j)

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from bigtor import cli
 from bigtor.errors import InputError, InternalCheckError
 from bigtor.gysin import (
     GysinData,
@@ -13,6 +14,8 @@ from bigtor.intlinalg import IntMatrix, SparseMatrix
 from bigtor.koszul_tor import KoszulComplex, tor_piece
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis
+
+from conftest import DATA_DIR
 
 TWO_POINTS = build_complex(2, [(1,), (2,)])
 W12 = SubgroupData(IntMatrix([[2, -1]]))
@@ -192,6 +195,13 @@ def test_wrong_differential_entry_is_caught(corpus, monkeypatch, p, j, row, mess
     with pytest.raises(InternalCheckError) as caught:
         GysinData(K, problem.B, 8)
     assert str(caught.value) == message
+
+
+def test_broken_prune_exits_two(broken_prune, capsys):
+    broken_prune()
+    code = cli.main(["gysin", "--input", str(DATA_DIR / "cp1cp1.tcx"), "--max-degree", "8", "--json"])
+    assert code == 2
+    assert "escaped the pruned relation lattice" in capsys.readouterr().err
 
 
 def test_gysin_data_is_freed(corpus):

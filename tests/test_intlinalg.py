@@ -321,6 +321,63 @@ def test_homology_presentation_known():
     assert pres.class_is_zero((2,))
 
 
+def random_relations(rng, units):
+    """k x r relations with k <= 8, r <= 10 and entries in [-3, 3]; with
+    units=False no entry is +-1."""
+    k, r = rng.randint(1, 8), rng.randint(0, 10)
+    values = list(range(-3, 4)) if units else [-3, -2, 0, 2, 3]
+    return IntMatrix([[rng.choice(values) for _ in range(r)] for _ in range(k)], cols=r)
+
+
+def presentation_of(R):
+    """Z^k modulo the columns of R, on the unit-vector kernel basis."""
+    pres = homology_presentation(IntMatrix.zeros(0, R.rows), R)
+    assert pres.relations == R
+    return pres
+
+
+def unit(k, i):
+    return tuple(1 if t == i else 0 for t in range(k))
+
+
+def test_pruned_presentation_random():
+    rng = random.Random(808)
+    for trial in range(80):
+        R = random_relations(rng, units=trial % 3 != 0)
+        k = R.rows
+        pres = presentation_of(R)
+        pruned = pres.pruned()
+        rank, torsion = oracles.cokernel_invariants(R.to_lists(), k)
+        got = cokernel_structure(pruned.relations)
+        assert (got.rank, list(got.torsion)) == (rank, torsion)
+        assert pruned.structure == got
+        if any(x in (1, -1) for row in R.to_lists() for x in row):
+            assert pruned.generator_count < k
+        else:
+            assert pruned.free == tuple(range(k))
+        assert pruned.relations.rows == pruned.generator_count
+        for f, g in enumerate(pruned.free):
+            assert pruned.kernel[f] == pres.kernel[g]
+            assert pruned.project(unit(k, g)) == unit(pruned.generator_count, f)
+            assert pruned.project({g: 1}) == unit(pruned.generator_count, f)
+        residual = Lattice(pruned.generator_count, pruned.relations.columns())
+        for column in R.columns():
+            assert pruned.project(column) in residual
+
+
+@pytest.mark.parametrize("rows", [
+    [[1], [1]],
+    [[1, 0], [2, 3]],
+    [[1, 2, 0], [-1, 0, 3], [2, 1, 1]],
+], ids=["sum", "triangular", "dense"])
+def test_broken_prune_is_caught(broken_prune, rows):
+    pres = presentation_of(IntMatrix(rows))
+    pres.pruned()
+    broken_prune()
+    with pytest.raises(InternalCheckError, match="escaped the pruned relation lattice"):
+        pres.pruned()
+
+
 def test_homology_presentation_rejects_non_complex():
     with pytest.raises(InternalCheckError):
         homology_presentation(IntMatrix([[1]]), IntMatrix([[1]]))

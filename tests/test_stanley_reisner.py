@@ -104,6 +104,14 @@ def test_polynomial_rejects_string_coefficient():
         Polynomial(1, {(1,): "3"})
 
 
+@pytest.mark.parametrize("exponent", [1.5, "2", True], ids=["float", "string", "bool"])
+def test_polynomial_rejects_non_integer_exponent(exponent):
+    with pytest.raises(InputError):
+        Polynomial(2, {(exponent, 2): 1})
+    with pytest.raises(InputError):
+        Polynomial(2, {(1, exponent): 0})
+
+
 def test_linear_form_rejects_non_integer_coefficient():
     for bad in ((0.5, 1), ("1", 0), (Fraction(1, 2), 1)):
         with pytest.raises(InputError):
