@@ -21,7 +21,9 @@ subquotients ker/im are presented as finitely generated abelian groups
 with coordinates in a kernel basis found by echelon back-substitution.
 The same engine prunes a presentation: run on its relation columns, each
 unit pivot writes one generator in terms of the others, which leaves the
-group as Z^free modulo the residual relations.
+group as Z^free modulo the residual relations.  _substitute rewrites a
+vector through such a log of pivots, for pruned presentations and for
+the regular-sequence scan's quotients alike.
 
 Smith normal form with transformation matrices remains only behind
 SnfSolver.  rational_rank is a separate sparse fraction-free
@@ -565,6 +567,36 @@ def _eliminate_units(rows: list) -> tuple:
     return pivots, [active[i] for i in sorted(active)]
 
 
+def _substitute(pivots: list, position: dict, v: dict) -> dict:
+    """Rewrite the sparse vector v (a dict, consumed) over the generators
+    that the unit pivots logged by _eliminate_units left free, modulo
+    the eliminated rows; position maps each pivot generator to its place
+    in the log.  Returns the nonzero entries.
+
+    Substitutes the pivots in elimination order.  A pivot row holds only
+    free generators and later pivots' generators, so taking the pivots
+    earliest first leaves only free generators.
+    """
+    heap = [position[g] for g in v if g in position]
+    heapq.heapify(heap)
+    while heap:
+        g, row = pivots[heapq.heappop(heap)]
+        x = v.pop(g, 0)
+        if not x:
+            continue
+        factor = x * row[g]  # g = -row[g] * (the rest of row), row[g] = +-1
+        for k, y in row.items():
+            if k == g:
+                continue
+            if k in v:
+                v[k] -= factor * y
+            else:
+                v[k] = -factor * y
+                if k in position:
+                    heapq.heappush(heap, position[k])
+    return {g: x for g, x in v.items() if x}
+
+
 def _bareiss(m: list) -> tuple:
     """Fraction-free elimination of the dense rows m, in place, with row
     and column swaps.  Returns (rank, minor, sign): minor is the leading
@@ -734,6 +766,8 @@ def cokernel_structure(A: IntMatrix | SparseMatrix) -> ZModule:
     """Structure of Z^rows / column span of A: each unit pivot adds 1 to
     the rank and an invariant factor 1; the residual adds its rank and
     invariant factors, found modulo a nonzero minor."""
+    if A.is_zero():
+        return ZModule(A.rows)
     pivots, residual = _eliminate_units(A.sparse_rows())
     rank = len(pivots)
     factors = []
@@ -748,11 +782,14 @@ def cokernel_structure(A: IntMatrix | SparseMatrix) -> ZModule:
 
 def check_complex(d_out: SparseMatrix | IntMatrix, d_in: SparseMatrix | IntMatrix):
     """Raise InternalCheckError unless d_out * d_in = 0, checked as one
-    product of the two matrices as they are stored."""
+    product of the two matrices as they are stored; a product with a
+    dimension 0 is zero and is not formed."""
     if d_out.cols != d_in.rows:
         raise InternalCheckError(
             f"chain spaces disagree: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows"
         )
+    if 0 in (d_out.rows, d_out.cols, d_in.cols):
+        return
     if not d_out.mul(d_in).is_zero():
         raise InternalCheckError("differentials do not compose to zero")
 
@@ -1016,37 +1053,14 @@ class PrunedPresentation:
 
     def project(self, coords) -> tuple:
         """Pruned coordinates of the class with the given source generator
-        coordinates, a sequence or a sparse dict index -> entry.
-
-        Substitutes the pivots in elimination order.  A pivot row holds
-        only free generators and later pivots' generators, so taking the
-        pivots earliest first leaves only free generators.
-        """
+        coordinates, a sequence or a sparse dict index -> entry."""
         if isinstance(coords, dict):
             v = dict(coords)
         else:
             v = {g: x for g, x in enumerate(coords) if x}
-        position = self._position
-        heap = [position[g] for g in v if g in position]
-        heapq.heapify(heap)
-        while heap:
-            g, row = self._pivots[heapq.heappop(heap)]
-            x = v.pop(g, 0)
-            if not x:
-                continue
-            factor = x * row[g]  # g = -row[g] * (the rest of row), row[g] = +-1
-            for k, y in row.items():
-                if k == g:
-                    continue
-                if k in v:
-                    v[k] -= factor * y
-                else:
-                    v[k] = -factor * y
-                    if k in position:
-                        heapq.heappush(heap, position[k])
         out = [0] * len(self.free)
         index = self._index
-        for g, x in v.items():
+        for g, x in _substitute(self._pivots, self._position, v).items():
             out[index[g]] = x
         return tuple(out)
 

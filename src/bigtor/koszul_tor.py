@@ -19,7 +19,9 @@ complex alive.
 Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
 second, independent regular-sequence checker that never touches the
-Koszul complex.
+Koszul complex: it decides each u_i's injectivity on the quotients by
+u_1, ..., u_{i-1} as the unit-pivot engine leaves them, building each
+quotient only when the scan reaches it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .intlinalg import (
     homology_presentation,
     kernel_basis,
     rational_rank,
+    _eliminate_units,
+    _substitute,
 )
 from .simplicial import SimplicialComplex, SubgroupData
 from .stanley_reisner import (
@@ -282,12 +286,8 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, D: int):
         pres = complex_.homology(1, j)
         relations = pres.relation_lattice()
         k = len(pres.kernel)
-        chosen = None
-        for g, vec in enumerate(pres.kernel):
-            coords = tuple(1 if i == g else 0 for i in range(k))
-            if coords not in relations:
-                chosen = vec
-                break
+        chosen = next((vec for g, vec in enumerate(pres.kernel)
+                       if tuple(1 if i == g else 0 for i in range(k)) not in relations), None)
         if chosen is None:
             raise InternalCheckError("nonzero homology but every generator died")
         if any(complex_.differential(1, j).apply(chosen)):
@@ -351,65 +351,27 @@ def verdicts(table: BigradedTor) -> VerdictReport:
     property of the input.
     """
     D = table.D
-    tor1_bad = next(
-        ((p, j, zm) for (p, j), zm in sorted(table.table.items())
-         if p == 1 and not zm.is_zero()),
-        None,
-    )
-    if tor1_bad is None:
-        bigcm = Verdict(HOLDS_UP_TO, D)
-    else:
-        p, j, zm = tor1_bad
-        bigcm = Verdict(FAILS, D, witness=(("p", p), ("j", j), ("group", str(zm))))
+    items = sorted(table.table.items())
 
-    odd_bad = next(
-        ((p, j, zm) for (p, j), zm in sorted(table.table.items())
-         if (j - p) % 2 and not zm.is_zero()),
-        None,
-    )
-    if odd_bad is None:
-        odd = Verdict(HOLDS_UP_TO, D)
-    else:
-        p, j, zm = odd_bad
-        odd = Verdict(
-            FAILS, D, witness=(("p", p), ("j", j), ("q", j - p), ("group", str(zm)))
-        )
+    def verdict(bad, witness):
+        hit = next(((p, j, zm) for (p, j), zm in items if bad(p, j, zm)), None)
+        return Verdict(HOLDS_UP_TO, D) if hit is None else Verdict(FAILS, D, witness(*hit))
 
+    bigcm = verdict(lambda p, j, zm: p == 1 and not zm.is_zero(),
+                    lambda p, j, zm: (("p", p), ("j", j), ("group", str(zm))))
+    odd = verdict(lambda p, j, zm: (j - p) % 2 and not zm.is_zero(),
+                  lambda p, j, zm: (("p", p), ("j", j), ("q", j - p), ("group", str(zm))))
     if bigcm.holds() != odd.holds():
         raise InternalCheckError(
-            "big-CM and odd-vanishing verdicts disagree: "
-            f"bigcm={bigcm}, odd_vanishing={odd}"
+            f"big-CM and odd-vanishing verdicts disagree: bigcm={bigcm}, odd_vanishing={odd}"
         )
-
-    torsion_bad = next(
-        ((j, zm) for (p, j), zm in sorted(table.table.items())
-         if p == 0 and zm.torsion),
-        None,
-    )
-    if torsion_bad is None:
-        torsion_free = Verdict(HOLDS_UP_TO, D)
-    else:
-        j, zm = torsion_bad
-        torsion_free = Verdict(
-            FAILS, D, witness=(("j", j), ("torsion", list(zm.torsion)))
-        )
-
-    if bigcm.holds() and torsion_free.holds():
-        free = Verdict(HOLDS_UP_TO, D)
-    else:
-        blame = []
-        if not bigcm.holds():
-            blame.append(("bigcm", str(bigcm)))
-        if not torsion_free.holds():
-            blame.append(("tor0_torsion_free", str(torsion_free)))
-        free = Verdict(FAILS, D, witness=tuple(blame))
-
-    return VerdictReport(
-        bigcm=bigcm,
-        odd_vanishing=odd,
-        tor0_torsion_free=torsion_free,
-        free_over_R=free,
-    )
+    torsion_free = verdict(lambda p, j, zm: p == 0 and zm.torsion,
+                           lambda p, j, zm: (("j", j), ("torsion", list(zm.torsion))))
+    named = (("bigcm", bigcm), ("tor0_torsion_free", torsion_free))
+    blame = tuple((name, str(v)) for name, v in named if not v.holds())
+    free = Verdict(FAILS, D, blame) if blame else Verdict(HOLDS_UP_TO, D)
+    return VerdictReport(bigcm=bigcm, odd_vanishing=odd, tor0_torsion_free=torsion_free,
+                         free_over_R=free)
 
 
 class DepthEstimate(NamedTuple):
@@ -463,46 +425,105 @@ class RegularSequenceReport(NamedTuple):
     witness: RegularityWitness | None = None
 
 
+class _Quotient(NamedTuple):
+    """Z[K]_j modulo the forms scanned so far, as _eliminate_units leaves
+    it: the surviving monomials, the residual relations over them with
+    their rank, and the pivot log (and each pivot's place in it)."""
+
+    free: tuple
+    relations: list
+    rank: int
+    pivots: list
+    position: dict
+
+    def matrix(self, vectors: list) -> SparseMatrix:
+        """The vectors, over this degree's monomials, as matrix rows."""
+        return SparseMatrix(len(vectors), len(self.free) + len(self.pivots), vectors)
+
+    def divided_by(self, vectors: list) -> "_Quotient":
+        """This quotient modulo further vectors over its free monomials."""
+        if not vectors:
+            return self
+        new, residual = _eliminate_units([dict(v) for v in self.relations + vectors])
+        gone = {g: len(self.pivots) + k for k, (g, _) in enumerate(new)}
+        free = tuple(g for g in self.free if g not in gone)
+        rank = rational_rank(self.matrix(residual))
+        return _Quotient(free, residual, rank, self.pivots + new, {**self.position, **gone})
+
+
+def _is_injective(here: _Quotient, there: _Quotient, phi: list) -> bool:
+    """Whether the map with images phi of here.free is injective from here
+    to there.  Over Q, rank ker = rank here - (rank [phi | R] - rank R),
+    R the relations of there.  At rank 0 the kernel is torsion, so a
+    torsion-free here passes; otherwise ker [phi | R], cut to here.free,
+    must lie in here's relation lattice."""
+    image = there.matrix(phi + there.relations)
+    if rational_rank(image) - there.rank < len(here.free) - here.rank:
+        return False
+    if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
+        return True
+    lattice = Lattice(len(phi), [[r.get(g, 0) for g in here.free] for r in here.relations])
+    kernel = kernel_basis(SparseMatrix(image.cols, image.rows, image.sparse_columns()))
+    return all(v[: len(phi)] in lattice for v in kernel)
+
+
+def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
+    """Yield (stage, j, whether u_stage is injective from degree j to j + 2
+    of Z[K]/(u_1, ..., u_{stage-1})) in scan order.  The stage-(i+1)
+    quotient in degree j + 2 is stage i's modulo the image of u_i, built
+    when the scan reaches it, so stopping early eliminates no more."""
+    quotients = {j: _Quotient(tuple(range(len(monomial_basis(K, j)))), [], 0, [], {})
+                 for j in range(0, D + 1, 2)}
+    images = {}  # j -> the last stage's images of degree j, over degree j + 2
+    for stage, u in enumerate(forms, 1):
+        here = quotients[0]
+        for j in range(0, D - 1, 2):
+            there = quotients[j + 2] = quotients[j + 2].divided_by(images.pop(j, []))
+            columns = mult_matrix(K, u, j).sparse_columns()
+            phi = images[j] = [_substitute(there.pivots, there.position, columns[m])
+                               for m in here.free]
+            yield stage, j, _is_injective(here, there, phi)
+            here = there
+
+
+def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
+    """The full-space search: the first Hermite-reduced v in Z[K]_j with
+    u_stage v in (u_1, ..., u_{stage-1}) but v outside it, or None."""
+
+    def ideal(d):  # -[u_1 | ... | u_{stage-1}] into degree d
+        block = SparseMatrix.zeros(len(monomial_basis(K, d)), 0)
+        for u in forms[: stage - 1] if d else ():
+            block = block.hstack(mult_matrix(K, u, d - 2).scaled(-1))
+        return block
+
+    mult = mult_matrix(K, forms[stage - 1], j)
+    ideal_here = Lattice(mult.cols, ideal(j).columns())
+    return next((v[: mult.cols] for v in kernel_basis(mult.hstack(ideal(j + 2)))
+                 if v[: mult.cols] not in ideal_here), None)
+
+
 def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> RegularSequenceReport:
     """Direct regular-sequence test, independent of the Koszul complex.
 
-    Stage i checks that multiplication by u_i is injective on each
-    graded piece of Z[K]/(u_1, ..., u_{i-1}): a vector v with u_i v in
-    the ideal piece one degree up, but v itself outside the ideal
-    piece, is exactly a nonzero annihilated class.
+    Stage i checks that multiplication by u_i is injective on each graded
+    piece of Z[K]/(u_1, ..., u_{i-1}), on the quotients the unit-pivot
+    engine leaves (_quotient_scan).  At the first failure the full-space
+    search names the annihilated class, and it must find one.
     """
     if D < 0 or D % 2:
         raise InputError(f"degree bound must be even and nonnegative, got {D}")
-    # -[u_1 | ... | u_{stage-1}] into each degree j, one block per
-    # earlier form, grown by one block at the end of every stage
-    ideal = {j: SparseMatrix.zeros(len(monomial_basis(K, j)), 0) for j in range(0, D + 1, 2)}
-    for stage, u in enumerate(_forms_of(S), 1):
-        mults = {}
-        for j in range(0, D - 1, 2):
-            mult = mults[j] = mult_matrix(K, u, j)
-            candidates = [vec[: mult.cols] for vec in kernel_basis(mult.hstack(ideal[j + 2]))]
-            if not candidates:
-                continue
-            ideal_here = Lattice(mult.cols, ideal[j].columns())
-            for v in candidates:
-                if v not in ideal_here:
-                    basis = monomial_basis(K, j)
-                    poly = Polynomial(
-                        K.m, {mono: c for mono, c in zip(basis.monomials, v) if c}
-                    )
-                    return RegularSequenceReport(
-                        regular=False,
-                        bound=D,
-                        witness=RegularityWitness(
-                            stage=stage,
-                            j=j,
-                            class_text=poly.render(),
-                            form_text=u.render(),
-                        ),
-                    )
-        for j, mult in mults.items():
-            ideal[j + 2] = ideal[j + 2].hstack(mult.scaled(-1))
-    return RegularSequenceReport(regular=True, bound=D)
+    forms = _forms_of(S)
+    failure = next(((stage, j) for stage, j, injective in _quotient_scan(K, forms, D)
+                    if not injective), None)
+    if failure is None:
+        return RegularSequenceReport(regular=True, bound=D)
+    stage, j = failure
+    v = _annihilated_class(K, forms, stage, j)
+    if v is None:
+        raise InternalCheckError(f"quotient scan and full-space search disagree at u{stage}, j={j}")
+    poly = Polynomial(K.m, {mono: c for mono, c in zip(monomial_basis(K, j).monomials, v) if c})
+    witness = RegularityWitness(stage, j, poly.render(), forms[stage - 1].render())
+    return RegularSequenceReport(regular=False, bound=D, witness=witness)
 
 
 def expected_euler_characteristic(K: SimplicialComplex, n: int, j: int) -> int:

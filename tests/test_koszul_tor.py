@@ -92,29 +92,44 @@ B = [1 0 0 -1 0 0 ; 0 1 0 0 -1 0 ; 0 0 1 0 0 -1]
 """
 
 
-def test_octahedron_tor_at_degree_24_is_fast_and_small(tmp_path, budget):
-    # a fresh interpreter, so the peak resident set (VmHWM) is the
-    # command's own
+def fresh_cli_run(tmp_path, command, D):
+    """`bigtor command` on the octahedron in a fresh interpreter, so the
+    peak resident set (VmHWM) is the command's own; (exit code, VmHWM kB)."""
     path = tmp_path / "octahedron.tcx"
     path.write_text(OCTAHEDRON)
     script = textwrap.dedent("""\
         import contextlib, io, sys
         from bigtor import cli
+        command, path, D = sys.argv[1:]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["tor", "--input", sys.argv[1], "--max-degree", "24", "--json"])
+            code = cli.main([command, "--input", path, "--max-degree", D, "--json"])
         hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM"))
         print(code, int(hwm.split()[1]))
     """)
     src = str(pathlib.Path(bigtor.__file__).resolve().parent.parent)
-    with budget(5):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, str(path), str(D)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
     assert proc.returncode == 0, proc.stderr
     code, hwm_kb = map(int, proc.stdout.split())
+    return code, hwm_kb
+
+
+def test_octahedron_tor_at_degree_24_is_fast_and_small(tmp_path, budget):
+    with budget(5):
+        code, hwm_kb = fresh_cli_run(tmp_path, "tor", 24)
+    assert code == 0
+    assert hwm_kb < 30 * 1024
+
+
+def test_octahedron_check_bigcm_at_degree_24_is_fast_and_small(tmp_path, budget):
+    # the regular-sequence scan works on quotients, never on the ideal's
+    # full-space kernels (which took 70 MB here)
+    with budget(5):
+        code, hwm_kb = fresh_cli_run(tmp_path, "check-bigcm", 24)
     assert code == 0
     assert hwm_kb < 30 * 1024
 
