@@ -20,14 +20,13 @@ identities are checked column by column on sparse differentials.  Only
 the generic snake-chase lift builds tau_* as a matrix, for its Smith
 normal form solve.
 
-Every presentation is pruned before anything is computed on it: its
-unit relations are eliminated (HomologyPresentation.pruned), which
-leaves one generator per kernel row that survives and only the residual
-relations.  Induced maps run the chain maps on those generators' kernel
-rows and project the image's coordinates to the target's pruned
-generators; exactness at a node is an equality of two coordinate
-lattices over the residual relations.  The verification is exact
-integer arithmetic end to end.
+A homology presentation comes with its unit relations already
+eliminated (intlinalg.HomologyPresentation): one generator per kernel
+row that survives, and only the residual relations.  Induced maps run
+the chain maps on those generators' kernel rows and take the image's
+coordinates in the target's generators; exactness at a node is an
+equality of two coordinate lattices over the residual relations.  The
+verification is exact integer arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -36,15 +35,15 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .intlinalg import (
+    HomologyPresentation,
     IntMatrix,
     Lattice,
-    PrunedPresentation,
     SnfSolver,
     ZModule,
     cokernel_structure,
     kernel_basis,
 )
-from .koszul_tor import KoszulComplex
+from .koszul_tor import KoszulComplex, _memoized
 from .simplicial import SimplicialComplex, SubgroupData
 from .stanley_reisner import LinearForm
 
@@ -137,23 +136,15 @@ class GysinData:
         base_forms = [LinearForm(tuple(row)) for row in base_rows]
         self.base = KoszulComplex(K, base_forms)
         self.ext = KoszulComplex(K, base_forms + [self.split_form])
-        self._cache = {}  # (kind, p, j) -> index map, presentation or induced map
+        self._cache = {}  # (method name, *args) -> result, see _memoized
         self._verify_chain_level()
-
-    def _memo(self, key, build):
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = build()
-        return value
 
     # --- chain-level maps -------------------------------------------------
 
+    @_memoized
     def tau_star(self, p: int, j: int) -> IndexMap:
         """Inclusion C_{p,j} -> C~_{p,j}: each subset avoiding n+1 keeps
         its block of monomial coordinates."""
-        return self._memo(("tau*", p, j), lambda: self._tau_star(p, j))
-
-    def _tau_star(self, p: int, j: int) -> IndexMap:
         target = {}
         if self.base.chain_dim(p, j):
             block = len(self.base.coefficient_basis(p, j))
@@ -162,12 +153,10 @@ class GysinData:
                       for si, S in enumerate(self.base.subsets(p)) for t in range(block)}
         return IndexMap(target, 1, self.ext.chain_dim(p, j))
 
+    @_memoized
     def tau_lower(self, p: int, j: int) -> IndexMap:
         """Signed xi_{n+1} component C~_{p,j} -> C_{p-1,j-2}: the block of
         S + (n+1,) goes to the block of S with sign (-1)^(p-1)."""
-        return self._memo(("tau_*", p, j), lambda: self._tau_lower(p, j))
-
-    def _tau_lower(self, p: int, j: int) -> IndexMap:
         target = {}
         dim = self.base.chain_dim(p - 1, j - 2)
         if dim and self.ext.chain_dim(p, j):
@@ -228,17 +217,19 @@ class GysinData:
 
     # --- homology and induced maps ---------------------------------------
 
-    def base_pres(self, p: int, j: int) -> PrunedPresentation:
+    @_memoized
+    def base_pres(self, p: int, j: int) -> HomologyPresentation:
         j = max(j, -2)  # canonical empty degree; chain groups vanish
-        return self._memo(("base", p, j), lambda: self.base.homology(p, j).pruned())
+        return self.base.homology(p, j)
 
-    def ext_pres(self, p: int, j: int) -> PrunedPresentation:
+    @_memoized
+    def ext_pres(self, p: int, j: int) -> HomologyPresentation:
         j = max(j, -2)
-        return self._memo(("ext", p, j), lambda: self.ext.homology(p, j).pruned())
+        return self.ext.homology(p, j)
 
     def induced(self, chain_map, src, tgt) -> IntMatrix:
-        """Matrix of the induced map on homology, pruned generator to
-        pruned target coordinates; chain_map takes and returns dense
+        """Matrix of the induced map on homology, source generators to
+        target generator coordinates; chain_map takes and returns dense
         coordinate tuples."""
         cols = []
         for vec in src.kernel:
@@ -248,22 +239,18 @@ class GysinData:
             cols.append(x)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
 
+    @_memoized
     def tau_star_induced(self, p: int, j: int) -> IntMatrix:
-        return self._memo(("tau* on H", p, j), lambda: self.induced(
-            self.tau_star(p, j), self.base_pres(p, j), self.ext_pres(p, j)
-        ))
+        return self.induced(self.tau_star(p, j), self.base_pres(p, j), self.ext_pres(p, j))
 
+    @_memoized
     def tau_lower_induced(self, p: int, j: int) -> IntMatrix:
-        return self._memo(("tau_* on H", p, j), lambda: self.induced(
-            self.tau_lower(p, j), self.ext_pres(p, j), self.base_pres(p - 1, j - 2)
-        ))
+        return self.induced(self.tau_lower(p, j), self.ext_pres(p, j), self.base_pres(p - 1, j - 2))
 
+    @_memoized
     def delta_induced(self, p: int, j: int) -> IntMatrix:
         """Connecting map H_p(C)_{j} -> H_p(C)_{j+2} as multiplication
         by the split form on representatives."""
-        return self._memo(("delta on H", p, j), lambda: self._delta_induced(p, j))
-
-    def _delta_induced(self, p: int, j: int) -> IntMatrix:
         src = self.base_pres(p, j)
         tgt = self.base_pres(p, j + 2)
         if p < 0 or j < 0 or not src.kernel:

@@ -16,20 +16,24 @@ invariant factors come from a Smith normal form of [R | M I] with every
 entry reduced mod M (Domich, Kannan and Trotter 1987; Cohen, GTM 138,
 section 2.4), so no entry ever exceeds M; a stage whose pivot is prime
 to M splits off a factor 1 at once.  Kernels are lifted back
-through the logged pivot rows and Hermite-reduced.  Homology
-subquotients ker/im are presented as finitely generated abelian groups
-with coordinates in a kernel basis found by echelon back-substitution.
-The same engine prunes a presentation: run on its relation columns, each
-unit pivot writes one generator in terms of the others, which leaves the
-group as Z^free modulo the residual relations.  _substitute rewrites a
-vector through such a log of pivots, for pruned presentations and for
-the regular-sequence scan's quotients alike.
+through the logged pivot rows and Hermite-reduced.
+
+A homology subquotient ker/im is presented as a finitely generated
+abelian group.  Its relations are the image columns written in a kernel
+basis by echelon back-substitution, and the same engine, run on those
+columns, prunes them: each unit pivot writes one basis row in terms of
+the others, which leaves the group as Z^free modulo the residual
+relations.  Only this module sees the full relations; the prune is
+verified as it is built.  _substitute rewrites a vector through such a
+log of pivots, for presentations and for the regular-sequence scan's
+quotients alike.
 
 Smith normal form with transformation matrices remains only behind
 SnfSolver.  rational_rank is a separate sparse fraction-free
-elimination over the same rows that shares no elimination code with the
-engine, so the two can cross-check each other.  Everything runs on arbitrary-precision Python
-ints; no floating point anywhere.
+elimination over the same rows that shares no elimination code with
+the engine, so the two can cross-check each other.  Everything runs on
+arbitrary-precision Python ints, and IntMatrix refuses any other entry
+type; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "SparseMatrix",
     "ZModule",
     "HomologyPresentation",
-    "PrunedPresentation",
     "Lattice",
     "smith_normal_form",
     "kernel_basis",
@@ -63,7 +66,8 @@ class IntMatrix:
 
     Rows or columns may be zero; the shape is kept explicitly so that
     0 x n and n x 0 matrices stay distinguishable.  Entries must be ints
-    and are stored as given.
+    (type int exactly: no bool, float or Fraction) and are stored as
+    given.
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -80,6 +84,9 @@ class IntMatrix:
             if cols is None:
                 raise InputError("matrix with no rows needs an explicit column count")
             width = cols
+        bad = next((x for row in data for x in row if type(x) is not int), None)
+        if bad is not None:
+            raise InputError(f"matrix entry {bad!r} is not an integer")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
@@ -180,13 +187,9 @@ class IntMatrix:
             self.cols + other.cols,
         )
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise InputError("column counts differ in vstack")
-        return IntMatrix._of(self._entries + other._entries, self.cols)
-
     def scaled(self, factor: int) -> "IntMatrix":
-        factor = int(factor)
+        if type(factor) is not int:
+            raise InputError(f"scale factor {factor!r} is not an integer")
         return IntMatrix._of(
             tuple(tuple(factor * x for x in row) for row in self._entries), self.cols
         )
@@ -501,9 +504,9 @@ def smith_normal_form(A: IntMatrix):
         else:
             i += 1
     return (
-        IntMatrix(U, cols=A.rows),
-        IntMatrix(S, cols=A.cols),
-        IntMatrix(V, cols=A.cols),
+        IntMatrix._of(tuple(map(tuple, U)), A.rows),
+        IntMatrix._of(tuple(map(tuple, S)), A.cols),
+        IntMatrix._of(tuple(map(tuple, V)), A.cols),
     )
 
 
@@ -950,101 +953,69 @@ class Lattice:
 
 
 class HomologyPresentation:
-    """ker(d_out)/im(d_in) with generators and relations made explicit.
+    """ker(d_out)/im(d_in) as Z^k modulo the column span of relations.
 
-    kernel holds a Hermite-reduced basis of ker(d_out) as ambient row
-    vectors.  relations holds the coordinates of the columns of d_in in
-    that basis, found by back-substitution against it (kernel_lattice),
-    so the group is Z^k modulo the column span of relations.
+    The cycles have a Hermite-reduced basis, kept in kernel_lattice(),
+    and the columns of d_in written in that basis are the full
+    relations.  Their unit relations are eliminated: run on the relation
+    columns, the engine's +-1 pivots each write one basis row in terms of
+    the others, so only the rows that survive are generators.  Generator
+    f is basis row free[f], the cycle kernel[f]; relations holds the
+    residual relations in generator coordinates, and project maps basis
+    coordinates to generator coordinates.
+
+    Verified on construction, not trusted: the residual must present the
+    same group as the full relations, and every full relation must
+    project into the residual lattice; since project is onto, the two
+    make it an isomorphism.
     """
 
-    __slots__ = ("ambient_dim", "kernel", "relations", "structure", "_cycles")
+    __slots__ = ("kernel", "free", "relations", "structure", "_cycles",
+                 "_pivots", "_position", "_index", "_relation_lattice")
 
-    def __init__(self, ambient_dim: int, kernel: tuple, relations: IntMatrix,
-                 structure: ZModule, cycles: Lattice):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "kernel", kernel)
+    def __init__(self, cycles: Lattice, columns: list):
+        """cycles has the Hermite-reduced kernel basis as its basis;
+        columns lists the full relations as sparse dicts basis index ->
+        entry."""
+        k = len(cycles.basis)
+        rows = [{} for _ in range(k)]
+        for r, column in enumerate(columns):
+            for g, x in column.items():
+                rows[g][r] = x
+        structure = cokernel_structure(SparseMatrix(k, len(columns), rows))
+        pivots, residual = _eliminate_units([dict(column) for column in columns])
+        pivot_gens = {g for g, _ in pivots}
+        free = tuple(g for g in range(k) if g not in pivot_gens)
+        relations = IntMatrix.from_columns(
+            [tuple(row.get(g, 0) for g in free) for row in residual], rows=len(free)
+        )
+        object.__setattr__(self, "kernel", tuple(tuple(cycles.basis[g]) for g in free))
+        object.__setattr__(self, "free", free)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_cycles", cycles)
+        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_position", {g: i for i, (g, _) in enumerate(pivots)})
+        object.__setattr__(self, "_index", {g: f for f, g in enumerate(free)})
+        object.__setattr__(self, "_relation_lattice", Lattice(len(free), relations.columns()))
+        if cokernel_structure(relations) != structure:
+            raise InternalCheckError("pruned relations present a different group")
+        for column in columns:
+            if self.project(column) not in self._relation_lattice:
+                raise InternalCheckError("a relation escaped the pruned relation lattice")
 
     def __setattr__(self, name, value):
         raise AttributeError("HomologyPresentation is immutable")
 
     @property
     def generator_count(self) -> int:
-        return len(self.kernel)
+        return len(self.free)
 
     def kernel_lattice(self) -> Lattice:
-        """The cycles, with the kernel rows as basis: its coordinates()
-        are generator coordinates.  The one lattice the presentation was
-        built with; callers must not add to it."""
+        """The cycles, with the Hermite-reduced kernel basis as basis:
+        its coordinates() are basis coordinates.  The one lattice the
+        presentation was built with; callers must not add to it."""
         return self._cycles
-
-    def relation_lattice(self) -> Lattice:
-        return Lattice(self.generator_count, self.relations.columns())
-
-    def class_is_zero(self, coords) -> bool:
-        return tuple(coords) in self.relation_lattice()
-
-    def pruned(self) -> "PrunedPresentation":
-        """The same group with its unit relations eliminated.
-
-        The engine runs on the relation columns: each +-1 pivot
-        (generator g, relation) writes g in terms of other generators, and
-        what remains is Z^free modulo the residual relations.  Verified,
-        not trusted: the residual must have this presentation's structure,
-        and every relation must project into the residual lattice; since
-        project is onto, the two make it an isomorphism.
-        """
-        columns = self.relations.sparse_columns()
-        pivots, residual = _eliminate_units([dict(column) for column in columns])
-        pivot_gens = {g for g, _ in pivots}
-        free = tuple(g for g in range(self.generator_count) if g not in pivot_gens)
-        relations = IntMatrix.from_columns(
-            [tuple(row.get(g, 0) for g in free) for row in residual], rows=len(free)
-        )
-        pruned = PrunedPresentation(self, free, pivots, relations)
-        if cokernel_structure(relations) != self.structure:
-            raise InternalCheckError("pruned relations present a different group")
-        lattice = pruned.relation_lattice()
-        for column in columns:
-            if pruned.project(column) not in lattice:
-                raise InternalCheckError("a relation escaped the pruned relation lattice")
-        return pruned
-
-
-class PrunedPresentation:
-    """A homology presentation with its unit relations eliminated
-    (HomologyPresentation.pruned).
-
-    Pruned generator f stands for the source's generator free[f], whose
-    cycle is kernel[f]; relations holds the residual relations in pruned
-    coordinates.  project maps the source's generator coordinates to
-    pruned ones.
-    """
-
-    __slots__ = ("source", "free", "kernel", "relations", "structure",
-                 "_pivots", "_position", "_index", "_relation_lattice")
-
-    def __init__(self, source: HomologyPresentation, free: tuple, pivots: list,
-                 relations: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "kernel", tuple(source.kernel[g] for g in free))
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "structure", source.structure)
-        object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_position", {g: i for i, (g, _) in enumerate(pivots)})
-        object.__setattr__(self, "_index", {g: f for f, g in enumerate(free)})
-        object.__setattr__(self, "_relation_lattice", Lattice(len(free), relations.columns()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrunedPresentation is immutable")
-
-    @property
-    def generator_count(self) -> int:
-        return len(self.free)
 
     def relation_lattice(self) -> Lattice:
         """The residual relations' lattice, built once; callers must not
@@ -1052,7 +1023,7 @@ class PrunedPresentation:
         return self._relation_lattice
 
     def project(self, coords) -> tuple:
-        """Pruned coordinates of the class with the given source generator
+        """Generator coordinates of the class with the given basis
         coordinates, a sequence or a sparse dict index -> entry."""
         if isinstance(coords, dict):
             v = dict(coords)
@@ -1065,10 +1036,14 @@ class PrunedPresentation:
         return tuple(out)
 
     def coordinates(self, cycle):
-        """Pruned coordinates of an ambient cycle, or None when it is not
-        a cycle."""
-        x = self.source.kernel_lattice().coordinates(cycle)
+        """Generator coordinates of an ambient cycle, or None when it is
+        not a cycle."""
+        x = self._cycles.coordinates(cycle)
         return None if x is None else self.project(x)
+
+    def class_is_zero(self, coords) -> bool:
+        """Whether the class with the given generator coordinates is 0."""
+        return tuple(coords) in self._relation_lattice
 
 
 def homology_presentation(d_out: SparseMatrix | IntMatrix,
@@ -1079,24 +1054,16 @@ def homology_presentation(d_out: SparseMatrix | IntMatrix,
     is broken, which is reported as an internal error.
     """
     check_complex(d_out, d_in)
-    kernel = kernel_basis(d_out)
     # kernel of an integer matrix is a saturated sublattice, so every
     # image column has integer coordinates in the kernel basis
-    lattice = Lattice(d_out.cols, kernel)  # keeps kernel as its basis
-    cols = []
+    lattice = Lattice(d_out.cols, kernel_basis(d_out))  # keeps it as its basis
+    columns = []
     for column in d_in.sparse_columns():
         x = lattice.coordinates(column)
         if x is None:
             raise InternalCheckError("image vector escaped the kernel lattice")
-        cols.append(x)
-    relations = IntMatrix.from_columns(cols, rows=len(kernel))
-    return HomologyPresentation(
-        ambient_dim=d_out.cols,
-        kernel=tuple(kernel),
-        relations=relations,
-        structure=cokernel_structure(relations),
-        cycles=lattice,
-    )
+        columns.append({g: v for g, v in enumerate(x) if v})
+    return HomologyPresentation(lattice, columns)
 
 
 def rational_rank(A: IntMatrix | SparseMatrix) -> int:

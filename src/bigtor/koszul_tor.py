@@ -284,10 +284,8 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, D: int):
         if _tor_structure(complex_, 1, j, cokernels).is_zero():
             continue
         pres = complex_.homology(1, j)
-        relations = pres.relation_lattice()
-        k = len(pres.kernel)
-        chosen = next((vec for g, vec in enumerate(pres.kernel)
-                       if tuple(1 if i == g else 0 for i in range(k)) not in relations), None)
+        chosen = next((vec for g, vec in enumerate(pres.kernel_lattice().basis)
+                       if not pres.class_is_zero(pres.project({g: 1}))), None)
         if chosen is None:
             raise InternalCheckError("nonzero homology but every generator died")
         if any(complex_.differential(1, j).apply(chosen)):

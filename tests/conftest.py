@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from bigtor.cli import parse_problem
-from bigtor.intlinalg import PrunedPresentation
+from bigtor.intlinalg import HomologyPresentation
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -58,16 +58,18 @@ def budget():
 
 @pytest.fixture
 def broken_prune(monkeypatch):
-    """Patch PrunedPresentation.project so that every pivot generator is
-    substituted with the wrong sign; the gate in pruned() must catch it."""
-    original = PrunedPresentation.project
+    """Patch HomologyPresentation.project so that every pivot generator
+    is substituted with the wrong sign; the gate that runs as each
+    presentation is built must catch it."""
+    original = HomologyPresentation.project
 
     def flipped(self, coords):
+        items = coords.items() if isinstance(coords, dict) else enumerate(coords)
         free = set(self.free)
-        return original(self, [x if g in free else -x for g, x in enumerate(coords)])
+        return original(self, {g: x if g in free else -x for g, x in items})
 
     def install():
-        monkeypatch.setattr(PrunedPresentation, "project", flipped)
+        monkeypatch.setattr(HomologyPresentation, "project", flipped)
 
     return install
 

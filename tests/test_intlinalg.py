@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from bigtor.errors import InputError, InternalCheckError
+from bigtor.simplicial import SubgroupData, build_complex, check_local_freeness
 from bigtor.intlinalg import (
     IntMatrix,
     Lattice,
@@ -330,9 +332,10 @@ def random_relations(rng, units):
 
 
 def presentation_of(R):
-    """Z^k modulo the columns of R, on the unit-vector kernel basis."""
+    """Z^k modulo the columns of R, on the unit-vector kernel basis, so
+    basis coordinates are R's coordinates."""
     pres = homology_presentation(IntMatrix.zeros(0, R.rows), R)
-    assert pres.relations == R
+    assert pres.kernel_lattice().basis == [list(unit(R.rows, g)) for g in range(R.rows)]
     return pres
 
 
@@ -346,23 +349,24 @@ def test_pruned_presentation_random():
         R = random_relations(rng, units=trial % 3 != 0)
         k = R.rows
         pres = presentation_of(R)
-        pruned = pres.pruned()
         rank, torsion = oracles.cokernel_invariants(R.to_lists(), k)
-        got = cokernel_structure(pruned.relations)
+        got = cokernel_structure(pres.relations)
         assert (got.rank, list(got.torsion)) == (rank, torsion)
-        assert pruned.structure == got
+        assert pres.structure == got
         if any(x in (1, -1) for row in R.to_lists() for x in row):
-            assert pruned.generator_count < k
+            assert pres.generator_count < k
         else:
-            assert pruned.free == tuple(range(k))
-        assert pruned.relations.rows == pruned.generator_count
-        for f, g in enumerate(pruned.free):
-            assert pruned.kernel[f] == pres.kernel[g]
-            assert pruned.project(unit(k, g)) == unit(pruned.generator_count, f)
-            assert pruned.project({g: 1}) == unit(pruned.generator_count, f)
-        residual = Lattice(pruned.generator_count, pruned.relations.columns())
+            assert pres.free == tuple(range(k))
+        assert pres.relations.rows == pres.generator_count
+        for f, g in enumerate(pres.free):
+            assert pres.kernel[f] == unit(k, g)
+            assert pres.project(unit(k, g)) == unit(pres.generator_count, f)
+            assert pres.project({g: 1}) == unit(pres.generator_count, f)
+            assert pres.coordinates(unit(k, g)) == unit(pres.generator_count, f)
+        residual = Lattice(pres.generator_count, pres.relations.columns())
         for column in R.columns():
-            assert pruned.project(column) in residual
+            assert pres.project(column) in residual
+            assert pres.class_is_zero(pres.project(column))
 
 
 @pytest.mark.parametrize("rows", [
@@ -371,11 +375,11 @@ def test_pruned_presentation_random():
     [[1, 2, 0], [-1, 0, 3], [2, 1, 1]],
 ], ids=["sum", "triangular", "dense"])
 def test_broken_prune_is_caught(broken_prune, rows):
-    pres = presentation_of(IntMatrix(rows))
-    pres.pruned()
+    R = IntMatrix(rows)
+    presentation_of(R)
     broken_prune()
     with pytest.raises(InternalCheckError, match="escaped the pruned relation lattice"):
-        pres.pruned()
+        presentation_of(R)
 
 
 def test_homology_presentation_rejects_non_complex():
@@ -440,9 +444,30 @@ def test_int_matrix_basics():
     assert A.transpose().row(0) == (1, 3)
     assert A.apply((1, 0)) == (1, 3)
     assert A.hstack(IntMatrix([[5], [6]])).row(0) == (1, 2, 5)
-    assert A.vstack(IntMatrix([[5, 6]])).row(2) == (5, 6)
     assert A.scaled(-1) == IntMatrix([[-1, -2], [-3, -4]])
     assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix([[1], [2]])
     assert IntMatrix.zeros(2, 2).is_zero()
     with pytest.raises(InputError):
         IntMatrix([[1], [2, 3]])
+
+
+@pytest.mark.parametrize("entry", [0.5, 2.0, True, False, Fraction(3, 2), Fraction(2)],
+                         ids=["float", "integral-float", "true", "false", "fraction",
+                              "integral-fraction"])
+def test_int_matrix_refuses_entries_that_are_not_ints(entry):
+    with pytest.raises(InputError, match="is not an integer"):
+        IntMatrix([[1, entry], [0, 1]])
+    with pytest.raises(InputError, match="is not an integer"):
+        IntMatrix([[2, 0], [0, 4]]).scaled(entry)
+
+
+def test_inexact_entries_are_refused_before_any_arithmetic():
+    # a float reaching det, the face determinants or the structure would
+    # give an inexact answer (0.5, 1.0 for 1.5) or a TypeError
+    with pytest.raises(InputError):
+        det(IntMatrix([[0.5]]))
+    with pytest.raises(InputError):
+        check_local_freeness(build_complex(3, [(1, 2), (2, 3)]),
+                             SubgroupData(IntMatrix([[1.5, 1, 0], [0, 1, 1]])))
+    with pytest.raises(InputError):
+        cokernel_structure(IntMatrix([[2.0, 0], [0, 4.0]]))
