@@ -61,6 +61,14 @@ __all__ = [
 ]
 
 
+def _require_ints(data: tuple) -> tuple:
+    """data, once every entry of its rows is checked to be an int."""
+    bad = next((x for row in data for x in row if type(x) is not int), None)
+    if bad is not None:
+        raise InputError(f"matrix entry {bad!r} is not an integer")
+    return data
+
+
 class IntMatrix:
     """Immutable dense matrix of arbitrary-precision integers.
 
@@ -84,9 +92,7 @@ class IntMatrix:
             if cols is None:
                 raise InputError("matrix with no rows needs an explicit column count")
             width = cols
-        bad = next((x for row in data for x in row if type(x) is not int), None)
-        if bad is not None:
-            raise InputError(f"matrix entry {bad!r} is not an integer")
+        _require_ints(data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
@@ -117,7 +123,7 @@ class IntMatrix:
         cols = [tuple(col) for col in columns]
         if any(len(col) != rows for col in cols):
             raise InputError(f"columns must have {rows} entries")
-        return cls._of(tuple(zip(*cols)) if cols else ((),) * rows, len(cols))
+        return cls._of(_require_ints(tuple(zip(*cols))) if cols else ((),) * rows, len(cols))
 
     def __getitem__(self, key):
         r, c = key

@@ -458,6 +458,8 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
     with pytest.raises(InputError, match="is not an integer"):
         IntMatrix([[1, entry], [0, 1]])
     with pytest.raises(InputError, match="is not an integer"):
+        IntMatrix.from_columns([(1, 0), (entry, 1)], rows=2)
+    with pytest.raises(InputError, match="is not an integer"):
         IntMatrix([[2, 0], [0, 4]]).scaled(entry)
 
 
