@@ -17,8 +17,9 @@ index maps (the chain maps of a reduction are index bookkeeping:
 Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Exactness of the
 short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
-the generic snake-chase lift builds tau_* as a matrix, for its Smith
-normal form solve.
+the generic snake-chase lift builds tau_* as a matrix, for an echelon
+solve (intlinalg.SnfSolver), and it adds tau*(z) for a fixed chain z so
+that it differs from the explicit wedge lift.
 
 A homology presentation comes with its unit relations already
 eliminated (intlinalg.HomologyPresentation): one generator per kernel
@@ -278,30 +279,18 @@ class GysinData:
     def delta_by_chase(self, p: int, j: int, wedge_lift: bool = False) -> IntMatrix:
         """The same connecting map via the snake-lemma chase.
 
-        Lifts each generator through tau_*, applies the extended
-        differential, and pulls back through tau*.  With wedge_lift the
-        preimage is the explicit signed xi_{n+1}-wedge rather than a
-        generic solve, exercising lift independence.
+        Lifts each generator through tau_* (see _lifts), applies the
+        extended differential, and pulls back through tau*.
         """
         src = self.base_pres(p, j)
         tgt = self.base_pres(p, j + 2)
         if j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        proj = self.tau_lower(p + 1, j + 2)
         inc = self.tau_star(p, j + 2)
         xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
-        solver = None if wedge_lift else SnfSolver(_dense(proj, len(d_ext)))
         cols = []
-        for vec in src.kernel:
-            if wedge_lift:
-                w = self._wedge(vec, proj, len(d_ext))
-                if proj(w) != tuple(vec):
-                    raise InternalCheckError("wedge lift does not project back")
-            else:
-                w = solver.solve(vec)
-                if w is None:
-                    raise InternalCheckError("projection failed to lift a cycle")
+        for w in self._lifts(p, j, wedge_lift):
             y = {}
             for e, x in enumerate(w):
                 if x:
@@ -317,23 +306,35 @@ class GysinData:
             cols.append(coords)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
 
-    @staticmethod
-    def _wedge(vec, proj: IndexMap, dim: int) -> tuple:
-        """(-1)^p times the xi_{n+1}-wedge of a base chain at (p, j),
-        written in extended coordinates at (p+1, j+2): the inverse of
-        tau_* there, whose sign is (-1)^p."""
-        out = [0] * dim
-        for e, k in proj.target.items():
-            out[e] = proj.sign * vec[k]
-        return tuple(out)
+    def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
+        """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
 
-
-def _dense(m: IndexMap, cols: int) -> IntMatrix:
-    """An index map as a dim x cols matrix."""
-    rows = [[0] * cols for _ in range(m.dim)]
-    for k, t in m.target.items():
-        rows[t][k] = m.sign
-    return IntMatrix(rows, cols=cols)
+        With wedge_lift, (-1)^p times the xi_{n+1}-wedge: tau_* there
+        (sign (-1)^p) inverted on its index set.  Otherwise the solver's
+        preimage plus tau*(z), z the all-ones base chain at (p+1, j+2):
+        tau_* kills tau*(z), and d tau*(z) = tau*(dz) pulls back to a
+        boundary, so the chased class does not change while the lift
+        differs from the wedge lift wherever that chain group is nonzero.
+        """
+        kernel = self.base_pres(p, j).kernel
+        proj = self.tau_lower(p + 1, j + 2)
+        dim = self.ext.chain_dim(p + 1, j + 2)
+        if wedge_lift:
+            wedge = IndexMap({k: e for e, k in proj.target.items()}, proj.sign, dim)
+            lifts = [wedge(vec) for vec in kernel]
+        else:
+            rows = [[0] * dim for _ in range(proj.dim)]
+            for e, k in proj.target.items():
+                rows[k][e] = proj.sign
+            solver = SnfSolver(IntMatrix(rows, cols=dim))
+            shift = self.tau_star(p + 1, j + 2)((1,) * self.base.chain_dim(p + 1, j + 2))
+            lifts = [solver.solve(vec) for vec in kernel]
+            if None in lifts:
+                raise InternalCheckError("projection failed to lift a cycle")
+            lifts = [tuple(x + z for x, z in zip(w, shift)) for w in lifts]
+        if any(proj(w) != tuple(vec) for vec, w in zip(kernel, lifts)):
+            raise InternalCheckError("lift does not project back")
+        return lifts
 
 
 def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: IntMatrix, rel3: IntMatrix):

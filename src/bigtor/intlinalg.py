@@ -28,12 +28,14 @@ verified as it is built.  _substitute rewrites a vector through such a
 log of pivots, for presentations and for the regular-sequence scan's
 quotients alike.
 
-Smith normal form with transformation matrices remains only behind
-SnfSolver.  rational_rank is a separate sparse fraction-free
-elimination over the same rows that shares no elimination code with
-the engine, so the two can cross-check each other.  Everything runs on
-arbitrary-precision Python ints, and IntMatrix refuses any other entry
-type; no floating point anywhere.
+Lattice is the one echelon form that carries transforms: it size-reduces
+every row it builds, so entries stay small, and SnfSolver solves A x = b
+on the echelon basis of the rows (column k of A, e_k).  rational_rank is
+a separate sparse fraction-free elimination over the same rows that
+shares no elimination code with the engine, so the two can cross-check
+each other.  Everything runs on arbitrary-precision Python ints, and
+IntMatrix, SparseMatrix and ZModule refuse any other entry type; no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "ZModule",
     "HomologyPresentation",
     "Lattice",
-    "smith_normal_form",
     "kernel_basis",
     "cokernel_structure",
     "homology_presentation",
@@ -228,7 +229,8 @@ class SparseMatrix:
     Koszul differentials and multiplication maps are assembled in this
     form and reach the engine without ever being densified.  No zero is
     stored, so equal matrices have equal rows.  The constructor takes
-    the row dicts as they are and checks only their number.
+    the row dicts as they are and checks their number and that every
+    entry is an int, as IntMatrix does.
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -237,16 +239,27 @@ class SparseMatrix:
         data = tuple(entries)
         if len(data) != rows:
             raise InputError(f"declared {rows} rows, got {len(data)}")
+        _require_ints(tuple(row.values() for row in data))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", data)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries) -> "SparseMatrix":
+        """Wrap rows row dicts of int entries without checking them; for
+        matrices bigtor builds itself."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "_entries", tuple(entries))
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, [{} for _ in range(rows)])
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     def row(self, r: int) -> dict:
         """Row r as stored, column -> nonzero entry; not to be changed."""
@@ -289,7 +302,7 @@ class SparseMatrix:
                 for c, y in rows_in[i].items():
                     acc[c] = acc.get(c, 0) + x * y
             out.append({c: x for c, x in acc.items() if x})
-        return SparseMatrix(self.rows, other.cols, out)
+        return SparseMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vector) -> tuple:
         vec = tuple(vector)
@@ -301,7 +314,7 @@ class SparseMatrix:
         if self.rows != other.rows:
             raise InputError("row counts differ in hstack")
         shift = self.cols
-        return SparseMatrix(self.rows, self.cols + other.cols, [
+        return SparseMatrix._of(self.rows, self.cols + other.cols, [
             {**a, **{shift + c: x for c, x in b.items()}}
             for a, b in zip(self._entries, other._entries)
         ])
@@ -309,7 +322,7 @@ class SparseMatrix:
     def scaled(self, factor: int) -> "SparseMatrix":
         if not factor:
             return SparseMatrix.zeros(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols, [
+        return SparseMatrix._of(self.rows, self.cols, [
             {c: factor * x for c, x in row.items()} for row in self._entries
         ])
 
@@ -342,8 +355,10 @@ class ZModule:
     def __init__(self, rank: int, torsion=()):
         if rank < 0:
             raise InputError("negative rank")
-        tors = tuple(int(d) for d in torsion)
+        tors = tuple(torsion)
         for d in tors:
+            if type(d) is not int:
+                raise InputError(f"invariant factor {d!r} is not an integer")
             if d < 2:
                 raise InputError(f"invariant factor {d} out of range (needs d >= 2)")
         for a, b in zip(tors, tors[1:]):
@@ -394,126 +409,6 @@ def _xgcd(a: int, b: int):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def _swap_rows(m, i, k):
-    m[i], m[k] = m[k], m[i]
-
-
-def _swap_cols(m, i, k):
-    for row in m:
-        row[i], row[k] = row[k], row[i]
-
-
-def _addmul_row(m, target, source, factor):
-    if factor:
-        trow, srow = m[target], m[source]
-        for c in range(len(trow)):
-            trow[c] += factor * srow[c]
-
-
-def _addmul_col(m, target, source, factor):
-    if factor:
-        for row in m:
-            row[target] += factor * row[source]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
-def _diagonalize(S, U, V, start):
-    """Bring S[start:, start:] to diagonal form by unimodular row and
-    column operations, mirroring rows in U and columns in V.
-
-    Pivot choice: smallest absolute value, ties broken by (row, col).
-    Returns the index one past the last nonzero diagonal entry.
-    """
-    rows = len(S)
-    cols = len(S[0]) if S else 0
-    t = start
-    while True:
-        pivot = None
-        for i in range(t, rows):
-            srow = S[i]
-            for k in range(t, cols):
-                x = srow[k]
-                if x:
-                    ax = -x if x < 0 else x
-                    if pivot is None or ax < pivot[0]:
-                        pivot = (ax, i, k)
-                        if ax == 1:
-                            break  # nothing is smaller, and (i, k) wins ties
-            if pivot is not None and pivot[0] == 1:
-                break
-        if pivot is None:
-            return t
-        _, pi, pk = pivot
-        if pi != t:
-            _swap_rows(S, t, pi)
-            _swap_rows(U, t, pi)
-        if pk != t:
-            _swap_cols(S, t, pk)
-            _swap_cols(V, t, pk)
-        if S[t][t] < 0:
-            _negate_row(S, t)
-            _negate_row(U, t)
-        # Euclid on row t and column t until both are clear off the pivot.
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    _addmul_row(S, i, t, -q)
-                    _addmul_row(U, i, t, -q)
-                    if S[i][t]:
-                        # remainder beats the pivot, promote it
-                        _swap_rows(S, t, i)
-                        _swap_rows(U, t, i)
-                        dirty = True
-            for k in range(t + 1, cols):
-                if S[t][k]:
-                    q = S[t][k] // S[t][t]
-                    _addmul_col(S, k, t, -q)
-                    _addmul_col(V, k, t, -q)
-                    if S[t][k]:
-                        _swap_cols(S, t, k)
-                        _swap_cols(V, t, k)
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-
-
-def smith_normal_form(A: IntMatrix):
-    """Return (U, S, V) with U * A * V = S in Smith normal form.
-
-    U and V are unimodular; S is diagonal with nonnegative entries
-    d1 | d2 | ...  The computation is deterministic: pivots are chosen
-    by minimal absolute value with (row, col) tie-break.
-    """
-    S = A.to_lists()
-    U = IntMatrix.identity(A.rows).to_lists()
-    V = IntMatrix.identity(A.cols).to_lists()
-    rank = _diagonalize(S, U, V, 0)
-    # enforce the divisibility chain
-    i = 0
-    while i + 1 < rank:
-        a, b = S[i][i], S[i + 1][i + 1]
-        if b % a != 0:
-            # pull d_{i+1} into column i and rediagonalize from i; the
-            # new d_i becomes gcd(a, b), strictly smaller, so this stops
-            _addmul_col(S, i, i + 1, 1)
-            _addmul_col(V, i, i + 1, 1)
-            _diagonalize(S, U, V, i)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return (
-        IntMatrix._of(tuple(map(tuple, U)), A.rows),
-        IntMatrix._of(tuple(map(tuple, S)), A.cols),
-        IntMatrix._of(tuple(map(tuple, V)), A.cols),
-    )
 
 
 def _eliminate_units(rows: list) -> tuple:
@@ -804,41 +699,61 @@ def check_complex(d_out: SparseMatrix | IntMatrix, d_in: SparseMatrix | IntMatri
 
 
 class SnfSolver:
-    """Solves A x = b for integer x, factoring A once."""
+    """Solves A x = b for integer x, factoring A once.
+
+    The rows (column k of A, e_k) span a lattice whose echelon basis
+    pairs the image of A with preimages: clearing (b, 0) against the
+    basis rows whose pivot falls in A's first A.rows columns leaves
+    (0, -x) with A x = b, and an entry that will not clear puts b off
+    the image.  The name is from the Smith-form solve this replaced; it
+    stays because the benchmark's tracer hooks SnfSolver.solve by name,
+    and renaming it waits for in-package spans (ROADMAP item 2).
+    """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        self.U, self.S, self.V = smith_normal_form(A)
-        self.diag = [self.S[i, i] for i in range(min(self.S.rows, self.S.cols))]
-        self.rank = sum(1 for d in self.diag if d)
+        unit = (0,) * A.cols
+        lattice = Lattice(A.rows + A.cols, [
+            column + unit[:k] + (1,) + unit[k + 1:] for k, column in enumerate(A.columns())
+        ])
+        self._rows = [(lead, {c: x for c, x in enumerate(row) if x})
+                      for row, lead in zip(lattice.basis, lattice.pivots) if lead < A.rows]
 
     def solve(self, b):
         """One integer solution of A x = b, or None if none exists."""
         b = tuple(b)
-        if len(b) != self.A.rows:
+        m = self.A.rows
+        if len(b) != m:
             raise InputError("right-hand side has wrong length")
-        c = self.U.apply(b)
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d:
-                if c[i] % d != 0:
+        v = {c: x for c, x in enumerate(b) if x}
+        # rows in pivot order: each is zero left of its pivot, so a column
+        # once passed stays as it is, and one no row clears stays nonzero
+        for lead, row in self._rows:
+            x = v.get(lead)
+            if x:
+                q, r = divmod(x, row[lead])
+                if r:
                     return None
-                if i < self.A.cols:
-                    y[i] = c[i] // d
-            elif c[i] != 0:
-                return None
-        return self.V.apply(y)
+                for k, y in row.items():
+                    v[k] = v.get(k, 0) - q * y
+        if any(x for c, x in v.items() if c < m):
+            return None
+        return tuple(-v.get(m + k, 0) for k in range(self.A.cols))
 
 
 class Lattice:
     """Subgroup of Z^n spanned by added vectors, held in row echelon form.
 
-    The basis rows have strictly increasing pivot columns.  Rows that are
-    already in that shape are kept as they are and in order, so a lattice
-    built from a Hermite-reduced basis has that very basis.  Coordinates
-    and membership come from back-substitution against the basis, pivot
-    by pivot, with divisibility checks.
+    The basis rows have strictly increasing pivot columns and positive
+    pivots.  Every row a step inserts or combines, and the vector still
+    being inserted, is size-reduced against the rows with later pivots,
+    so its entries in those pivot columns lie in [0, pivot); unreduced
+    xgcd steps let entries grow without bound although input and result
+    are small (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A
+    Hermite-reduced basis added in pivot order is therefore
+    kept as it is, so the lattice has that very basis.  Coordinates and
+    membership come from back-substitution against the basis, pivot by
+    pivot, with divisibility checks.
     """
 
     __slots__ = ("n", "basis", "pivots", "_sparse")
@@ -856,26 +771,46 @@ class Lattice:
         if len(v) != self.n:
             raise InputError("vector width mismatch in Lattice.add")
         self._sparse = None
+        basis, pivots = self.basis, self.pivots
+        pos = lead = 0
         while True:
-            lead = next((c for c in range(self.n) if v[c]), None)
+            # v and every row from pos on are zero left of lead
+            lead = next((c for c in range(lead, self.n) if v[c]), None)
             if lead is None:
                 return
-            pos = 0
-            while pos < len(self.pivots) and self.pivots[pos] < lead:
+            while pos < len(pivots) and pivots[pos] < lead:
                 pos += 1
-            if pos == len(self.pivots) or self.pivots[pos] > lead:
-                self.basis.insert(pos, v)
-                self.pivots.insert(pos, lead)
+            if pos == len(pivots) or pivots[pos] > lead:
+                if v[lead] < 0:
+                    v = [-x for x in v]
+                basis.insert(pos, self._reduce(v, pos))
+                pivots.insert(pos, lead)
                 return
-            row = self.basis[pos]
-            a, b = row[lead], v[lead]
+            row = basis[pos]
+            head, tail, rest = v[:lead], v[lead:], row[lead:]
+            a, b = rest[0], tail[0]
             if b % a == 0:
                 q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
+                v = head + [x - q * y for x, y in zip(tail, rest)]
             else:
                 g, x, y = _xgcd(a, b)
-                self.basis[pos] = [x * p + y * q2 for p, q2 in zip(row, v)]
-                v = [(-(b // g)) * p + (a // g) * q2 for p, q2 in zip(row, v)]
+                basis[pos] = self._reduce(head + [x * p + y * q2 for p, q2 in zip(rest, tail)],
+                                          pos + 1)
+                v = head + [(-(b // g)) * p + (a // g) * q2 for p, q2 in zip(rest, tail)]
+            v = self._reduce(v, pos + 1)
+
+    def _reduce(self, v: list, start: int) -> list:
+        """v with its entries in the pivot columns of basis rows start,
+        start + 1, ... reduced into [0, pivot).  Rows are taken in pivot
+        order, and each is zero left of its pivot, so a reduction never
+        disturbs an earlier one."""
+        basis, pivots = self.basis, self.pivots
+        for pos in range(start, len(basis)):
+            row, lead = basis[pos], pivots[pos]
+            q = v[lead] // row[lead]
+            if q:
+                v = v[:lead] + [x - q * y for x, y in zip(v[lead:], row[lead:])]
+        return v
 
     def add_all(self, vectors):
         for v in vectors:
@@ -937,17 +872,7 @@ class Lattice:
     def hnf_basis(self) -> list:
         """The Hermite normal form of the basis: positive pivots, and the
         entries above each pivot reduced into [0, pivot)."""
-        basis = [[-x for x in row] if row[lead] < 0 else list(row)
-                 for row, lead in zip(self.basis, self.pivots)]
-        # rows are used left to right, so a later reduction never disturbs
-        # an earlier pivot column (each row is zero before its own pivot)
-        for pos, lead in enumerate(self.pivots):
-            p = basis[pos][lead]
-            for above in range(pos):
-                q = basis[above][lead] // p
-                if q:
-                    basis[above] = [x - q * y for x, y in zip(basis[above], basis[pos])]
-        return [tuple(row) for row in basis]
+        return [tuple(self._reduce(row, pos + 1)) for pos, row in enumerate(self.basis)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or self.n != other.n:
@@ -988,7 +913,7 @@ class HomologyPresentation:
         for r, column in enumerate(columns):
             for g, x in column.items():
                 rows[g][r] = x
-        structure = cokernel_structure(SparseMatrix(k, len(columns), rows))
+        structure = cokernel_structure(SparseMatrix._of(k, len(columns), rows))
         pivots, residual = _eliminate_units([dict(column) for column in columns])
         pivot_gens = {g for g, _ in pivots}
         free = tuple(g for g in range(k) if g not in pivot_gens)

@@ -179,7 +179,7 @@ class KoszulComplex:
                     for c, x in block.row(r).items():
                         row[c0 + c] = sign * x
                 out.append(row)
-        return SparseMatrix(rows, cols, out)
+        return SparseMatrix._of(rows, cols, out)
 
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
@@ -436,7 +436,7 @@ class _Quotient(NamedTuple):
 
     def matrix(self, vectors: list) -> SparseMatrix:
         """The vectors, over this degree's monomials, as matrix rows."""
-        return SparseMatrix(len(vectors), len(self.free) + len(self.pivots), vectors)
+        return SparseMatrix._of(len(vectors), len(self.free) + len(self.pivots), vectors)
 
     def divided_by(self, vectors: list) -> "_Quotient":
         """This quotient modulo further vectors over its free monomials."""
@@ -461,7 +461,7 @@ def _is_injective(here: _Quotient, there: _Quotient, phi: list) -> bool:
     if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
         return True
     lattice = Lattice(len(phi), [[r.get(g, 0) for g in here.free] for r in here.relations])
-    kernel = kernel_basis(SparseMatrix(image.cols, image.rows, image.sparse_columns()))
+    kernel = kernel_basis(SparseMatrix._of(image.cols, image.rows, image.sparse_columns()))
     return all(v[: len(phi)] in lattice for v in kernel)
 
 

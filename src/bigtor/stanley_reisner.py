@@ -387,7 +387,7 @@ def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> SparseMatrix:
             if mono[k]:
                 row[index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]] = c
         rows.append(row)
-    return SparseMatrix(len(target), len(source), rows)
+    return SparseMatrix._of(len(target), len(source), rows)
 
 
 def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:

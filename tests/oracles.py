@@ -129,6 +129,54 @@ def smith_diagonal(rows):
     return diag
 
 
+def smith_with_transforms(rows, ncols):
+    """(U, S, V) as lists with U * A * V = S, U and V unimodular and S the
+    Smith normal form of the rows x ncols matrix A: the gcd chasing of
+    smith_diagonal with every row operation repeated on U and every
+    column operation on V, and each corner made positive.  Columns of V
+    past the nonzero corners span the kernel of A."""
+    a = [list(r) for r in rows]
+    nr, nc = len(a), ncols
+    u = [[int(i == k) for k in range(nr)] for i in range(nr)]
+    v = [[int(i == k) for k in range(nc)] for i in range(nc)]
+
+    def add_row(i, k, q):  # row i += q * row k, in A and U
+        for m in (a, u):
+            m[i] = [x + q * y for x, y in zip(m[i], m[k])]
+
+    def add_col(j, k, q):  # column j += q * column k, in A and V
+        for m in (a, v):
+            for r in m:
+                r[j] += q * r[k]
+
+    t = 0
+    while t < min(nr, nc):
+        block = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        for m in (a, u):
+            m[t], m[i] = m[i], m[t]
+        for m in (a, v):
+            for r in m:
+                r[t], r[j] = r[j], r[t]
+        p = a[t][t]
+        for i in range(t + 1, nr):
+            add_row(i, t, -(a[i][t] // p))
+        for j in range(t + 1, nc):
+            add_col(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
+            continue  # a remainder smaller than p is left: it is the next corner
+        bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if p < 0:
+            add_row(t, t, -2)  # negate row t
+        t += 1
+    return u, a, v
+
+
 def cokernel_invariants(rows, ambient):
     """(rank, torsion) of Z^ambient modulo the column span of the matrix."""
     torsion = [d for d in smith_diagonal(rows) if d > 1]

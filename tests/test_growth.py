@@ -1,7 +1,9 @@
-"""Inputs on which Smith normal form by plain Euclid steps lets entries
+"""Inputs on which elimination by plain Euclid steps, in a Smith normal
+form or in an echelon form whose rows are not size-reduced, lets entries
 grow without bound: the pinned repro (data/growth_repro.tcx, at the
-default D = 12) and four random problems at D = 8 (data/fuzz_p*.tcx,
-draws 44, 78, 154 and 199 of the seeded library-fuzz stream).
+default D = 12), four random problems at D = 8 (data/fuzz_p*.tcx, draws
+44, 78, 154 and 199 of the seeded library-fuzz stream), and a Gysin
+input whose lattice echelon grew (data/hermite_growth.tcx).
 
 Each case runs the calls a library user makes on one problem under a
 2 s budget, pins the Tor table, and checks the pinned table against
@@ -12,8 +14,11 @@ d_in counts the invariant factors divisible by p.
 The Gysin cases run the long exact sequence check at D = 12 on these
 inputs, with the splits whose presentations would otherwise drown in
 eliminable unit relations (each ran for more than 60 s, or 24 s for
-fuzz_p078 with split 2, before presentations were pruned), under the
-same budget.
+fuzz_p078 with split 2, before presentations were pruned), and with
+the splits whose exactness check ran into lattice growth (fuzz_p044
+with split 3 took about 20 s, hermite_growth with split 3 ran past
+120 s at D = 8, before Lattice size-reduced its rows), under the same
+budget.
 """
 
 import pytest
@@ -104,7 +109,8 @@ GYSIN_CASES = [
     ("growth_repro", 1), ("growth_repro", 2),
     ("fuzz_p154", 1), ("fuzz_p154", 2), ("fuzz_p154", 3),
     ("fuzz_p078", 2),
-    ("fuzz_p044", 2),
+    ("fuzz_p044", 2), ("fuzz_p044", 3),
+    ("hermite_growth", 3),
 ]
 
 

@@ -46,6 +46,19 @@ def test_three_corpus_inputs_pass(corpus):
         assert checks and all(checks.values()), name
 
 
+def test_generic_lift_differs_from_wedge_lift(corpus):
+    # the chase's generic lift must not be the wedge lift itself, or the
+    # connecting-map check compares a lift with itself and shows nothing
+    # about lift independence
+    problem = corpus["cp1cp1"]
+    G = GysinData(problem.complex, problem.B, 10)
+    differ = [(p, j) for j in range(0, G.D - 1, 2) for p in range(G.n + 1)
+              if G._lifts(p, j, wedge_lift=False) != G._lifts(p, j, wedge_lift=True)]
+    assert differ
+    checks = connecting_map_check(G)
+    assert checks and all(checks.values())
+
+
 def test_node_groups_match_tor_tables(corpus):
     problem = corpus["prod1212"]
     K, S_ext = problem.complex, problem.B

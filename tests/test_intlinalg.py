@@ -9,6 +9,7 @@ from bigtor.intlinalg import (
     IntMatrix,
     Lattice,
     SnfSolver,
+    SparseMatrix,
     ZModule,
     cokernel_structure,
     det,
@@ -16,7 +17,6 @@ from bigtor.intlinalg import (
     homology_presentation,
     kernel_basis,
     rational_rank,
-    smith_normal_form,
     _bareiss,
     _smith_mod,
 )
@@ -94,36 +94,6 @@ def test_homology_presentation_is_immutable():
         pres.kernel = ()
 
 
-def test_smith_normal_form_known_values():
-    _, S, _ = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
-    assert [S[i, i] for i in range(2)] == [1, 6]
-    _, S, _ = smith_normal_form(IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
-    assert [S[i, i] for i in range(3)] == [1, 30, 30]
-    _, S, _ = smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
-    assert [S[i, i] for i in range(2)] == [1, 2]
-
-
-def test_smith_normal_form_random():
-    rng = random.Random(20260823)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        A = random_matrix(rng, rows, cols)
-        U, S, V = smith_normal_form(A)
-        assert U.mul(A).mul(V) == S
-        assert abs(oracles.det_fraction(U.to_lists())) == 1
-        assert abs(oracles.det_fraction(V.to_lists())) == 1
-        diag = [S[i, i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert S[i, j] == 0
-        nonzero = [d for d in diag if d]
-        assert nonzero == oracles.smith_diagonal(A.to_lists())
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-
-
 def test_smith_mod_matches_oracle_on_random_residuals():
     # residuals as the unit-pivot pass leaves them: no entry is +-1, so
     # a stage often meets gcd(pivot, minor) = 1 only after merging rows
@@ -150,11 +120,18 @@ def test_kernel_basis_random():
         assert len(basis) == A.cols - oracles.rational_rank(A.to_lists())
         assert kernel_basis(A) == basis
     # the Hermite normal form of a lattice is unique, so the engine must
-    # return the very rows the Smith-form transform V gives
+    # return the very rows the oracle's Smith-form transform V gives
     for A in structured_matrices(71):
-        _, S, V = smith_normal_form(A)
-        rank = sum(1 for i in range(min(S.rows, S.cols)) if S[i, i])
-        expected = hermite_reduce([V.column(c) for c in range(rank, A.cols)], A.cols)
+        m = A.to_lists()
+        U, S, V = oracles.smith_with_transforms(m, A.cols)
+        UA = [[sum(x * row[c] for x, row in zip(u, m)) for c in range(A.cols)] for u in U]
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*V)] for row in UA] == S
+        assert abs(oracles.det_fraction(U)) == 1 and abs(oracles.det_fraction(V)) == 1
+        assert all(x == 0 for i, row in enumerate(S) for j, x in enumerate(row) if i != j)
+        diag = [S[i][i] for i in range(min(A.rows, A.cols)) if S[i][i]]
+        assert diag == oracles.smith_diagonal(m)
+        rank = len(diag)
+        expected = hermite_reduce([tuple(row[c] for row in V) for c in range(rank, A.cols)], A.cols)
         assert kernel_basis(A) == expected
     no_units = IntMatrix([[2, 4, 6], [4, 8, 12], [0, 0, 0]])
     assert kernel_basis(no_units) == [(1, 1, -1), (0, 3, -2)]
@@ -235,7 +212,7 @@ def test_solver_round_trip():
         got = SnfSolver(A).solve(b)
         assert got is not None
         assert A.apply(got) == b
-    # back-substitution in a Hermite basis agrees with the Smith-form solve
+    # back-substitution in a Hermite basis agrees with the solver's echelon solve
     for _ in range(30):
         width = rng.randint(1, 6)
         basis = random_hermite_basis(rng, width, rng.randint(0, 5))
@@ -461,6 +438,10 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
         IntMatrix.from_columns([(1, 0), (entry, 1)], rows=2)
     with pytest.raises(InputError, match="is not an integer"):
         IntMatrix([[2, 0], [0, 4]]).scaled(entry)
+    with pytest.raises(InputError, match="is not an integer"):
+        SparseMatrix(2, 2, [{0: 1, 1: entry}, {1: 1}])
+    with pytest.raises(InputError, match="is not an integer"):
+        ZModule(0, (2, entry))
 
 
 def test_inexact_entries_are_refused_before_any_arithmetic():
@@ -473,3 +454,7 @@ def test_inexact_entries_are_refused_before_any_arithmetic():
                              SubgroupData(IntMatrix([[1.5, 1, 0], [0, 1, 1]])))
     with pytest.raises(InputError):
         cokernel_structure(IntMatrix([[2.0, 0], [0, 4.0]]))
+    with pytest.raises(InputError):
+        cokernel_structure(SparseMatrix(1, 1, [{0: 0.5}]))
+    with pytest.raises(InputError):
+        ZModule(0, (2.5,))
