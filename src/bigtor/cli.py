@@ -298,7 +298,7 @@ def _cmd_check_bigcm(spec: ProblemSpec):
         text = [f"big Cohen-Macaulay: HOLDS_UP_TO({D})"]
         text.append("regular-sequence check agrees: regular up to the bound")
     else:
-        w = tor1_witness(spec.complex, S, D)
+        w = tor1_witness(spec.complex, S, table)
         if w is None:
             raise InternalCheckError("bigcm FAILS but no Tor_1 witness found")
         result["witness"] = _witness_json(w)

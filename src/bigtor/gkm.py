@@ -13,7 +13,6 @@ property of the input and not of the code path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NotGKMError
 from .intlinalg import IntMatrix, det, rational_rank
-from .simplicial import SimplicialComplex, SubgroupData
+from .simplicial import SimplicialComplex, SubgroupData, _memoized
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
@@ -93,7 +92,7 @@ def _divisible_by_linear(f: Polynomial, alpha: Polynomial) -> bool:
     return f.substitute(k + 1, rest).is_zero()
 
 
-@functools.lru_cache(maxsize=None)
+@_memoized
 def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
     """Per-vertex data in input face order, after the GKM sanity gate:
     K pure with faces of size n, every B_v nonsingular, and the
@@ -167,7 +166,7 @@ class Edge(NamedTuple):
     alpha_from_w: Polynomial
 
 
-@functools.lru_cache(maxsize=None)
+@_memoized
 def edge_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
     data = vertex_data(K, S)
     n = S.n

@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .intlinalg import (
-    HomologyPresentation,
     IntMatrix,
     Lattice,
     SnfSolver,
@@ -44,9 +43,9 @@ from .intlinalg import (
     cokernel_structure,
     kernel_basis,
 )
-from .koszul_tor import KoszulComplex, _memoized
-from .simplicial import SimplicialComplex, SubgroupData
-from .stanley_reisner import LinearForm
+from .koszul_tor import KoszulComplex
+from .simplicial import SimplicialComplex, SubgroupData, _memoized
+from .stanley_reisner import LinearForm, mult_matrix
 
 
 class LESNode(NamedTuple):
@@ -111,7 +110,8 @@ class GysinData:
 
     split is the 0-based row of B-tilde taken as u_{n+1}; the remaining
     rows, in order, are the base forms.  The instance owns its caches:
-    index maps, presentations and induced maps are each computed once.
+    index maps and induced maps are each computed once, and its two
+    Koszul complexes memoize their presentations.
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
@@ -172,14 +172,6 @@ class GysinData:
     def _verify_chain_level(self):
         """SES exactness by index bookkeeping and the (anti)commutation
         identities column by column, for every bidegree in the window."""
-        columns = {}  # (complex, p, j) -> sparse columns of its differential
-
-        def d(complex_, p, j):
-            key = (complex_, p, j)
-            if key not in columns:
-                columns[key] = complex_.differential(p, j).sparse_columns()
-            return columns[key]
-
         for j in range(0, self.D + 1, 2):
             for p in range(self.n + 2):
                 inc = self.tau_star(p, j)
@@ -200,14 +192,14 @@ class GysinData:
                     raise InternalCheckError(
                         f"chain-level exactness fails at (p={p}, j={j})"
                     )
-                d_base = d(self.base, p, j)
-                d_ext = d(self.ext, p, j)
+                d_base = self.base.differential(p, j).sparse_columns()
+                d_ext = self.ext.differential(p, j).sparse_columns()
                 inc_below = self.tau_star(p - 1, j)
                 for k, t in inc.target.items():
                     if _scaled(d_ext[t], inc.sign) != inc_below.push(d_base[k]):
                         raise InternalCheckError(f"inclusion is not a chain map at (p={p}, j={j})")
                 proj_below = self.tau_lower(p - 1, j)
-                d_low = d(self.base, p - 1, j - 2)
+                d_low = self.base.differential(p - 1, j - 2).sparse_columns()
                 for e, column in enumerate(d_ext):
                     k = proj.target.get(e)
                     rhs = {} if k is None else _scaled(d_low[k], -proj.sign)
@@ -217,16 +209,6 @@ class GysinData:
                         )
 
     # --- homology and induced maps ---------------------------------------
-
-    @_memoized
-    def base_pres(self, p: int, j: int) -> HomologyPresentation:
-        j = max(j, -2)  # canonical empty degree; chain groups vanish
-        return self.base.homology(p, j)
-
-    @_memoized
-    def ext_pres(self, p: int, j: int) -> HomologyPresentation:
-        j = max(j, -2)
-        return self.ext.homology(p, j)
 
     def induced(self, chain_map, src, tgt) -> IntMatrix:
         """Matrix of the induced map on homology, source generators to
@@ -242,22 +224,23 @@ class GysinData:
 
     @_memoized
     def tau_star_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(self.tau_star(p, j), self.base_pres(p, j), self.ext_pres(p, j))
+        return self.induced(self.tau_star(p, j), self.base.homology(p, j), self.ext.homology(p, j))
 
     @_memoized
     def tau_lower_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(self.tau_lower(p, j), self.ext_pres(p, j), self.base_pres(p - 1, j - 2))
+        return self.induced(self.tau_lower(p, j), self.ext.homology(p, j),
+                            self.base.homology(p - 1, j - 2))
 
     @_memoized
     def delta_induced(self, p: int, j: int) -> IntMatrix:
         """Connecting map H_p(C)_{j} -> H_p(C)_{j+2} as multiplication
         by the split form on representatives."""
-        src = self.base_pres(p, j)
-        tgt = self.base_pres(p, j + 2)
+        src = self.base.homology(p, j)
+        tgt = self.base.homology(p, j + 2)
         if p < 0 or j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
         # block diagonal over the exterior subsets, one block per subset
-        block = self.ext.mult_block(self.n + 1, j - 2 * p)
+        block = mult_matrix(self.K, self.split_form, j - 2 * p)
         block_columns = block.sparse_columns()
         width = block.cols
         blocks = len(self.base.subsets(p))
@@ -282,8 +265,8 @@ class GysinData:
         Lifts each generator through tau_* (see _lifts), applies the
         extended differential, and pulls back through tau*.
         """
-        src = self.base_pres(p, j)
-        tgt = self.base_pres(p, j + 2)
+        src = self.base.homology(p, j)
+        tgt = self.base.homology(p, j + 2)
         if j < 0 or not src.kernel:
             return IntMatrix.zeros(tgt.generator_count, 0)
         inc = self.tau_star(p, j + 2)
@@ -316,7 +299,7 @@ class GysinData:
         boundary, so the chased class does not change while the lift
         differs from the wedge lift wherever that chain group is nonzero.
         """
-        kernel = self.base_pres(p, j).kernel
+        kernel = self.base.homology(p, j).kernel
         proj = self.tau_lower(p + 1, j + 2)
         dim = self.ext.chain_dim(p + 1, j + 2)
         if wedge_lift:
@@ -369,9 +352,9 @@ def verify_exactness(G: GysinData) -> GysinReport:
     nodes = []
     for j in range(0, G.D + 1, 2):
         for p in range(G.n + 1, -1, -1):
-            pres_ext = G.ext_pres(p, j)
-            pres_low = G.base_pres(p - 1, j - 2)
-            pres_base = G.base_pres(p - 1, j)
+            pres_ext = G.ext.homology(p, j)
+            pres_low = G.base.homology(p - 1, j - 2)
+            pres_base = G.base.homology(p - 1, j)
             tau_lower = G.tau_lower_induced(p, j)
             delta = G.delta_induced(p - 1, j - 2)
             # per node: its group, the incoming and outgoing maps, and the
@@ -380,7 +363,7 @@ def verify_exactness(G: GysinData) -> GysinReport:
                 ("tor_ext", p, j, pres_ext, G.tau_star_induced(p, j), tau_lower, pres_low.relations),
                 ("tor_base_lower", p - 1, j - 2, pres_low, tau_lower, delta, pres_base.relations),
                 ("tor_base", p - 1, j, pres_base, delta, G.tau_star_induced(p - 1, j),
-                 G.ext_pres(p - 1, j).relations),
+                 G.ext.homology(p - 1, j).relations),
             ):
                 image, kernel = _subgroup_pair(f, g, pres.relations, next_relations)
                 nodes.append(
@@ -404,7 +387,7 @@ def connecting_map_check(G: GysinData) -> dict:
     results = {}
     for j in range(0, G.D - 1, 2):
         for p in range(G.n + 1):
-            tgt = G.base_pres(p, j + 2)
+            tgt = G.base.homology(p, j + 2)
             rel = tgt.relation_lattice()
             mult = G.delta_induced(p, j)
             chase = G.delta_by_chase(p, j, wedge_lift=False)

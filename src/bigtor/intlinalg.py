@@ -229,8 +229,8 @@ class SparseMatrix:
     Koszul differentials and multiplication maps are assembled in this
     form and reach the engine without ever being densified.  No zero is
     stored, so equal matrices have equal rows.  The constructor takes
-    the row dicts as they are and checks their number and that every
-    entry is an int, as IntMatrix does.
+    the row dicts as they are and checks their number, that every column
+    is an int in range, and that every entry is a nonzero int.
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -240,6 +240,12 @@ class SparseMatrix:
         if len(data) != rows:
             raise InputError(f"declared {rows} rows, got {len(data)}")
         _require_ints(tuple(row.values() for row in data))
+        for row in data:
+            for c, x in row.items():
+                if type(c) is not int or not 0 <= c < cols:
+                    raise InputError(f"column {c!r} is not an integer in [0, {cols})")
+                if x == 0:
+                    raise InputError(f"stored zero in column {c}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", data)
@@ -320,6 +326,8 @@ class SparseMatrix:
         ])
 
     def scaled(self, factor: int) -> "SparseMatrix":
+        if type(factor) is not int:
+            raise InputError(f"scale factor {factor!r} is not an integer")
         if not factor:
             return SparseMatrix.zeros(self.rows, self.cols)
         return SparseMatrix._of(self.rows, self.cols, [
@@ -353,6 +361,8 @@ class ZModule:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion=()):
+        if type(rank) is not int:
+            raise InputError(f"rank {rank!r} is not an integer")
         if rank < 0:
             raise InputError("negative rank")
         tors = tuple(torsion)

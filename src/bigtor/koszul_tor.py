@@ -10,11 +10,11 @@ time with no truncation error; only statements quantified over all j
 carry the degree bound D.
 
 Each differential is assembled straight into sparse rows from the rows
-of the multiplication blocks (Davis, Direct Methods for Sparse Linear
-Systems, 2006, ch. 2) and goes to the elimination engine as it is.  A
-KoszulComplex owns its subsets, multiplication blocks and differentials
-in an instance memo, so they are freed with it; the module keeps no
-complex alive.
+of K's multiplication matrices (Davis, Direct Methods for Sparse Linear
+Systems, 2006, ch. 2) and goes to the elimination engine as it is.  K
+memoizes those matrices for every Koszul complex and scan on it.  A
+KoszulComplex memoizes its subsets, differentials, cokernels and homology
+presentations and frees them with it; nothing caches a KoszulComplex.
 
 Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
@@ -26,10 +26,8 @@ quotient only when the scan reaches it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import types
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
@@ -46,7 +44,7 @@ from .intlinalg import (
     _eliminate_units,
     _substitute,
 )
-from .simplicial import SimplicialComplex, SubgroupData
+from .simplicial import SimplicialComplex, SubgroupData, _memoized
 from .stanley_reisner import (
     GradedBasis,
     LinearForm,
@@ -82,44 +80,11 @@ class KoszulCycle(NamedTuple):
     explanation: str
 
 
-class CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-
-
-class _memoized:
-    """Method decorator that keeps each result in the instance's own
-    _cache dict, keyed by the method name and arguments, so a result
-    lives exactly as long as its instance.  Hits and misses are counted
-    over all instances and read with cache_info(), as for
-    functools.lru_cache."""
-
-    def __init__(self, method):
-        functools.update_wrapper(self, method)
-        self.hits = self.misses = 0
-
-    def __get__(self, instance, owner=None):
-        return self if instance is None else types.MethodType(self, instance)
-
-    def __call__(self, instance, *args):
-        key = (self.__name__, *args)
-        cache = instance._cache
-        if key in cache:
-            self.hits += 1
-            return cache[key]
-        self.misses += 1
-        value = cache[key] = self.__wrapped__(instance, *args)
-        return value
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses)
-
-
 class KoszulComplex:
     """Chain-level data for Z[K] tensor the exterior algebra on the
     given linear forms.  The instance owns its caches: subsets,
-    multiplication blocks and differentials are each built once and
-    freed with it."""
+    differentials, cokernels and homology presentations are each built
+    once and freed with it."""
 
     def __init__(self, K: SimplicialComplex, forms):
         self.K = K
@@ -141,11 +106,6 @@ class KoszulComplex:
         return len(self.coefficient_basis(p, j)) * len(self.subsets(p))
 
     @_memoized
-    def mult_block(self, i: int, d: int) -> SparseMatrix:
-        """Multiplication by u_i (1-based) from degree d to degree d + 2."""
-        return mult_matrix(self.K, self.forms[i - 1], d)
-
-    @_memoized
     def differential(self, p: int, j: int) -> SparseMatrix:
         """Matrix of d: C_{p,j} -> C_{p-1,j} in the canonical bases
         (subset-major, monomials graded-lex within each block).
@@ -163,6 +123,7 @@ class KoszulComplex:
         src_block = len(self.coefficient_basis(p, j))
         dst_block = len(self.coefficient_basis(p - 1, j))
         src_index = {S: k for k, S in enumerate(self.subsets(p))}
+        blocks = [mult_matrix(self.K, u, d) for u in self.forms]
         out = []
         for T in self.subsets(p - 1):
             parts = []
@@ -172,7 +133,7 @@ class KoszulComplex:
                     pos += 1
                     continue
                 S = T[:pos] + (i,) + T[pos:]
-                parts.append((self.mult_block(i, d), src_index[S] * src_block, -1 if pos % 2 else 1))
+                parts.append((blocks[i - 1], src_index[S] * src_block, -1 if pos % 2 else 1))
             for r in range(dst_block):
                 row = {}
                 for block, c0, sign in parts:
@@ -181,6 +142,11 @@ class KoszulComplex:
                 out.append(row)
         return SparseMatrix._of(rows, cols, out)
 
+    @_memoized
+    def cokernel(self, p: int, j: int) -> ZModule:
+        return cokernel_structure(self.differential(p, j))
+
+    @_memoized
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
 
@@ -224,22 +190,19 @@ def _check_bidegree(K: SimplicialComplex, S: SubgroupData, p: int, j: int):
         raise InputError(f"internal degree must be even and nonnegative, got {j}")
 
 
-def _tor_structure(complex_: KoszulComplex, p: int, j: int, cokernels: dict) -> ZModule:
+def _tor_structure(complex_: KoszulComplex, p: int, j: int) -> ZModule:
     """Tor_p in internal degree j from ranks and invariant factors alone.
 
     rank = dim - rank d_out - rank d_in, and the torsion is that of
     coker d_in: ker d_out is saturated, so every torsion class of
-    C/im d_in is a cycle.  cokernels maps (p, j) to the cokernel of that
-    differential, so a table eliminates each differential once.
+    C/im d_in is a cycle.  The complex memoizes each cokernel, so a
+    table eliminates each differential once.
     """
     d_out = complex_.differential(p, j)
     d_in = complex_.differential(p + 1, j)
     check_complex(d_out, d_in)
-    for q in (p, p + 1):
-        if (q, j) not in cokernels:
-            cokernels[(q, j)] = cokernel_structure(complex_.differential(q, j))
-    rank_out = d_out.rows - cokernels[(p, j)].rank
-    coker_in = cokernels[(p + 1, j)]
+    rank_out = d_out.rows - complex_.cokernel(p, j).rank
+    coker_in = complex_.cokernel(p + 1, j)
     rank_in = d_in.rows - coker_in.rank
     return ZModule(d_in.rows - rank_out - rank_in, coker_in.torsion)
 
@@ -247,7 +210,7 @@ def _tor_structure(complex_: KoszulComplex, p: int, j: int, cokernels: dict) -> 
 def tor_piece(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> ZModule:
     """Tor_p in internal degree j, as an abelian group."""
     _check_bidegree(K, S, p, j)
-    return _tor_structure(_complex_for(K, S), p, j, {})
+    return _tor_structure(_complex_for(K, S), p, j)
 
 
 def tor_presentation(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> HomologyPresentation:
@@ -261,62 +224,58 @@ def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
         raise InputError(f"degree bound must be even and nonnegative, got {D}")
     _check_bidegree(K, S, 0, 0)
     complex_ = _complex_for(K, S)
-    cokernels = {}
     table = {}
     for p in range(S.n + 1):
         for j in range(0, D + 1, 2):
-            table[(p, j)] = _tor_structure(complex_, p, j, cokernels)
+            table[(p, j)] = _tor_structure(complex_, p, j)
     return BigradedTor(n=S.n, D=D, table=table)
 
 
-def tor1_witness(K: SimplicialComplex, S: SubgroupData, D: int):
+def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     """A Tor_1 cycle that is not a boundary, at the lowest internal
-    degree j <= D where Tor_1 is nonzero; None when Tor_1 vanishes.
+    degree of the table (of K and S) where Tor_1 is nonzero; None when
+    Tor_1 vanishes there.
 
     The witness is the first Hermite-reduced kernel basis vector whose
     class is nonzero, so reruns always pick the same cycle.
     """
-    if S.n == 0:
+    j = next((j for j in range(0, table.D + 1, 2) if not table.piece(1, j).is_zero()), None)
+    if j is None:
         return None
     complex_ = _complex_for(K, S)
-    cokernels = {}
-    for j in range(0, D + 1, 2):
-        if _tor_structure(complex_, 1, j, cokernels).is_zero():
-            continue
-        pres = complex_.homology(1, j)
-        chosen = next((vec for g, vec in enumerate(pres.kernel_lattice().basis)
-                       if not pres.class_is_zero(pres.project({g: 1}))), None)
-        if chosen is None:
-            raise InternalCheckError("nonzero homology but every generator died")
-        if any(complex_.differential(1, j).apply(chosen)):
-            raise InternalCheckError("selected witness is not a cycle")
-        basis = complex_.coefficient_basis(1, j)
-        block = len(basis)
-        components = []
-        texts = []
-        for idx in range(S.n):
-            chunk = chosen[idx * block: (idx + 1) * block]
-            poly = Polynomial(
-                K.m, {mono: c for mono, c in zip(basis.monomials, chunk) if c}
-            )
-            if not poly.is_zero():
-                components.append((idx + 1, poly))
-                texts.append(f"({poly.render()}) xi{idx + 1}")
-        relation = " + ".join(
-            f"({complex_.forms[i - 1].render()})*({poly.render()})" for i, poly in components
+    pres = complex_.homology(1, j)
+    chosen = next((vec for g, vec in enumerate(pres.kernel_lattice().basis)
+                   if not pres.class_is_zero(pres.project({g: 1}))), None)
+    if chosen is None:
+        raise InternalCheckError("nonzero homology but every generator died")
+    if any(complex_.differential(1, j).apply(chosen)):
+        raise InternalCheckError("selected witness is not a cycle")
+    basis = complex_.coefficient_basis(1, j)
+    block = len(basis)
+    components = []
+    texts = []
+    for idx in range(S.n):
+        chunk = chosen[idx * block: (idx + 1) * block]
+        poly = Polynomial(
+            K.m, {mono: c for mono, c in zip(basis.monomials, chunk) if c}
         )
-        explanation = (
-            f"cycle at (p=1, j={j}): " + " + ".join(texts)
-            + f"; the coefficients satisfy {relation} = 0 in Z[K], "
-            "yet the cycle is not a boundary"
-        )
-        return KoszulCycle(
-            index=KoszulIndex(p=1, j=j),
-            coordinates=tuple(chosen),
-            components=tuple(components),
-            explanation=explanation,
-        )
-    return None
+        if not poly.is_zero():
+            components.append((idx + 1, poly))
+            texts.append(f"({poly.render()}) xi{idx + 1}")
+    relation = " + ".join(
+        f"({complex_.forms[i - 1].render()})*({poly.render()})" for i, poly in components
+    )
+    explanation = (
+        f"cycle at (p=1, j={j}): " + " + ".join(texts)
+        + f"; the coefficients satisfy {relation} = 0 in Z[K], "
+        "yet the cycle is not a boundary"
+    )
+    return KoszulCycle(
+        index=KoszulIndex(p=1, j=j),
+        coordinates=tuple(chosen),
+        components=tuple(components),
+        explanation=explanation,
+    )
 
 
 class Verdict(NamedTuple):

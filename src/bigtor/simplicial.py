@@ -5,11 +5,16 @@ keeps closure and containment checks to a few integer operations.
 Vertices that appear in no face (ghost vertices) are allowed; their
 variables are killed in the face ring, since the singleton is already a
 non-face.
+
+A SimplicialComplex owns the memo (_memoized) of what derives from it
+alone: faces here, monomial bases and multiplication maps in
+stanley_reisner, GKM vertex and edge data in gkm.  No module caches.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 from typing import NamedTuple
 
 from .errors import InputError
@@ -18,10 +23,44 @@ from .intlinalg import IntMatrix, cokernel_structure, det, rational_rank
 MAX_VERTICES = 64
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+class _memoized:
+    """Decorator that keeps each result in the _cache dict of the first
+    argument (the instance, for a method), keyed by the function name and
+    the remaining arguments, so a result lives exactly as long as the
+    object that owns it.  Hits and misses are counted over all owners and
+    read with cache_info()."""
+
+    def __init__(self, function):
+        functools.update_wrapper(self, function)
+        self.hits = self.misses = 0
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else types.MethodType(self, instance)
+
+    def __call__(self, owner, *args):
+        key = (self.__name__, *args)
+        cache = owner._cache
+        if key in cache:
+            self.hits += 1
+        else:
+            self.misses += 1
+            cache[key] = self.__wrapped__(owner, *args)
+        return cache[key]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses)
+
+
 def _to_mask(vertices, m: int) -> int:
     mask = 0
     for v in vertices:
-        v = int(v)
+        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= m:
             raise InputError(f"vertex {v} out of range (m = {m})")
         mask |= 1 << (v - 1)
@@ -39,11 +78,30 @@ def _to_vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-class SimplicialComplex(NamedTuple):
-    """Complex on [m] stored by its maximal faces (bitsets, input order)."""
+class SimplicialComplex:
+    """Complex on [m] stored by its maximal faces (bitsets, input order,
+    an inclusion antichain).  Equal complexes compare and hash alike; each
+    instance owns its own memo, whose entries never refer back to it."""
 
-    m: int
-    maximal_faces: tuple  # masks, an inclusion antichain
+    __slots__ = ("m", "maximal_faces", "_cache", "__weakref__")
+
+    def __init__(self, m: int, maximal_faces: tuple):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "maximal_faces", maximal_faces)
+        object.__setattr__(self, "_cache", {})  # (function name, *args) -> result
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SimplicialComplex is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SimplicialComplex)
+                and (self.m, self.maximal_faces) == (other.m, other.maximal_faces))
+
+    def __hash__(self):
+        return hash((self.m, self.maximal_faces))
+
+    def __repr__(self):
+        return f"SimplicialComplex(m={self.m}, maximal_faces={self.maximal_faces})"
 
     def face_vertices(self) -> list:
         """Maximal faces as sorted vertex tuples, in stored order."""
@@ -64,7 +122,8 @@ def build_complex(m: int, maximal_faces) -> SimplicialComplex:
     order of the surviving faces is preserved, which later fixes the
     vertex order of GKM data.
     """
-    m = int(m)
+    if type(m) is not int:
+        raise InputError(f"vertex count {m!r} is not an integer")
     if m < 0:
         raise InputError(f"negative vertex count {m}")
     if m > MAX_VERTICES:
@@ -84,7 +143,7 @@ def is_face(K: SimplicialComplex, sigma) -> bool:
     return K.contains_mask(_to_mask(sigma, K.m))
 
 
-@functools.lru_cache(maxsize=None)
+@_memoized
 def all_faces(K: SimplicialComplex) -> frozenset:
     """Every face of K as a mask, the empty face included."""
     faces = {0}
@@ -99,7 +158,7 @@ def all_faces(K: SimplicialComplex) -> frozenset:
     return frozenset(faces)
 
 
-@functools.lru_cache(maxsize=None)
+@_memoized
 def face_count_by_size(K: SimplicialComplex) -> tuple:
     """Number of faces of each cardinality, index = cardinality."""
     counts = [0] * (K.m + 1)

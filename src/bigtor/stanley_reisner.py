@@ -4,12 +4,12 @@ Monomials carry the topological grading deg x_i = 2, so every internal
 degree in sight is even.  The module provides monomial bases per
 degree, reduction modulo the face ideal, multiplication matrices for
 linear forms, graded pieces of quotients by linear forms, the closed
-Hilbert formula, and the homogeneous annihilator search.
+Hilbert formula, and the homogeneous annihilator search.  Bases and
+multiplication matrices are memoized on their complex (simplicial).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import IntMatrix, SparseMatrix, ZModule, cokernel_structure, kernel_basis
-from .simplicial import SimplicialComplex, SubgroupData, all_faces, face_count_by_size
+from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
 class LinearForm:
@@ -166,6 +166,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        if type(k) is not int or k < 0:
+            raise InputError(f"exponent {k!r} is not a nonnegative integer")
         out = Polynomial.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
@@ -313,7 +315,7 @@ def _support_mask(exp: tuple) -> int:
     return mask
 
 
-@functools.lru_cache(maxsize=None)
+@_memoized
 def monomial_basis(K: SimplicialComplex, j: int) -> GradedBasis:
     """Monomials of internal degree j whose support is a face of K."""
     _require_even(j)
@@ -340,7 +342,6 @@ def monomial_basis(K: SimplicialComplex, j: int) -> GradedBasis:
     return GradedBasis(degree=j, monomials=tuple(monos))
 
 
-@functools.lru_cache(maxsize=None)
 def hilbert_coefficient(K: SimplicialComplex, j: int) -> int:
     """Rank of Z[K] in internal degree j, by the stars-and-bars formula
     summed over faces (no monomial enumeration)."""
@@ -366,6 +367,7 @@ def reduce(K: SimplicialComplex, p: Polynomial) -> Polynomial:
     )
 
 
+@_memoized
 def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> SparseMatrix:
     """Matrix of multiplication by u from degree j to degree j + 2, in
     the canonical monomial bases, assembled row by row: the target

@@ -122,7 +122,7 @@ def test_orbifold_product_fails_with_cross_checked_witness():
     report = verdicts(table)
     assert not report.bigcm.holds()
     assert dict(report.bigcm.witness)["j"] <= 10
-    cycle = tor1_witness(K, S, 10)
+    cycle = tor1_witness(K, S, tor_table(K, S, 10))
     assert cycle is not None and cycle.index.j <= 10
 
     # direct route, spelled out: in Z[K]/(x1 - 2x3) the class of x2*x3^2

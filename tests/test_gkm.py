@@ -240,6 +240,7 @@ def test_alpha_rows_are_inverse_to_random_submatrices():
 def test_wrong_cofactor_sign_trips_restriction_gate(monkeypatch):
     right = gkm._cofactor
     monkeypatch.setattr(gkm, "_cofactor", lambda M, r, c: (-1) ** (r + c) * right(M, r, c))
-    vertex_data.cache_clear()
+    # a fresh complex, because SQUARE may hold the correct data already
+    square = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     with pytest.raises(InternalCheckError, match="does not fix"):
-        vertex_data(SQUARE, ORBIFOLD)
+        vertex_data(square, ORBIFOLD)

@@ -441,7 +441,24 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
     with pytest.raises(InputError, match="is not an integer"):
         SparseMatrix(2, 2, [{0: 1, 1: entry}, {1: 1}])
     with pytest.raises(InputError, match="is not an integer"):
+        SparseMatrix(2, 2, [{0: 2}, {1: 4}]).scaled(entry)
+    with pytest.raises(InputError, match="is not an integer"):
         ZModule(0, (2, entry))
+    with pytest.raises(InputError, match="is not an integer"):
+        ZModule(entry)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({0: 0}, "stored zero"),
+    ({5: 1}, "column 5 is not an integer in"),
+    ({-1: 1}, "column -1 is not an integer in"),
+    ({1.0: 1}, "column 1.0 is not an integer in"),
+    ({True: 1}, "column True is not an integer in"),
+], ids=["zero", "past-the-end", "negative", "float", "bool"])
+def test_sparse_matrix_refuses_stored_zeros_and_bad_columns(row, message):
+    # a stored zero broke is_zero and equality; a bad column fed the engine
+    with pytest.raises(InputError, match=message):
+        cokernel_structure(SparseMatrix(1, 2, [row]))
 
 
 def test_inexact_entries_are_refused_before_any_arithmetic():

@@ -192,7 +192,7 @@ def test_prod1212_pinned_values(corpus):
     assert tor_piece(K, S, 1, 8) == ZModule(0, (2,))
     assert tor_piece(K, S, 1, 10) == ZModule(0, (2, 2))
     assert tor_piece(K, S, 0, 4).torsion == (2, 2)
-    witness = tor1_witness(K, S, 10)
+    witness = tor1_witness(K, S, tor_table(K, S, 10))
     assert witness is not None
     assert witness.index.p == 1
     assert witness.index.j == 8
@@ -202,8 +202,8 @@ def test_prod1212_pinned_values(corpus):
 
 
 def test_tor1_witness_none_on_regular_input(corpus):
-    problem = corpus["wps12"]
-    assert tor1_witness(problem.complex, problem.B, 12) is None
+    K, S = corpus["wps12"].complex, corpus["wps12"].B
+    assert tor1_witness(K, S, tor_table(K, S, 12)) is None
 
 
 def test_row_permutation_leaves_table_unchanged(corpus):

@@ -33,6 +33,13 @@ def test_build_complex_rejects_bad_vertices():
         build_complex(2, [(0,)])
     with pytest.raises(InputError):
         build_complex(-1, [])
+    # no truncation: these once gave the face {1 2} and m = 2
+    with pytest.raises(InputError, match="vertex 1.5 is not an integer"):
+        build_complex(3, [(1.5, 2)])
+    with pytest.raises(InputError, match="vertex count 2.9 is not an integer"):
+        build_complex(2.9, [(1, 2)])
+    with pytest.raises(InputError, match="vertex True is not an integer"):
+        build_complex(2, [(True, 2)])
 
 
 def test_face_membership():

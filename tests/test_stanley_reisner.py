@@ -104,12 +104,15 @@ def test_polynomial_rejects_string_coefficient():
         Polynomial(1, {(1,): "3"})
 
 
-@pytest.mark.parametrize("exponent", [1.5, "2", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("exponent", [1.5, "2", True, -1],
+                         ids=["float", "string", "bool", "negative"])
 def test_polynomial_rejects_non_integer_exponent(exponent):
     with pytest.raises(InputError):
         Polynomial(2, {(exponent, 2): 1})
     with pytest.raises(InputError):
         Polynomial(2, {(1, exponent): 0})
+    with pytest.raises(InputError):
+        Polynomial.variable(2, 1) ** exponent
 
 
 def test_linear_form_rejects_non_integer_coefficient():
