@@ -45,7 +45,7 @@ from .intlinalg import (
 )
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
-from .stanley_reisner import LinearForm, mult_matrix
+from .stanley_reisner import LinearForm, _require_even, mult_matrix
 
 
 class LESNode(NamedTuple):
@@ -115,8 +115,7 @@ class GysinData:
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
-        if D < 0 or D % 2:
-            raise InputError(f"degree bound must be even and nonnegative, got {D}")
+        _require_even(D, "degree bound")
         if K.m != S_ext.m:
             raise InputError(f"complex on [{K.m}] but matrix has {S_ext.m} columns")
         n_ext = S_ext.n
@@ -124,8 +123,8 @@ class GysinData:
             raise InputError("need at least one row to split off")
         if split is None:
             split = n_ext - 1
-        if not 0 <= split < n_ext:
-            raise InputError(f"split row {split} out of range 0..{n_ext - 1}")
+        if type(split) is not int or not 0 <= split < n_ext:
+            raise InputError(f"split row {split!r} is not an integer in 0..{n_ext - 1}")
         self.K = K
         self.S_ext = S_ext
         self.D = D
@@ -306,7 +305,7 @@ class GysinData:
             wedge = IndexMap({k: e for e, k in proj.target.items()}, proj.sign, dim)
             lifts = [wedge(vec) for vec in kernel]
         else:
-            rows = [[0] * dim for _ in range(proj.dim)]
+            rows = [{} for _ in range(proj.dim)]
             for e, k in proj.target.items():
                 rows[k][e] = proj.sign
             solver = SnfSolver(IntMatrix(rows, cols=dim))

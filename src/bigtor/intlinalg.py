@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
-Two matrix types: SparseMatrix, a shape plus one dict per row, holds the
-Koszul differentials and multiplication maps from assembly to the
-engine, and dense IntMatrix holds small matrices (B, relations, induced
-maps) and rendering.  Both hand the engine their rows as fresh dicts
-(sparse_rows), so a sparse matrix is never densified.
+One matrix type, IntMatrix: a shape plus one dict per row, column ->
+nonzero entry.  It holds the Koszul differentials and multiplication
+maps from assembly to the engine, which reads its rows as fresh dicts
+(sparse_rows), and the small matrices (B, relations, induced maps),
+which callers read through dense accessors.
 
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
@@ -34,8 +34,8 @@ on the echelon basis of the rows (column k of A, e_k).  rational_rank is
 a separate sparse fraction-free elimination over the same rows that
 shares no elimination code with the engine, so the two can cross-check
 each other.  Everything runs on arbitrary-precision Python ints, and
-IntMatrix, SparseMatrix and ZModule refuse any other entry type; no
-floating point anywhere.
+IntMatrix and ZModule refuse any other entry type; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .errors import InputError, InternalCheckError
 
 __all__ = [
     "IntMatrix",
-    "SparseMatrix",
     "ZModule",
     "HomologyPresentation",
     "Lattice",
@@ -62,198 +61,73 @@ __all__ = [
 ]
 
 
-def _require_ints(data: tuple) -> tuple:
-    """data, once every entry of its rows is checked to be an int."""
-    bad = next((x for row in data for x in row if type(x) is not int), None)
+def _index(i, n: int, what: str) -> int:
+    """i, once it is checked to be an int (not a bool) in [0, n)."""
+    if type(i) is not int:
+        raise InputError(f"{what} index {i!r} is not an integer")
+    if not 0 <= i < n:
+        raise IndexError(f"{what} {i} out of range 0..{n - 1}")
+    return i
+
+
+def _dict_row(values) -> dict:
+    """The nonzero entries of a dense row, column -> entry, once every
+    entry is checked to be an int."""
+    bad = next((x for x in values if type(x) is not int), None)
     if bad is not None:
         raise InputError(f"matrix entry {bad!r} is not an integer")
-    return data
+    return {c: x for c, x in enumerate(values) if x}
 
 
 class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers.
+    """Immutable matrix of arbitrary-precision integers: a shape plus one
+    dict per row, column -> nonzero entry.
 
-    Rows or columns may be zero; the shape is kept explicitly so that
-    0 x n and n x 0 matrices stay distinguishable.  Entries must be ints
-    (type int exactly: no bool, float or Fraction) and are stored as
-    given.
+    No zero is stored, so equal matrices have equal rows, and the engine
+    reads the rows as they are (sparse_rows): a Koszul differential is
+    never densified.  The shape is kept explicitly so that 0 x n and
+    n x 0 matrices stay distinguishable.  The constructor takes each row
+    as a dense sequence or as such a dict; dict rows need cols.  Entries
+    must be ints (type int exactly: no bool, float or Fraction), dense
+    rows must have equal lengths, and a dict row may store no zero and
+    no column outside [0, cols).  The dense accessors (row, column,
+    columns, to_lists, indexing) fill in the zeros.
     """
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(row) for row in entries)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise InputError("ragged rows in matrix literal")
-            if cols is not None and cols != width:
-                raise InputError(f"declared {cols} columns, rows have {width}")
-        else:
+        data = []
+        width = cols
+        for row in entries:
+            if not isinstance(row, dict):
+                row = tuple(row)
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise InputError(f"declared {cols} columns, a row has {len(row)}"
+                                     if cols is not None else "ragged rows in matrix literal")
+                data.append(_dict_row(row))
+                continue
             if cols is None:
-                raise InputError("matrix with no rows needs an explicit column count")
-            width = cols
-        _require_ints(data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", data)
-
-    @classmethod
-    def _of(cls, data: tuple, cols: int) -> "IntMatrix":
-        """Wrap a tuple of equal-length int tuples without converting or
-        checking it; for results the class computes itself."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", len(data))
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "_entries", data)
-        return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of(((0,) * cols,) * rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple(tuple(1 if i == k else 0 for k in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "IntMatrix":
-        cols = [tuple(col) for col in columns]
-        if any(len(col) != rows for col in cols):
-            raise InputError(f"columns must have {rows} entries")
-        return cls._of(_require_ints(tuple(zip(*cols))) if cols else ((),) * rows, len(cols))
-
-    def __getitem__(self, key):
-        r, c = key
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r}, {c}) out of range for {self.rows}x{self.cols} matrix")
-        return self._entries[r][c]
-
-    def row(self, r: int) -> tuple:
-        if not 0 <= r < self.rows:
-            raise IndexError(f"row {r} out of range")
-        return self._entries[r]
-
-    def column(self, c: int) -> tuple:
-        if not 0 <= c < self.cols:
-            raise IndexError(f"column {c} out of range")
-        return tuple(row[c] for row in self._entries)
-
-    def columns(self) -> list:
-        return list(zip(*self._entries)) if self.rows else [()] * self.cols
-
-    def sparse_rows(self) -> list:
-        """Each row as a new dict column -> nonzero entry."""
-        return [{c: x for c, x in enumerate(row) if x} for row in self._entries]
-
-    def sparse_columns(self) -> list:
-        """Each column as a dict row -> nonzero entry."""
-        out = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self._entries):
-            for c, x in enumerate(row):
-                if x:
-                    out[c][r] = x
-        return out
-
-    def to_lists(self) -> list:
-        """Nested-list form; round-trips exactly through the constructor."""
-        return [list(row) for row in self._entries]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(self._entries, rows=self.cols)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        ot = other.transpose()._entries
-        return IntMatrix._of(
-            tuple(tuple(sum(a * b for a, b in zip(row, col) if a) for col in ot)
-                  for row in self._entries),
-            other.cols,
-        )
-
-    __matmul__ = mul
-
-    def apply(self, vector) -> tuple:
-        vec = tuple(vector)
-        if len(vec) != self.cols:
-            raise InputError("vector length does not match column count")
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        return tuple(sum(row[k] * x for k, x in support) for row in self._entries)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise InputError("row counts differ in hstack")
-        return IntMatrix._of(
-            tuple(a + b for a, b in zip(self._entries, other._entries)),
-            self.cols + other.cols,
-        )
-
-    def scaled(self, factor: int) -> "IntMatrix":
-        if type(factor) is not int:
-            raise InputError(f"scale factor {factor!r} is not an integer")
-        return IntMatrix._of(
-            tuple(tuple(factor * x for x in row) for row in self._entries), self.cols
-        )
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self._entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._entries))
-
-    def __repr__(self):
-        if self.rows == 0 or self.cols == 0:
-            return f"IntMatrix([], shape=({self.rows}, {self.cols}))"
-        body = ", ".join(repr(list(row)) for row in self._entries)
-        return f"IntMatrix([{body}])"
-
-
-class SparseMatrix:
-    """Immutable sparse matrix of arbitrary-precision integers: a shape
-    plus one dict per row, column -> nonzero entry.
-
-    Koszul differentials and multiplication maps are assembled in this
-    form and reach the engine without ever being densified.  No zero is
-    stored, so equal matrices have equal rows.  The constructor takes
-    the row dicts as they are and checks their number, that every column
-    is an int in range, and that every entry is a nonzero int.
-    """
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        data = tuple(entries)
-        if len(data) != rows:
-            raise InputError(f"declared {rows} rows, got {len(data)}")
-        _require_ints(tuple(row.values() for row in data))
-        for row in data:
+                raise InputError("dict rows need an explicit column count")
+            _dict_row(row.values())
             for c, x in row.items():
                 if type(c) is not int or not 0 <= c < cols:
                     raise InputError(f"column {c!r} is not an integer in [0, {cols})")
                 if x == 0:
                     raise InputError(f"stored zero in column {c}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", data)
+            data.append(dict(row))
+        if width is None:
+            raise InputError("matrix with no rows needs an explicit column count")
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_entries", tuple(data))
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries) -> "SparseMatrix":
-        """Wrap rows row dicts of int entries without checking them; for
-        matrices bigtor builds itself."""
+    def _of(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """Wrap rows row dicts of nonzero int entries without copying or
+        checking them; for matrices bigtor builds itself."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "cols", cols)
@@ -261,15 +135,37 @@ class SparseMatrix:
         return matrix
 
     def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls._of(rows, cols, [{} for _ in range(rows)])
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls._of(rows, cols, ({},) * rows)
 
-    def row(self, r: int) -> dict:
-        """Row r as stored, column -> nonzero entry; not to be changed."""
-        return self._entries[r]
+    @classmethod
+    def from_columns(cls, columns, rows: int) -> "IntMatrix":
+        cols = [tuple(col) for col in columns]
+        if any(len(col) != rows for col in cols):
+            raise InputError(f"columns must have {rows} entries")
+        if not cols:
+            return cls.zeros(rows, 0)
+        return cls._of(rows, len(cols), [_dict_row(row) for row in zip(*cols)])
+
+    def __getitem__(self, key):
+        r, c = key
+        return self._entries[_index(r, self.rows, "row")].get(_index(c, self.cols, "column"), 0)
+
+    def row(self, r: int) -> tuple:
+        row = self._entries[_index(r, self.rows, "row")]
+        return tuple(row.get(c, 0) for c in range(self.cols))
+
+    def column(self, c: int) -> tuple:
+        _index(c, self.cols, "column")
+        return tuple(row.get(c, 0) for row in self._entries)
+
+    def columns(self) -> list:
+        """Each column as a dense tuple."""
+        return [tuple(column.get(r, 0) for r in range(self.rows))
+                for column in self.sparse_columns()]
 
     def sparse_rows(self) -> list:
         """A shallow copy of the stored rows, free for the caller to
@@ -277,25 +173,21 @@ class SparseMatrix:
         return [dict(row) for row in self._entries]
 
     def sparse_columns(self) -> list:
-        """Each column as a dict row -> nonzero entry."""
+        """Each column as a new dict row -> nonzero entry."""
         out = [{} for _ in range(self.cols)]
         for r, row in enumerate(self._entries):
             for c, x in row.items():
                 out[c][r] = x
         return out
 
-    def columns(self) -> list:
-        """Each column as a dense tuple."""
-        return [tuple(column.get(r, 0) for r in range(self.rows))
-                for column in self.sparse_columns()]
+    def to_lists(self) -> list:
+        """Nested-list form; round-trips exactly through the constructor."""
+        return [[row.get(c, 0) for c in range(self.cols)] for row in self._entries]
 
-    def to_dense(self) -> IntMatrix:
-        return IntMatrix._of(
-            tuple(tuple(row.get(c, 0) for c in range(self.cols)) for row in self._entries),
-            self.cols,
-        )
+    def transpose(self) -> "IntMatrix":
+        return IntMatrix._of(self.cols, self.rows, self.sparse_columns())
 
-    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+    def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -308,7 +200,7 @@ class SparseMatrix:
                 for c, y in rows_in[i].items():
                     acc[c] = acc.get(c, 0) + x * y
             out.append({c: x for c, x in acc.items() if x})
-        return SparseMatrix._of(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vector) -> tuple:
         vec = tuple(vector)
@@ -316,21 +208,21 @@ class SparseMatrix:
             raise InputError("vector length does not match column count")
         return tuple(sum(x * vec[c] for c, x in row.items()) for row in self._entries)
 
-    def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
+    def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("row counts differ in hstack")
         shift = self.cols
-        return SparseMatrix._of(self.rows, self.cols + other.cols, [
+        return IntMatrix._of(self.rows, self.cols + other.cols, [
             {**a, **{shift + c: x for c, x in b.items()}}
             for a, b in zip(self._entries, other._entries)
         ])
 
-    def scaled(self, factor: int) -> "SparseMatrix":
+    def scaled(self, factor: int) -> "IntMatrix":
         if type(factor) is not int:
             raise InputError(f"scale factor {factor!r} is not an integer")
         if not factor:
-            return SparseMatrix.zeros(self.rows, self.cols)
-        return SparseMatrix._of(self.rows, self.cols, [
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._of(self.rows, self.cols, [
             {c: factor * x for c, x in row.items()} for row in self._entries
         ])
 
@@ -339,16 +231,19 @@ class SparseMatrix:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SparseMatrix)
+            isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
             and self._entries == other._entries
         )
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._entries)))
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}, {self.cols}, {list(self._entries)!r})"
+        if self.rows == 0 or self.cols == 0:
+            return f"IntMatrix([], shape=({self.rows}, {self.cols}))"
+        return f"IntMatrix({self.to_lists()!r})"
 
 
 class ZModule:
@@ -628,7 +523,7 @@ def hermite_reduce(vectors, width: int) -> list:
     return Lattice(width, vectors).hnf_basis()
 
 
-def kernel_basis(A: IntMatrix | SparseMatrix) -> list:
+def kernel_basis(A: IntMatrix) -> list:
     """Z-basis of {v : A v = 0}, Hermite-reduced for determinism.
 
     The residual's kernel is read off an echelon form of [R^T | I]: the
@@ -676,7 +571,7 @@ def kernel_basis(A: IntMatrix | SparseMatrix) -> list:
     return hermite_reduce(vectors, A.cols)
 
 
-def cokernel_structure(A: IntMatrix | SparseMatrix) -> ZModule:
+def cokernel_structure(A: IntMatrix) -> ZModule:
     """Structure of Z^rows / column span of A: each unit pivot adds 1 to
     the rank and an invariant factor 1; the residual adds its rank and
     invariant factors, found modulo a nonzero minor."""
@@ -694,7 +589,7 @@ def cokernel_structure(A: IntMatrix | SparseMatrix) -> ZModule:
     return ZModule(A.rows - rank, tuple(d for d in factors if d >= 2))
 
 
-def check_complex(d_out: SparseMatrix | IntMatrix, d_in: SparseMatrix | IntMatrix):
+def check_complex(d_out: IntMatrix, d_in: IntMatrix):
     """Raise InternalCheckError unless d_out * d_in = 0, checked as one
     product of the two matrices as they are stored; a product with a
     dimension 0 is zero and is not formed."""
@@ -923,7 +818,7 @@ class HomologyPresentation:
         for r, column in enumerate(columns):
             for g, x in column.items():
                 rows[g][r] = x
-        structure = cokernel_structure(SparseMatrix._of(k, len(columns), rows))
+        structure = cokernel_structure(IntMatrix._of(k, len(columns), rows))
         pivots, residual = _eliminate_units([dict(column) for column in columns])
         pivot_gens = {g for g, _ in pivots}
         free = tuple(g for g in range(k) if g not in pivot_gens)
@@ -987,8 +882,7 @@ class HomologyPresentation:
         return tuple(coords) in self._relation_lattice
 
 
-def homology_presentation(d_out: SparseMatrix | IntMatrix,
-                          d_in: SparseMatrix | IntMatrix) -> HomologyPresentation:
+def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresentation:
     """Presentation of ker(d_out)/im(d_in).
 
     Requires d_out * d_in = 0; anything else means the complex handed in
@@ -1007,7 +901,7 @@ def homology_presentation(d_out: SparseMatrix | IntMatrix,
     return HomologyPresentation(lattice, columns)
 
 
-def rational_rank(A: IntMatrix | SparseMatrix) -> int:
+def rational_rank(A: IntMatrix) -> int:
     """Rank over Q by sparse fraction-free row echelon over Z.
 
     Each row is reduced against the pivot rows found so far, keyed by

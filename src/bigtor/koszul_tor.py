@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .intlinalg import (
+    IntMatrix,
     Lattice,
-    SparseMatrix,
     ZModule,
     HomologyPresentation,
     check_complex,
@@ -49,6 +49,7 @@ from .stanley_reisner import (
     GradedBasis,
     LinearForm,
     Polynomial,
+    _require_even,
     hilbert_coefficient,
     monomial_basis,
     mult_matrix,
@@ -106,7 +107,7 @@ class KoszulComplex:
         return len(self.coefficient_basis(p, j)) * len(self.subsets(p))
 
     @_memoized
-    def differential(self, p: int, j: int) -> SparseMatrix:
+    def differential(self, p: int, j: int) -> IntMatrix:
         """Matrix of d: C_{p,j} -> C_{p-1,j} in the canonical bases
         (subset-major, monomials graded-lex within each block).
 
@@ -118,12 +119,12 @@ class KoszulComplex:
         cols = self.chain_dim(p, j)
         rows = self.chain_dim(p - 1, j)
         if cols == 0 or rows == 0:
-            return SparseMatrix.zeros(rows, cols)
+            return IntMatrix.zeros(rows, cols)
         d = j - 2 * p
         src_block = len(self.coefficient_basis(p, j))
         dst_block = len(self.coefficient_basis(p - 1, j))
         src_index = {S: k for k, S in enumerate(self.subsets(p))}
-        blocks = [mult_matrix(self.K, u, d) for u in self.forms]
+        blocks = [mult_matrix(self.K, u, d).sparse_rows() for u in self.forms]
         out = []
         for T in self.subsets(p - 1):
             parts = []
@@ -137,10 +138,10 @@ class KoszulComplex:
             for r in range(dst_block):
                 row = {}
                 for block, c0, sign in parts:
-                    for c, x in block.row(r).items():
+                    for c, x in block[r].items():
                         row[c0 + c] = sign * x
                 out.append(row)
-        return SparseMatrix._of(rows, cols, out)
+        return IntMatrix._of(rows, cols, out)
 
     @_memoized
     def cokernel(self, p: int, j: int) -> ZModule:
@@ -184,10 +185,9 @@ class BigradedTor(NamedTuple):
 def _check_bidegree(K: SimplicialComplex, S: SubgroupData, p: int, j: int):
     if K.m != S.m:
         raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
-    if p < 0 or p > S.n:
-        raise InputError(f"homological degree {p} out of range 0..{S.n}")
-    if j < 0 or j % 2:
-        raise InputError(f"internal degree must be even and nonnegative, got {j}")
+    if type(p) is not int or not 0 <= p <= S.n:
+        raise InputError(f"homological degree {p!r} is not an integer in 0..{S.n}")
+    _require_even(j)
 
 
 def _tor_structure(complex_: KoszulComplex, p: int, j: int) -> ZModule:
@@ -220,8 +220,7 @@ def tor_presentation(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> H
 
 def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
-    if D < 0 or D % 2:
-        raise InputError(f"degree bound must be even and nonnegative, got {D}")
+    _require_even(D, "degree bound")
     _check_bidegree(K, S, 0, 0)
     complex_ = _complex_for(K, S)
     table = {}
@@ -393,9 +392,9 @@ class _Quotient(NamedTuple):
     pivots: list
     position: dict
 
-    def matrix(self, vectors: list) -> SparseMatrix:
+    def matrix(self, vectors: list) -> IntMatrix:
         """The vectors, over this degree's monomials, as matrix rows."""
-        return SparseMatrix._of(len(vectors), len(self.free) + len(self.pivots), vectors)
+        return IntMatrix._of(len(vectors), len(self.free) + len(self.pivots), vectors)
 
     def divided_by(self, vectors: list) -> "_Quotient":
         """This quotient modulo further vectors over its free monomials."""
@@ -420,7 +419,7 @@ def _is_injective(here: _Quotient, there: _Quotient, phi: list) -> bool:
     if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
         return True
     lattice = Lattice(len(phi), [[r.get(g, 0) for g in here.free] for r in here.relations])
-    kernel = kernel_basis(SparseMatrix._of(image.cols, image.rows, image.sparse_columns()))
+    kernel = kernel_basis(image.transpose())
     return all(v[: len(phi)] in lattice for v in kernel)
 
 
@@ -448,7 +447,7 @@ def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
     u_stage v in (u_1, ..., u_{stage-1}) but v outside it, or None."""
 
     def ideal(d):  # -[u_1 | ... | u_{stage-1}] into degree d
-        block = SparseMatrix.zeros(len(monomial_basis(K, d)), 0)
+        block = IntMatrix.zeros(len(monomial_basis(K, d)), 0)
         for u in forms[: stage - 1] if d else ():
             block = block.hstack(mult_matrix(K, u, d - 2).scaled(-1))
         return block
@@ -467,8 +466,7 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     engine leaves (_quotient_scan).  At the first failure the full-space
     search names the annihilated class, and it must find one.
     """
-    if D < 0 or D % 2:
-        raise InputError(f"degree bound must be even and nonnegative, got {D}")
+    _require_even(D, "degree bound")
     forms = _forms_of(S)
     failure = next(((stage, j) for stage, j, injective in _quotient_scan(K, forms, D)
                     if not injective), None)
@@ -510,8 +508,7 @@ def euler_discrepancies(K: SimplicialComplex, S: SubgroupData, table: BigradedTo
 def rational_tor_ranks(K: SimplicialComplex, S: SubgroupData, D: int) -> dict:
     """Tor ranks over Q by fraction-exact elimination, bypassing Smith
     normal form entirely; keyed by (p, j)."""
-    if D < 0 or D % 2:
-        raise InputError(f"degree bound must be even and nonnegative, got {D}")
+    _require_even(D, "degree bound")
     complex_ = _complex_for(K, S)
     degrees = range(0, D + 1, 2)
     matrix_ranks = {(p, j): rational_rank(complex_.differential(p, j))

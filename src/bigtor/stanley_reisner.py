@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, SparseMatrix, ZModule, cokernel_structure, kernel_basis
+from .intlinalg import IntMatrix, ZModule, cokernel_structure, kernel_basis
 from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
@@ -302,9 +302,10 @@ class GradedBasis:
         return {mono: i for i, mono in enumerate(self.monomials)}
 
 
-def _require_even(j: int):
-    if j < 0 or j % 2 != 0:
-        raise InputError(f"internal degree must be even and nonnegative, got {j}")
+def _require_even(j: int, name: str = "internal degree"):
+    """Refuse j unless it is an int (not a bool), even and nonnegative."""
+    if type(j) is not int or j < 0 or j % 2:
+        raise InputError(f"{name} must be an even nonnegative integer, got {j!r}")
 
 
 def _support_mask(exp: tuple) -> int:
@@ -368,7 +369,7 @@ def reduce(K: SimplicialComplex, p: Polynomial) -> Polynomial:
 
 
 @_memoized
-def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> SparseMatrix:
+def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> IntMatrix:
     """Matrix of multiplication by u from degree j to degree j + 2, in
     the canonical monomial bases, assembled row by row: the target
     monomial x^a receives u_k times x^(a - e_k) for every k with a_k > 0,
@@ -389,7 +390,7 @@ def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> SparseMatrix:
             if mono[k]:
                 row[index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]] = c
         rows.append(row)
-    return SparseMatrix._of(len(target), len(source), rows)
+    return IntMatrix._of(len(target), len(source), rows)
 
 
 def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:
@@ -397,7 +398,7 @@ def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:
     of the multiplication matrices into degree j, side by side (none
     when j < 2)."""
     _require_even(j)
-    ideal = SparseMatrix.zeros(len(monomial_basis(K, j)), 0)
+    ideal = IntMatrix.zeros(len(monomial_basis(K, j)), 0)
     if j >= 2:
         for u in forms:
             ideal = ideal.hstack(mult_matrix(K, u, j - 2))

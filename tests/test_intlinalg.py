@@ -9,7 +9,6 @@ from bigtor.intlinalg import (
     IntMatrix,
     Lattice,
     SnfSolver,
-    SparseMatrix,
     ZModule,
     cokernel_structure,
     det,
@@ -428,6 +427,46 @@ def test_int_matrix_basics():
         IntMatrix([[1], [2, 3]])
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, False, None],
+                         ids=["float", "integral-float", "true", "false", "none"])
+def test_int_matrix_refuses_indices_that_are_not_ints(index):
+    # rows are dicts, so a float column would otherwise read a silent 0
+    A = IntMatrix([[1, 2], [3, 4]])
+    for read in (lambda: A[0, index], lambda: A[index, 0], lambda: A.row(index),
+                 lambda: A.column(index)):
+        with pytest.raises(InputError, match="is not an integer"):
+            read()
+    for read in (lambda: A[0, 2], lambda: A[-1, 0], lambda: A.row(2), lambda: A.column(-1)):
+        with pytest.raises(IndexError):
+            read()
+
+
+def test_int_matrix_round_trips_through_every_constructor():
+    rng = random.Random(41)
+    shapes = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(40)]
+    matrices = structured_matrices(43) + [
+        IntMatrix([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)], cols=c)
+        for r, c in shapes
+    ] + [IntMatrix.zeros(r, c) for r, c in shapes[:10]]
+    for M in matrices:
+        lists = M.to_lists()
+        dense = IntMatrix(lists, cols=M.cols)
+        sparse = IntMatrix([{c: x for c, x in enumerate(row) if x} for row in lists], M.cols)
+        by_columns = IntMatrix.from_columns(M.columns(), M.rows)
+        assert dense == sparse == by_columns == M
+        assert len({hash(dense), hash(sparse), hash(by_columns)}) == 1
+        assert (dense.rows, dense.cols) == (sparse.rows, sparse.cols) == (M.rows, M.cols)
+        assert M.transpose().transpose() == M
+        assert M.transpose().to_lists() == [list(col) for col in M.columns()]
+        assert dense.to_lists() == lists
+        assert [M.row(r) for r in range(M.rows)] == [tuple(row) for row in lists]
+        assert all(M[r, c] == lists[r][c] for r in range(M.rows) for c in range(M.cols))
+    # insertion order of a dict row does not matter to equality or hash
+    a, b = IntMatrix([{0: 1, 2: 3}], 3), IntMatrix([{2: 3, 0: 1}], 3)
+    assert a == b and hash(a) == hash(b)
+    assert IntMatrix([[0, 0]]) != IntMatrix([[0], [0]])
+
+
 @pytest.mark.parametrize("entry", [0.5, 2.0, True, False, Fraction(3, 2), Fraction(2)],
                          ids=["float", "integral-float", "true", "false", "fraction",
                               "integral-fraction"])
@@ -439,9 +478,9 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
     with pytest.raises(InputError, match="is not an integer"):
         IntMatrix([[2, 0], [0, 4]]).scaled(entry)
     with pytest.raises(InputError, match="is not an integer"):
-        SparseMatrix(2, 2, [{0: 1, 1: entry}, {1: 1}])
+        IntMatrix([{0: 1, 1: entry}, {1: 1}], 2)
     with pytest.raises(InputError, match="is not an integer"):
-        SparseMatrix(2, 2, [{0: 2}, {1: 4}]).scaled(entry)
+        IntMatrix([{0: 2}, {1: 4}], 2).scaled(entry)
     with pytest.raises(InputError, match="is not an integer"):
         ZModule(0, (2, entry))
     with pytest.raises(InputError, match="is not an integer"):
@@ -458,7 +497,7 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
 def test_sparse_matrix_refuses_stored_zeros_and_bad_columns(row, message):
     # a stored zero broke is_zero and equality; a bad column fed the engine
     with pytest.raises(InputError, match=message):
-        cokernel_structure(SparseMatrix(1, 2, [row]))
+        cokernel_structure(IntMatrix([row], 2))
 
 
 def test_inexact_entries_are_refused_before_any_arithmetic():
@@ -472,6 +511,6 @@ def test_inexact_entries_are_refused_before_any_arithmetic():
     with pytest.raises(InputError):
         cokernel_structure(IntMatrix([[2.0, 0], [0, 4.0]]))
     with pytest.raises(InputError):
-        cokernel_structure(SparseMatrix(1, 1, [{0: 0.5}]))
+        cokernel_structure(IntMatrix([{0: 0.5}], 1))
     with pytest.raises(InputError):
         ZModule(0, (2.5,))
