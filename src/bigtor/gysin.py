@@ -40,8 +40,10 @@ from .intlinalg import (
     Lattice,
     SnfSolver,
     ZModule,
+    _add_multiple,
+    _scaled,
     cokernel_structure,
-    kernel_basis,
+    kernel_lattice,
 )
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
@@ -99,10 +101,6 @@ class IndexMap(NamedTuple):
             if t is not None:
                 out[t] = out.get(t, 0) + self.sign * x
         return {t: x for t, x in out.items() if x}
-
-
-def _scaled(column: dict, factor: int) -> dict:
-    return {r: factor * x for r, x in column.items()}
 
 
 class GysinData:
@@ -211,11 +209,12 @@ class GysinData:
 
     def induced(self, chain_map, src, tgt) -> IntMatrix:
         """Matrix of the induced map on homology, source generators to
-        target generator coordinates; chain_map takes and returns dense
-        coordinate tuples."""
+        target generator coordinates; chain_map takes and returns sparse
+        vectors (dicts index -> entry)."""
         cols = []
-        for vec in src.kernel:
-            x = tgt.coordinates(chain_map(vec))
+        cycles = src.kernel_lattice().basis
+        for g in src.free:
+            x = tgt.coordinates(chain_map(cycles[g]))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
@@ -223,11 +222,12 @@ class GysinData:
 
     @_memoized
     def tau_star_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(self.tau_star(p, j), self.base.homology(p, j), self.ext.homology(p, j))
+        return self.induced(self.tau_star(p, j).push, self.base.homology(p, j),
+                            self.ext.homology(p, j))
 
     @_memoized
     def tau_lower_induced(self, p: int, j: int) -> IntMatrix:
-        return self.induced(self.tau_lower(p, j), self.ext.homology(p, j),
+        return self.induced(self.tau_lower(p, j).push, self.ext.homology(p, j),
                             self.base.homology(p - 1, j - 2))
 
     @_memoized
@@ -241,20 +241,15 @@ class GysinData:
         # block diagonal over the exterior subsets, one block per subset
         block = mult_matrix(self.K, self.split_form, j - 2 * p)
         block_columns = block.sparse_columns()
-        width = block.cols
-        blocks = len(self.base.subsets(p))
 
         def multiply(vec):
-            out = [0] * (block.rows * blocks)
-            for s in range(blocks):
-                r0 = s * block.rows
-                c0 = s * width
-                for c, column in enumerate(block_columns):
-                    x = vec[c0 + c]
-                    if x:
-                        for r, v in column.items():
-                            out[r0 + r] += x * v
-            return tuple(out)
+            out = {}
+            for c, x in vec.items():
+                s, k = divmod(c, block.cols)
+                for r, v in block_columns[k].items():
+                    r += s * block.rows
+                    out[r] = out.get(r, 0) + x * v
+            return out
 
         return self.induced(multiply, src, tgt)
 
@@ -275,14 +270,10 @@ class GysinData:
         for w in self._lifts(p, j, wedge_lift):
             y = {}
             for e, x in enumerate(w):
-                if x:
-                    for r, v in d_ext[e].items():
-                        y[r] = y.get(r, 0) + x * v
+                _add_multiple(y, x, d_ext[e])
             if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
-            coords = tgt.coordinates(
-                tuple(inc.sign * y.get(inc.target[k], 0) for k in range(len(inc.target)))
-            )
+            coords = tgt.coordinates({k: inc.sign * y[t] for k, t in inc.target.items() if t in y})
             if coords is None:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)
@@ -323,21 +314,18 @@ def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: IntMatrix, rel3: IntMatrix)
     """Image of f and kernel of g inside the middle homology group, as
     coordinate lattices containing the relation lattice."""
     k2 = f.rows
-    image = Lattice(k2, list(f.columns()) + list(rel2.columns()))
+    image = Lattice(k2, f.sparse_columns() + rel2.sparse_columns())
     stacked = g.hstack(rel3.scaled(-1))
-    preimage = [vec[:k2] for vec in kernel_basis(stacked)]
-    kernel = Lattice(k2, preimage + list(rel2.columns()))
+    preimage = [{c: x for c, x in v.items() if c < k2} for v in kernel_lattice(stacked).basis]
+    kernel = Lattice(k2, preimage + rel2.sparse_columns())
     return image, kernel
 
 
 def _quotient_structure(sub: Lattice, rel2: IntMatrix) -> ZModule:
     """Structure of sub modulo the relation lattice."""
-    cols = []
-    for c in range(rel2.cols):
-        x = sub.coordinates(rel2.column(c))
-        if x is None:
-            raise InternalCheckError("relation escaped a subgroup that must contain it")
-        cols.append(x)
+    cols = [sub.coordinates(column) for column in rel2.sparse_columns()]
+    if None in cols:
+        raise InternalCheckError("relation escaped a subgroup that must contain it")
     return cokernel_structure(IntMatrix.from_columns(cols, rows=sub.rank))
 
 
@@ -387,7 +375,6 @@ def connecting_map_check(G: GysinData) -> dict:
     for j in range(0, G.D - 1, 2):
         for p in range(G.n + 1):
             tgt = G.base.homology(p, j + 2)
-            rel = tgt.relation_lattice()
             mult = G.delta_induced(p, j)
             chase = G.delta_by_chase(p, j, wedge_lift=False)
             wedge = G.delta_by_chase(p, j, wedge_lift=True)
@@ -396,11 +383,9 @@ def connecting_map_check(G: GysinData) -> dict:
                 (mult, wedge, "multiplication vs wedge lift"),
                 (chase, wedge, "chase vs wedge lift"),
             ):
-                for c in range(a.cols):
-                    diff = tuple(
-                        x - y for x, y in zip(a.column(c), b.column(c))
-                    )
-                    if any(diff) and diff not in rel:
+                for diff, column in zip(a.sparse_columns(), b.sparse_columns()):
+                    _add_multiple(diff, -1, column)
+                    if diff and not tgt.class_is_zero(diff):
                         raise InternalCheckError(
                             f"connecting map routes disagree ({names}) at (p={p}, j={j})"
                         )

@@ -1,10 +1,11 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra on sparse rows.
 
-One matrix type, IntMatrix: a shape plus one dict per row, column ->
-nonzero entry.  It holds the Koszul differentials and multiplication
-maps from assembly to the engine, which reads its rows as fresh dicts
-(sparse_rows), and the small matrices (B, relations, induced maps),
-which callers read through dense accessors.
+One vector format runs through the module: a dict, column -> nonzero
+entry.  IntMatrix is a shape plus one such dict per row; it holds the
+Koszul differentials and multiplication maps from assembly to the
+engine, which reads its rows as fresh dicts (sparse_rows), and the small
+matrices (B, relations, induced maps), which callers may also read
+through dense accessors.
 
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
@@ -15,31 +16,29 @@ pass gives the residual's rank r and a nonzero r x r minor M, and its
 invariant factors come from a Smith normal form of [R | M I] with every
 entry reduced mod M (Domich, Kannan and Trotter 1987; Cohen, GTM 138,
 section 2.4), so no entry ever exceeds M; a stage whose pivot is prime
-to M splits off a factor 1 at once.  Kernels are lifted back
-through the logged pivot rows and Hermite-reduced.
+to M splits off a factor 1 at once.  Kernels are lifted back through the
+logged pivot rows and Hermite-reduced.
 
 A homology subquotient ker/im is presented as a finitely generated
-abelian group.  Its relations are the image columns written in a kernel
-basis by echelon back-substitution, and the same engine, run on those
-columns, prunes them: each unit pivot writes one basis row in terms of
-the others, which leaves the group as Z^free modulo the residual
-relations.  Only this module sees the full relations; the prune is
-verified as it is built.  _substitute rewrites a vector through such a
-log of pivots, for presentations and for the regular-sequence scan's
-quotients alike.
+abelian group: the image columns written in a kernel basis by echelon
+back-substitution, pruned by the same engine (each unit pivot writes one
+basis row in terms of the others) and verified as it is built.
+_substitute rewrites a vector through such a log of pivots, for
+presentations and for the regular-sequence scan's quotients alike.
 
-Lattice is the one echelon form that carries transforms: it size-reduces
-every row it builds, so entries stay small, and SnfSolver solves A x = b
-on the echelon basis of the rows (column k of A, e_k).  rational_rank is
-a separate sparse fraction-free elimination over the same rows that
-shares no elimination code with the engine, so the two can cross-check
-each other.  Everything runs on arbitrary-precision Python ints, and
-IntMatrix and ZModule refuse any other entry type; no floating point
-anywhere.
+Lattice is the one echelon form that carries transforms, on the same
+dict rows, with its pivots found by bisection; it size-reduces every row
+it builds, so entries stay small, and SnfSolver solves A x = b on the
+echelon basis of the rows (column k of A, e_k).  Dense tuples appear
+only at public outputs (hnf_basis, kernel_basis, SnfSolver.solve,
+HomologyPresentation.kernel).  rational_rank is a separate sparse
+fraction-free elimination that shares no code with the engine, so the
+two can cross-check each other.  Everything runs on arbitrary-precision
+Python ints, and IntMatrix and ZModule refuse any other entry type.
 """
-
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 
@@ -51,6 +50,7 @@ __all__ = [
     "HomologyPresentation",
     "Lattice",
     "kernel_basis",
+    "kernel_lattice",
     "cokernel_structure",
     "homology_presentation",
     "check_complex",
@@ -143,20 +143,15 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
-        cols = [tuple(col) for col in columns]
-        if any(len(col) != rows for col in cols):
-            raise InputError(f"columns must have {rows} entries")
-        if not cols:
-            return cls.zeros(rows, 0)
-        return cls._of(rows, len(cols), [_dict_row(row) for row in zip(*cols)])
+        """The matrix with the given columns, dense or dict like rows."""
+        return cls(columns, rows).transpose()
 
     def __getitem__(self, key):
         r, c = key
         return self._entries[_index(r, self.rows, "row")].get(_index(c, self.cols, "column"), 0)
 
     def row(self, r: int) -> tuple:
-        row = self._entries[_index(r, self.rows, "row")]
-        return tuple(row.get(c, 0) for c in range(self.cols))
+        return _dense(self._entries[_index(r, self.rows, "row")], self.cols)
 
     def column(self, c: int) -> tuple:
         _index(c, self.cols, "column")
@@ -164,8 +159,7 @@ class IntMatrix:
 
     def columns(self) -> list:
         """Each column as a dense tuple."""
-        return [tuple(column.get(r, 0) for r in range(self.rows))
-                for column in self.sparse_columns()]
+        return [_dense(column, self.rows) for column in self.sparse_columns()]
 
     def sparse_rows(self) -> list:
         """A shallow copy of the stored rows, free for the caller to
@@ -182,7 +176,7 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         """Nested-list form; round-trips exactly through the constructor."""
-        return [[row.get(c, 0) for c in range(self.cols)] for row in self._entries]
+        return [list(_dense(row, self.cols)) for row in self._entries]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self.cols, self.rows, self.sparse_columns())
@@ -314,6 +308,31 @@ def _xgcd(a: int, b: int):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+def _dense(v: dict, n: int) -> tuple:
+    """The sparse vector v as a dense tuple of n entries."""
+    out = [0] * n
+    for c, x in v.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _scaled(v: dict, factor: int) -> dict:
+    """factor * v as a new sparse vector."""
+    return {c: factor * x for c, x in v.items()} if factor else {}
+
+
+def _add_multiple(v: dict, q: int, row: dict) -> dict:
+    """v + q * row, in place, with zeros dropped; returns v."""
+    if q:
+        for k, y in row.items():
+            x = v.get(k, 0) + q * y
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+    return v
 
 
 def _eliminate_units(rows: list) -> tuple:
@@ -524,7 +543,12 @@ def hermite_reduce(vectors, width: int) -> list:
 
 
 def kernel_basis(A: IntMatrix) -> list:
-    """Z-basis of {v : A v = 0}, Hermite-reduced for determinism.
+    """Z-basis of {v : A v = 0}, Hermite-reduced, as dense tuples."""
+    return [_dense(row, A.cols) for row in kernel_lattice(A).basis]
+
+
+def kernel_lattice(A: IntMatrix) -> Lattice:
+    """{v : A v = 0} as a Lattice whose basis is Hermite-reduced.
 
     The residual's kernel is read off an echelon form of [R^T | I]: the
     rows whose first entries vanish are (0, w) with R w = 0.  Each w is
@@ -541,16 +565,16 @@ def kernel_basis(A: IntMatrix) -> list:
             if k != c:
                 holders.setdefault(k, []).append(i)
     width = len(residual)
+    columns = IntMatrix._of(width, A.cols, residual).sparse_columns()
     lattice = Lattice(width + len(free))
     for f, c in enumerate(free):
-        unit = [0] * len(free)
-        unit[f] = 1
-        lattice.add([row.get(c, 0) for row in residual] + unit)
-    vectors = []
+        columns[c][width + f] = 1
+        lattice.add(columns[c])
+    kernel = Lattice(A.cols)
     for vec, lead in zip(lattice.basis, lattice.pivots):
         if lead < width:
             continue
-        v = {c: x for c, x in zip(free, vec[width:]) if x}
+        v = {free[k - width]: x for k, x in vec.items()}
         # a pivot row holds only free columns and later pivots' columns,
         # so taking rows latest first sees every entry it depends on
         heap = [-i for k in v for i in holders.get(k, ())]  # max-heap of rows
@@ -567,8 +591,8 @@ def kernel_basis(A: IntMatrix) -> list:
                 v[c] = -row[c] * s
                 for earlier in holders.get(c, ()):
                     heapq.heappush(heap, -earlier)
-        vectors.append(tuple(v.get(c, 0) for c in range(A.cols)))
-    return hermite_reduce(vectors, A.cols)
+        kernel.add(v)
+    return kernel.hermite()
 
 
 def cokernel_structure(A: IntMatrix) -> ZModule:
@@ -607,22 +631,18 @@ class SnfSolver:
     """Solves A x = b for integer x, factoring A once.
 
     The rows (column k of A, e_k) span a lattice whose echelon basis
-    pairs the image of A with preimages: clearing (b, 0) against the
-    basis rows whose pivot falls in A's first A.rows columns leaves
-    (0, -x) with A x = b, and an entry that will not clear puts b off
-    the image.  The name is from the Smith-form solve this replaced; it
-    stays because the benchmark's tracer hooks SnfSolver.solve by name,
-    and renaming it waits for in-package spans (ROADMAP item 2).
+    pairs the image of A with preimages: clearing (b, 0) left of column
+    A.rows leaves (0, -x) with A x = b, or b is off the image.  The name
+    is from the Smith-form solve this replaced; the benchmark's tracer
+    hooks SnfSolver.solve by name (ROADMAP item 2).
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        unit = (0,) * A.cols
-        lattice = Lattice(A.rows + A.cols, [
-            column + unit[:k] + (1,) + unit[k + 1:] for k, column in enumerate(A.columns())
-        ])
-        self._rows = [(lead, {c: x for c, x in enumerate(row) if x})
-                      for row, lead in zip(lattice.basis, lattice.pivots) if lead < A.rows]
+        columns = A.sparse_columns()
+        for k, column in enumerate(columns):
+            column[A.rows + k] = 1
+        self._lattice = Lattice(A.rows + A.cols, columns)
 
     def solve(self, b):
         """One integer solution of A x = b, or None if none exists."""
@@ -631,17 +651,7 @@ class SnfSolver:
         if len(b) != m:
             raise InputError("right-hand side has wrong length")
         v = {c: x for c, x in enumerate(b) if x}
-        # rows in pivot order: each is zero left of its pivot, so a column
-        # once passed stays as it is, and one no row clears stays nonzero
-        for lead, row in self._rows:
-            x = v.get(lead)
-            if x:
-                q, r = divmod(x, row[lead])
-                if r:
-                    return None
-                for k, y in row.items():
-                    v[k] = v.get(k, 0) - q * y
-        if any(x for c, x in v.items() if c < m):
+        if self._lattice._clear(v, m) is None:
             return None
         return tuple(-v.get(m + k, 0) for k in range(self.A.cols))
 
@@ -649,72 +659,88 @@ class SnfSolver:
 class Lattice:
     """Subgroup of Z^n spanned by added vectors, held in row echelon form.
 
-    The basis rows have strictly increasing pivot columns and positive
-    pivots.  Every row a step inserts or combines, and the vector still
-    being inserted, is size-reduced against the rows with later pivots,
-    so its entries in those pivot columns lie in [0, pivot); unreduced
-    xgcd steps let entries grow without bound although input and result
-    are small (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A
-    Hermite-reduced basis added in pivot order is therefore
-    kept as it is, so the lattice has that very basis.  Coordinates and
-    membership come from back-substitution against the basis, pivot by
-    pivot, with divisibility checks.
+    Each basis row is a sparse dict, column -> nonzero entry, with a
+    positive pivot (its smallest column); pivots lists them strictly
+    increasing, and the row at a column is found by bisecting it.  Every
+    row a step inserts or combines, and the vector still being inserted,
+    is size-reduced against the rows with later pivots, so its entries in
+    those pivot columns lie in [0, pivot); unreduced xgcd steps let
+    entries grow without bound although input and result are small
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A Hermite-reduced
+    basis added in pivot order is therefore kept as it is.  A vector
+    handed in is a sequence of n entries or a dict, converted once.
     """
 
-    __slots__ = ("n", "basis", "pivots", "_sparse")
+    __slots__ = ("n", "basis", "pivots")
 
     def __init__(self, n: int, vectors=()):
         self.n = n
-        self.basis = []
-        self.pivots = []
-        self._sparse = None  # pivot column -> (position, row as a dict)
+        self.basis, self.pivots = [], []
         for v in vectors:
             self.add(v)
 
+    def _entry(self, vec) -> dict:
+        """A new dict of the nonzero entries of vec."""
+        if not isinstance(vec, dict):
+            vec = dict(enumerate(vec))
+            if len(vec) != self.n:
+                raise InputError(f"vector of width {len(vec)} in a lattice in Z^{self.n}")
+        return {c: x for c, x in vec.items() if x}
+
     def add(self, vec):
-        v = list(vec)
-        if len(v) != self.n:
-            raise InputError("vector width mismatch in Lattice.add")
-        self._sparse = None
+        v = self._entry(vec)
+        if v and (min(v) < 0 or max(v) >= self.n):
+            raise InputError(f"a column lies outside [0, {self.n}) in Lattice.add")
         basis, pivots = self.basis, self.pivots
-        pos = lead = 0
-        while True:
-            # v and every row from pos on are zero left of lead
-            lead = next((c for c in range(lead, self.n) if v[c]), None)
-            if lead is None:
-                return
-            while pos < len(pivots) and pivots[pos] < lead:
-                pos += 1
-            if pos == len(pivots) or pivots[pos] > lead:
+        while v:
+            lead = min(v)
+            pos = bisect.bisect_left(pivots, lead)
+            if pos == len(pivots) or pivots[pos] != lead:
                 if v[lead] < 0:
-                    v = [-x for x in v]
-                basis.insert(pos, self._reduce(v, pos))
+                    v = {c: -x for c, x in v.items()}
+                basis.insert(pos, self._reduce(v, lead))
                 pivots.insert(pos, lead)
                 return
             row = basis[pos]
-            head, tail, rest = v[:lead], v[lead:], row[lead:]
-            a, b = rest[0], tail[0]
+            a, b = row[lead], v[lead]
             if b % a == 0:
-                q = b // a
-                v = head + [x - q * y for x, y in zip(tail, rest)]
+                _add_multiple(v, -(b // a), row)
             else:
                 g, x, y = _xgcd(a, b)
-                basis[pos] = self._reduce(head + [x * p + y * q2 for p, q2 in zip(rest, tail)],
-                                          pos + 1)
-                v = head + [(-(b // g)) * p + (a // g) * q2 for p, q2 in zip(rest, tail)]
-            v = self._reduce(v, pos + 1)
+                basis[pos] = self._reduce(_add_multiple(_scaled(row, x), y, v), lead)
+                v = _add_multiple(_scaled(row, -(b // g)), a // g, v)
+            self._reduce(v, lead)
 
-    def _reduce(self, v: list, start: int) -> list:
-        """v with its entries in the pivot columns of basis rows start,
-        start + 1, ... reduced into [0, pivot).  Rows are taken in pivot
-        order, and each is zero left of its pivot, so a reduction never
+    def _reduce(self, v: dict, after: int) -> dict:
+        """v, in place, with its entries in the pivot columns right of
+        after reduced into [0, pivot).  Columns are taken in increasing
+        order, and a row is zero left of its pivot, so a reduction never
         disturbs an earlier one."""
         basis, pivots = self.basis, self.pivots
-        for pos in range(start, len(basis)):
-            row, lead = basis[pos], pivots[pos]
-            q = v[lead] // row[lead]
+        last = pivots[-1] if pivots else after
+        heap = [c for c in v if after < c <= last]
+        heapq.heapify(heap)
+        pos = 0
+        while heap:
+            c = heapq.heappop(heap)
+            pos = bisect.bisect_left(pivots, c, pos)
+            x = v.get(c)
+            if pivots[pos] != c or not x:
+                continue
+            row = basis[pos]
+            q = x // row[c]
             if q:
-                v = v[:lead] + [x - q * y for x, y in zip(v[lead:], row[lead:])]
+                for k, y in row.items():
+                    if k in v:
+                        x = v[k] - q * y
+                        if x:
+                            v[k] = x
+                        else:
+                            del v[k]
+                    else:
+                        v[k] = -q * y
+                        if k <= last:
+                            heapq.heappush(heap, k)
         return v
 
     def add_all(self, vectors):
@@ -723,46 +749,42 @@ class Lattice:
 
     def coordinates(self, vec):
         """Integer coordinates of vec in the basis, or None when vec is
-        not in the lattice.  vec is a sequence of n entries or a sparse
-        vector, a dict index -> entry."""
-        if isinstance(vec, dict):
-            v = dict(vec)
-        elif len(vec) != self.n:
-            raise InputError("vector width mismatch in Lattice.coordinates")
-        else:
-            v = {c: x for c, x in enumerate(vec) if x}
-        if self._sparse is None:
-            self._sparse = {
-                lead: (pos, {c: x for c, x in enumerate(row) if x})
-                for pos, (row, lead) in enumerate(zip(self.basis, self.pivots))
-            }
-        rows = self._sparse
-        # clear the nonzero entries of vec from the left; a basis row only
-        # touches columns at or right of its pivot, so a column once
-        # passed stays clear, and one with no pivot row cannot be cleared
-        heap = list(v)
+        not in the lattice: a tuple for a sequence, and a dict basis
+        position -> nonzero coordinate for a dict."""
+        coords = self._clear(self._entry(vec), math.inf)
+        return coords if coords is None or isinstance(vec, dict) else _dense(coords, len(self.basis))
+
+    def _clear(self, v: dict, stop: int):
+        """Clear v left of column stop, in place, from the left (a basis
+        row is zero left of its pivot); returns the multiples of basis
+        rows taken off, a dict position -> entry, or None when an entry
+        has no pivot row or is not divisible by its pivot."""
+        basis, pivots = self.basis, self.pivots
+        heap = [c for c in v if c < stop]
         heapq.heapify(heap)
-        coords = [0] * len(self.basis)
+        coords = {}
+        pos = 0
         while heap:
             c = heapq.heappop(heap)
             x = v[c]
             if not x:
                 continue
-            hit = rows.get(c)
-            if hit is None:
+            pos = bisect.bisect_left(pivots, c, pos)
+            if pos == len(pivots) or pivots[pos] != c:
                 return None
-            pos, row = hit
+            row = basis[pos]
             q, r = divmod(x, row[c])
             if r:
                 return None
             coords[pos] = q
             for k, y in row.items():
-                if k not in v:
-                    heapq.heappush(heap, k)
-                    v[k] = -q * y
-                else:
+                if k in v:
                     v[k] -= q * y
-        return tuple(coords)
+                else:
+                    v[k] = -q * y
+                    if k < stop:
+                        heapq.heappush(heap, k)
+        return coords
 
     def __contains__(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -774,10 +796,16 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    def hermite(self) -> "Lattice":
+        """Hermite-reduce the basis in place; returns the lattice."""
+        for row, lead in zip(self.basis, self.pivots):
+            self._reduce(row, lead)
+        return self
+
     def hnf_basis(self) -> list:
-        """The Hermite normal form of the basis: positive pivots, and the
-        entries above each pivot reduced into [0, pivot)."""
-        return [tuple(self._reduce(row, pos + 1)) for pos, row in enumerate(self.basis)]
+        """The Hermite normal form of the basis, as dense tuples."""
+        return [_dense(self._reduce(dict(row), lead), self.n)
+                for row, lead in zip(self.basis, self.pivots)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or self.n != other.n:
@@ -813,27 +841,22 @@ class HomologyPresentation:
         """cycles has the Hermite-reduced kernel basis as its basis;
         columns lists the full relations as sparse dicts basis index ->
         entry."""
-        k = len(cycles.basis)
-        rows = [{} for _ in range(k)]
-        for r, column in enumerate(columns):
-            for g, x in column.items():
-                rows[g][r] = x
-        structure = cokernel_structure(IntMatrix._of(k, len(columns), rows))
+        structure = cokernel_structure(IntMatrix._of(len(columns), cycles.rank, columns).transpose())
         pivots, residual = _eliminate_units([dict(column) for column in columns])
         pivot_gens = {g for g, _ in pivots}
-        free = tuple(g for g in range(k) if g not in pivot_gens)
-        relations = IntMatrix.from_columns(
-            [tuple(row.get(g, 0) for g in free) for row in residual], rows=len(free)
-        )
-        object.__setattr__(self, "kernel", tuple(tuple(cycles.basis[g]) for g in free))
+        free = tuple(g for g in range(cycles.rank) if g not in pivot_gens)
+        index = {g: f for f, g in enumerate(free)}
+        residual = [{index[g]: x for g, x in row.items()} for row in residual]
+        relations = IntMatrix._of(len(residual), len(free), residual).transpose()
+        object.__setattr__(self, "kernel", tuple(_dense(cycles.basis[g], cycles.n) for g in free))
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_cycles", cycles)
         object.__setattr__(self, "_pivots", pivots)
         object.__setattr__(self, "_position", {g: i for i, (g, _) in enumerate(pivots)})
-        object.__setattr__(self, "_index", {g: f for f, g in enumerate(free)})
-        object.__setattr__(self, "_relation_lattice", Lattice(len(free), relations.columns()))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_relation_lattice", Lattice(len(free), residual))
         if cokernel_structure(relations) != structure:
             raise InternalCheckError("pruned relations present a different group")
         for column in columns:
@@ -853,23 +876,13 @@ class HomologyPresentation:
         presentation was built with; callers must not add to it."""
         return self._cycles
 
-    def relation_lattice(self) -> Lattice:
-        """The residual relations' lattice, built once; callers must not
-        add to it."""
-        return self._relation_lattice
-
     def project(self, coords) -> tuple:
         """Generator coordinates of the class with the given basis
         coordinates, a sequence or a sparse dict index -> entry."""
-        if isinstance(coords, dict):
-            v = dict(coords)
-        else:
-            v = {g: x for g, x in enumerate(coords) if x}
-        out = [0] * len(self.free)
+        v = dict(coords) if isinstance(coords, dict) else dict(enumerate(coords))
         index = self._index
-        for g, x in _substitute(self._pivots, self._position, v).items():
-            out[index[g]] = x
-        return tuple(out)
+        return _dense({index[g]: x for g, x in _substitute(self._pivots, self._position, v).items()},
+                      len(self.free))
 
     def coordinates(self, cycle):
         """Generator coordinates of an ambient cycle, or None when it is
@@ -878,8 +891,9 @@ class HomologyPresentation:
         return None if x is None else self.project(x)
 
     def class_is_zero(self, coords) -> bool:
-        """Whether the class with the given generator coordinates is 0."""
-        return tuple(coords) in self._relation_lattice
+        """Whether the class with the given generator coordinates, a
+        sequence or a sparse dict index -> entry, is 0."""
+        return coords in self._relation_lattice
 
 
 def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresentation:
@@ -891,13 +905,10 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     check_complex(d_out, d_in)
     # kernel of an integer matrix is a saturated sublattice, so every
     # image column has integer coordinates in the kernel basis
-    lattice = Lattice(d_out.cols, kernel_basis(d_out))  # keeps it as its basis
-    columns = []
-    for column in d_in.sparse_columns():
-        x = lattice.coordinates(column)
-        if x is None:
-            raise InternalCheckError("image vector escaped the kernel lattice")
-        columns.append({g: v for g, v in enumerate(x) if v})
+    lattice = kernel_lattice(d_out)
+    columns = [lattice.coordinates(column) for column in d_in.sparse_columns()]
+    if None in columns:
+        raise InternalCheckError("image vector escaped the kernel lattice")
     return HomologyPresentation(lattice, columns)
 
 

@@ -39,8 +39,9 @@ from .intlinalg import (
     check_complex,
     cokernel_structure,
     homology_presentation,
-    kernel_basis,
+    kernel_lattice,
     rational_rank,
+    _dense,
     _eliminate_units,
     _substitute,
 )
@@ -115,7 +116,10 @@ class KoszulComplex:
         for each i outside T, the rows of u_i's multiplication block
         with sign (-1)^{#{t in T : t < i}}, shifted to the column block
         of T + {i}.  Distinct i give disjoint columns, so nothing adds.
+        An int bidegree out of range gives a zero map; any other is refused.
         """
+        if type(p) is not int or type(j) is not int:
+            raise InputError(f"bidegree ({p!r}, {j!r}) is not a pair of integers")
         cols = self.chain_dim(p, j)
         rows = self.chain_dim(p - 1, j)
         if cols == 0 or rows == 0:
@@ -243,35 +247,31 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
         return None
     complex_ = _complex_for(K, S)
     pres = complex_.homology(1, j)
-    chosen = next((vec for g, vec in enumerate(pres.kernel_lattice().basis)
+    cycles = pres.kernel_lattice()
+    chosen = next((vec for g, vec in enumerate(cycles.basis)
                    if not pres.class_is_zero(pres.project({g: 1}))), None)
     if chosen is None:
         raise InternalCheckError("nonzero homology but every generator died")
-    if any(complex_.differential(1, j).apply(chosen)):
+    coordinates = _dense(chosen, cycles.n)
+    if any(complex_.differential(1, j).apply(coordinates)):
         raise InternalCheckError("selected witness is not a cycle")
-    basis = complex_.coefficient_basis(1, j)
-    block = len(basis)
-    components = []
-    texts = []
-    for idx in range(S.n):
-        chunk = chosen[idx * block: (idx + 1) * block]
-        poly = Polynomial(
-            K.m, {mono: c for mono, c in zip(basis.monomials, chunk) if c}
-        )
-        if not poly.is_zero():
-            components.append((idx + 1, poly))
-            texts.append(f"({poly.render()}) xi{idx + 1}")
+    monomials = complex_.coefficient_basis(1, j).monomials
+    parts = {}  # xi index -> the coefficient's terms
+    for c, x in chosen.items():
+        idx, t = divmod(c, len(monomials))
+        parts.setdefault(idx + 1, {})[monomials[t]] = x
+    components = [(i, Polynomial(K.m, parts[i])) for i in sorted(parts)]
     relation = " + ".join(
         f"({complex_.forms[i - 1].render()})*({poly.render()})" for i, poly in components
     )
     explanation = (
-        f"cycle at (p=1, j={j}): " + " + ".join(texts)
+        f"cycle at (p=1, j={j}): " + " + ".join(f"({p.render()}) xi{i}" for i, p in components)
         + f"; the coefficients satisfy {relation} = 0 in Z[K], "
         "yet the cycle is not a boundary"
     )
     return KoszulCycle(
         index=KoszulIndex(p=1, j=j),
-        coordinates=tuple(chosen),
+        coordinates=coordinates,
         components=tuple(components),
         explanation=explanation,
     )
@@ -418,9 +418,10 @@ def _is_injective(here: _Quotient, there: _Quotient, phi: list) -> bool:
         return False
     if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
         return True
-    lattice = Lattice(len(phi), [[r.get(g, 0) for g in here.free] for r in here.relations])
-    kernel = kernel_basis(image.transpose())
-    return all(v[: len(phi)] in lattice for v in kernel)
+    index = {g: f for f, g in enumerate(here.free)}
+    lattice = Lattice(len(phi), [{index[g]: x for g, x in r.items()} for r in here.relations])
+    return all({c: x for c, x in v.items() if c < len(phi)} in lattice
+               for v in kernel_lattice(image.transpose()).basis)
 
 
 def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
@@ -453,9 +454,11 @@ def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
         return block
 
     mult = mult_matrix(K, forms[stage - 1], j)
-    ideal_here = Lattice(mult.cols, ideal(j).columns())
-    return next((v[: mult.cols] for v in kernel_basis(mult.hstack(ideal(j + 2)))
-                 if v[: mult.cols] not in ideal_here), None)
+    ideal_here = Lattice(mult.cols, ideal(j).sparse_columns())
+    cut = ({c: x for c, x in v.items() if c < mult.cols}
+           for v in kernel_lattice(mult.hstack(ideal(j + 2))).basis)
+    v = next((v for v in cut if v not in ideal_here), None)
+    return None if v is None else _dense(v, mult.cols)
 
 
 def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> RegularSequenceReport:

@@ -14,7 +14,6 @@ stanley_reisner, GKM vertex and edge data in gkm.  No module caches.
 from __future__ import annotations
 
 import functools
-import types
 from typing import NamedTuple
 
 from .errors import InputError
@@ -28,32 +27,31 @@ class CacheInfo(NamedTuple):
     misses: int
 
 
-class _memoized:
+def _memoized(function):
     """Decorator that keeps each result in the _cache dict of the first
-    argument (the instance, for a method), keyed by the function name and
-    the remaining arguments, so a result lives exactly as long as the
-    object that owns it.  Hits and misses are counted over all owners and
-    read with cache_info()."""
+    argument (the instance, for a method), so a result lives exactly as
+    long as the object that owns it.  The key holds the function name,
+    the other arguments and their types, since 4.0, True or Fraction(4)
+    equal an int but must meet the function's own checks.  Hits and
+    misses are counted over all owners and read with cache_info()."""
+    name = function.__name__
+    counts = [0, 0]  # hits, misses
 
-    def __init__(self, function):
-        functools.update_wrapper(self, function)
-        self.hits = self.misses = 0
-
-    def __get__(self, instance, owner=None):
-        return self if instance is None else types.MethodType(self, instance)
-
-    def __call__(self, owner, *args):
-        key = (self.__name__, *args)
+    @functools.wraps(function)
+    def memo(owner, *args):
+        key = (name, *args, *map(type, args))
         cache = owner._cache
-        if key in cache:
-            self.hits += 1
+        try:
+            result = cache[key]
+        except KeyError:
+            counts[1] += 1
+            result = cache[key] = function(owner, *args)
         else:
-            self.misses += 1
-            cache[key] = self.__wrapped__(owner, *args)
-        return cache[key]
+            counts[0] += 1
+        return result
 
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses)
+    memo.cache_info = lambda: CacheInfo(*counts)
+    return memo
 
 
 def _to_mask(vertices, m: int) -> int:

@@ -469,11 +469,7 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
             for i, power in enumerate(exp):
                 for _ in range(power):
                     g = reduce(K, g * row_polys[i])
-            image = reduce(K, g * f_red)
-            col = [0] * len(target)
-            for mono, c in image.terms.items():
-                col[index[mono]] = c
-            columns.append(col)
+            columns.append({index[mono]: c for mono, c in reduce(K, g * f_red).terms.items()})
         matrix = IntMatrix.from_columns(columns, rows=len(target))
         for vec in kernel_basis(matrix):
             witnesses.append(

@@ -7,12 +7,17 @@ import importlib
 import pathlib
 import pkgutil
 import weakref
+from fractions import Fraction
+
+import pytest
 
 import bigtor
 from bigtor import cli
+from bigtor.errors import InputError
+from bigtor.intlinalg import ZModule
 from bigtor.koszul_tor import KoszulComplex, regular_sequence_check, tor1_witness, tor_table
 from bigtor.simplicial import build_complex
-from bigtor.stanley_reisner import mult_matrix
+from bigtor.stanley_reisner import LinearForm, monomial_basis, mult_matrix
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -56,3 +61,55 @@ def test_check_bigcm_builds_each_matrix_once(capsys):
     assert "FAILS" in capsys.readouterr().out
     assert KoszulComplex.differential.cache_info().misses - differential.misses == 37
     assert mult_matrix.cache_info().misses - mult.misses == 18
+
+
+def _koszul(problem):
+    S = problem.B
+    return KoszulComplex(problem.complex, [LinearForm(S.row_coefficients(i)) for i in range(S.n)])
+
+
+# (call, the int arguments that fill the memo, equal arguments of another type)
+MEMO_CASES = [
+    (monomial_basis, (4,), (4.0,)),
+    (monomial_basis, (4,), (Fraction(4),)),
+    (monomial_basis, (0,), (False,)),
+    (mult_matrix, (2,), (2.0,)),
+    (mult_matrix, (0,), (False,)),
+] + [
+    (method, good, bad)
+    for method in ("differential", "cokernel", "homology")
+    for good, bad in (((1, 4), (1.0, 4)), ((1, 4), (True, 4)), ((1, 4), (1, 4.0)),
+                      ((1, 4), (1, Fraction(4))), ((0, 0), (0, False)))
+]
+
+
+@pytest.mark.parametrize("call, good, bad", MEMO_CASES,
+                         ids=[f"{getattr(c, '__name__', c)}{b}" for c, _, b in MEMO_CASES])
+def test_memo_hit_refuses_what_a_miss_refuses(corpus, call, good, bad):
+    # the memo key (name, *args) once let 4.0 or True hit the entry of 4 or
+    # 1, so a hit skipped the type check a miss would have made
+    problem = corpus["wps12"]
+    K = problem.complex
+    u = LinearForm(problem.B.row_coefficients(0))
+
+    def run(owner, args):
+        if isinstance(call, str):
+            return getattr(owner, call)(*args)
+        return call(owner, *args) if call is monomial_basis else call(owner, u, *args)
+
+    fresh = _koszul(problem) if isinstance(call, str) else build_complex(K.m, K.face_vertices())
+    with pytest.raises(InputError, match="integer"):
+        run(fresh, bad)
+    owner = _koszul(problem) if isinstance(call, str) else K
+    run(owner, good)
+    with pytest.raises(InputError, match="integer"):
+        run(owner, bad)
+
+
+def test_out_of_range_bidegrees_give_zero_maps(corpus):
+    # _tor_structure asks for d(n + 1, j), and the Gysin maps for d(p - 1, j - 2) at j = 0
+    complex_ = _koszul(corpus["wps12"])
+    n = complex_.n
+    for p, j in ((n + 1, 4), (n + 2, 4), (-1, 4), (0, -2), (1, 0)):
+        assert complex_.differential(p, j).is_zero(), (p, j)
+        assert complex_.homology(p, j).structure == ZModule(0), (p, j)

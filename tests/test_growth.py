@@ -18,12 +18,17 @@ fuzz_p078 with split 2, before presentations were pruned), and with
 the splits whose exactness check ran into lattice growth (fuzz_p044
 with split 3 took about 20 s, hermite_growth with split 3 ran past
 120 s at D = 8, before Lattice size-reduced its rows), under the same
-budget.
+budget.  They also record the largest bit length of any Lattice basis
+entry after every insertion and Hermite reduction, and hold it to
+MAX_LATTICE_BITS, so that growth shows as a failed bound before it shows
+as a hang (47 bits on hermite_growth with split 3, 31 on fuzz_p044 with
+split 3, 24 on fuzz_p078 with split 2).
 """
 
 import pytest
 
 from bigtor.gysin import GysinData, connecting_map_check, verify_exactness
+from bigtor.intlinalg import Lattice
 from bigtor.koszul_tor import (
     KoszulComplex,
     euler_discrepancies,
@@ -38,6 +43,7 @@ import oracles
 from conftest import load_problem
 
 BUDGET_S = 2.0
+MAX_LATTICE_BITS = 64
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 # name -> (D, nonzero Tor pieces {(p, j): (rank, torsion)})
@@ -114,14 +120,32 @@ GYSIN_CASES = [
 ]
 
 
+def record_lattice_bits(monkeypatch):
+    """Patch Lattice.add and Lattice.hermite to record, after each call,
+    the largest bit length of an entry of the basis; returns a list whose
+    one item is the running maximum."""
+    most = [0]
+    for name in ("add", "hermite"):
+        def recorded(self, *args, _original=getattr(Lattice, name)):
+            result = _original(self, *args)
+            bits = max((abs(x).bit_length() for row in self.basis for x in row.values()), default=0)
+            most[0] = max(most[0], bits)
+            return result
+
+        monkeypatch.setattr(Lattice, name, recorded)
+    return most
+
+
 @pytest.mark.parametrize("name, split", GYSIN_CASES, ids=[f"{n}-split{k}" for n, k in GYSIN_CASES])
-def test_gysin_growth_case_finishes(name, split, budget):
+def test_gysin_growth_case_finishes(name, split, budget, monkeypatch):
     problem = load_problem(name)
     K, S_ext = problem.complex, problem.B
+    bits = record_lattice_bits(monkeypatch)
     with budget(BUDGET_S):
         G = GysinData(K, S_ext, 12, split=split - 1)
         report = verify_exactness(G)
         connecting = connecting_map_check(G)
+    assert 0 < bits[0] <= MAX_LATTICE_BITS, bits[0]
     assert report.all_pass
     assert connecting and all(connecting.values())
     for node in report.nodes:

@@ -1,9 +1,11 @@
 import gc
+import random
 import weakref
 
 import pytest
 
 from bigtor import cli
+from bigtor.cli import parse_problem
 from bigtor.errors import InputError, InternalCheckError
 from bigtor.gysin import (
     GysinData,
@@ -15,7 +17,9 @@ from bigtor.koszul_tor import KoszulComplex, tor_piece
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis
 
+import oracles
 from conftest import DATA_DIR
+from test_regular_sequence import random_problem
 
 TWO_POINTS = build_complex(2, [(1,), (2,)])
 W12 = SubgroupData(IntMatrix([[2, -1]]))
@@ -276,3 +280,54 @@ def test_rejects_bad_input(corpus):
         GysinData(TWO_POINTS, S, 8)
     with pytest.raises(InputError):
         GysinData(K, SubgroupData(IntMatrix.zeros(0, 4)), 8)
+
+
+# the seeded generator: problems of tests/test_regular_sequence.random_problem
+# (m <= 5, n <= 3), every split row, at D = 8, each op under its own budget
+SEEDED_RNG = random.Random(7)
+SEEDED_GYSIN = [random_problem(SEEDED_RNG) for _ in range(40)]
+
+
+class _Oracle:
+    """(rank, torsion) of H_p in degree j of a Koszul complex, from the
+    oracles' Fraction ranks and Smith diagonal of its differentials, each
+    taken once."""
+
+    def __init__(self, C):
+        self.C = C
+        self.ranks = {}
+        self.groups = {}
+
+    def rank(self, p, j):
+        if (p, j) not in self.ranks:
+            self.ranks[p, j] = oracles.rational_rank(self.C.differential(p, j).to_lists())
+        return self.ranks[p, j]
+
+    def group(self, p, j):
+        if (p, j) not in self.groups:
+            d_in = self.C.differential(p + 1, j).to_lists()
+            torsion = [d for d in oracles.smith_diagonal(d_in) if d > 1]
+            rank = self.C.chain_dim(p, j) - self.rank(p, j) - self.rank(p + 1, j)
+            self.groups[p, j] = rank, torsion
+        return self.groups[p, j]
+
+
+@pytest.mark.parametrize("index", range(len(SEEDED_GYSIN)))
+def test_seeded_gysin_problem(index, budget):
+    problem = parse_problem(SEEDED_GYSIN[index])
+    K, S_ext = problem.complex, problem.B
+    for split in range(S_ext.n):
+        with budget(2.0):
+            G = GysinData(K, S_ext, 8, split=split)
+            report = verify_exactness(G)
+            connecting = connecting_map_check(G)
+        assert report.all_pass, (split, report.failing())
+        # each cell's three routes (multiplication, generic chase, wedge
+        # lift) agree modulo boundaries, or connecting_map_check raises
+        assert connecting and all(connecting.values()), split
+        ext, base = _Oracle(G.ext), _Oracle(G.base)
+        for node in report.nodes:
+            oracle, S = (ext, S_ext) if node.term == "tor_ext" else (base, G.S_base)
+            assert oracles.structure_pair(node.group) == oracle.group(node.p, node.j), (split, node)
+            if node.j >= 0 and 0 <= node.p <= S.n:
+                assert node.group == tor_piece(K, S, node.p, node.j), (split, node)

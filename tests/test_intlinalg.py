@@ -246,6 +246,33 @@ def test_solver_reports_unsolvable():
         SnfSolver(IntMatrix([[1]])).solve((1, 2))
 
 
+def test_lattice_takes_dense_or_dict_vectors():
+    # the basis is sparse rows with positive, strictly increasing pivots, and
+    # a vector may come as a dense sequence or a dict column -> entry
+    rng = random.Random(1979)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        gens = [tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n))
+                for _ in range(rng.randint(0, 6))]
+        sparse = [{c: x for c, x in enumerate(v) if x} for v in gens]
+        dense_built, dict_built = Lattice(n, gens), Lattice(n, sparse)
+        assert dict_built.basis == dense_built.basis
+        assert dict_built.pivots == dense_built.pivots == [min(row) for row in dense_built.basis]
+        assert all(row[min(row)] > 0 and all(row.values()) for row in dense_built.basis)
+        assert sorted(set(dense_built.pivots)) == dense_built.pivots
+        assert dict_built.hnf_basis() == dense_built.hnf_basis()
+        for v, d in zip(gens, sparse):
+            coords = dense_built.coordinates(v)
+            assert dense_built.coordinates(d) == {k: x for k, x in enumerate(coords) if x}
+        assert IntMatrix.from_columns(sparse, n) == IntMatrix.from_columns(gens, n)
+    L = Lattice(3, [{0: 2}, {2: 1}])
+    assert L.coordinates({0: 4, 2: -1}) == {0: 2, 1: -1}
+    assert L.coordinates({0: 1}) is None and L.coordinates({5: 1}) is None
+    for bad in ({3: 1}, {-1: 1}, (1, 2)):
+        with pytest.raises(InputError):
+            L.add(bad)
+
+
 def test_lattice_membership():
     L = Lattice(2, [(2, 0), (0, 2)])
     assert (2, -2) in L
@@ -283,7 +310,7 @@ def test_lattice_equality_is_generator_independent():
         # coordinates of every generator rebuild it
         hermite = L.hnf_basis()
         H = Lattice(n, hermite)
-        assert [tuple(row) for row in H.basis] == hermite
+        assert H.basis == [{c: x for c, x in enumerate(row) if x} for row in hermite]
         for vec in gens:
             assert combine(H.coordinates(vec), hermite, n) == vec
 
@@ -311,7 +338,7 @@ def presentation_of(R):
     """Z^k modulo the columns of R, on the unit-vector kernel basis, so
     basis coordinates are R's coordinates."""
     pres = homology_presentation(IntMatrix.zeros(0, R.rows), R)
-    assert pres.kernel_lattice().basis == [list(unit(R.rows, g)) for g in range(R.rows)]
+    assert pres.kernel_lattice().basis == [{g: 1} for g in range(R.rows)]
     return pres
 
 
