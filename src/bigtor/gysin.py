@@ -12,8 +12,8 @@ connecting homomorphism of the long exact sequence equal to plain
 multiplication by u_{n+1}; tau_* then anticommutes with the
 differentials, which changes no kernel or image.
 
-Both maps only copy or sign coordinates, so they are kept as signed
-index maps (the chain maps of a reduction are index bookkeeping:
+Both maps only copy or sign coordinates, so they are signed index maps
+that push sparse chains (a reduction's chain maps are index bookkeeping:
 Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Exactness of the
 short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
@@ -84,14 +84,6 @@ class IndexMap(NamedTuple):
     target: dict
     sign: int
     dim: int
-
-    def __call__(self, vec) -> tuple:
-        out = [0] * self.dim
-        for k, t in self.target.items():
-            x = vec[k]
-            if x:
-                out[t] += self.sign * x
-        return tuple(out)
 
     def push(self, column: dict) -> dict:
         """Image of a sparse vector (dict index -> entry), zeros dropped."""
@@ -236,7 +228,7 @@ class GysinData:
         by the split form on representatives."""
         src = self.base.homology(p, j)
         tgt = self.base.homology(p, j + 2)
-        if p < 0 or j < 0 or not src.kernel:
+        if p < 0 or j < 0 or not src.generator_count:
             return IntMatrix.zeros(tgt.generator_count, 0)
         # block diagonal over the exterior subsets, one block per subset
         block = mult_matrix(self.K, self.split_form, j - 2 * p)
@@ -261,7 +253,7 @@ class GysinData:
         """
         src = self.base.homology(p, j)
         tgt = self.base.homology(p, j + 2)
-        if j < 0 or not src.kernel:
+        if j < 0 or not src.generator_count:
             return IntMatrix.zeros(tgt.generator_count, 0)
         inc = self.tau_star(p, j + 2)
         xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
@@ -269,7 +261,7 @@ class GysinData:
         cols = []
         for w in self._lifts(p, j, wedge_lift):
             y = {}
-            for e, x in enumerate(w):
+            for e, x in w.items():
                 _add_multiple(y, x, d_ext[e])
             if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
@@ -289,23 +281,25 @@ class GysinData:
         boundary, so the chased class does not change while the lift
         differs from the wedge lift wherever that chain group is nonzero.
         """
-        kernel = self.base.homology(p, j).kernel
+        src = self.base.homology(p, j)
+        kernel = [src.kernel_lattice().basis[g] for g in src.free]
         proj = self.tau_lower(p + 1, j + 2)
         dim = self.ext.chain_dim(p + 1, j + 2)
         if wedge_lift:
             wedge = IndexMap({k: e for e, k in proj.target.items()}, proj.sign, dim)
-            lifts = [wedge(vec) for vec in kernel]
+            lifts = [wedge.push(vec) for vec in kernel]
         else:
             rows = [{} for _ in range(proj.dim)]
             for e, k in proj.target.items():
                 rows[k][e] = proj.sign
             solver = SnfSolver(IntMatrix(rows, cols=dim))
-            shift = self.tau_star(p + 1, j + 2)((1,) * self.base.chain_dim(p + 1, j + 2))
+            inc = self.tau_star(p + 1, j + 2)
+            shift = inc.push(dict.fromkeys(inc.target, 1))
             lifts = [solver.solve(vec) for vec in kernel]
             if None in lifts:
                 raise InternalCheckError("projection failed to lift a cycle")
-            lifts = [tuple(x + z for x, z in zip(w, shift)) for w in lifts]
-        if any(proj(w) != tuple(vec) for vec, w in zip(kernel, lifts)):
+            lifts = [_add_multiple(w, 1, shift) for w in lifts]
+        if any(proj.push(w) != vec for vec, w in zip(kernel, lifts)):
             raise InternalCheckError("lift does not project back")
         return lifts
 

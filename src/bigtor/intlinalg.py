@@ -29,12 +29,12 @@ presentations and for the regular-sequence scan's quotients alike.
 Lattice is the one echelon form that carries transforms, on the same
 dict rows, with its pivots found by bisection; it size-reduces every row
 it builds, so entries stay small, and SnfSolver solves A x = b on the
-echelon basis of the rows (column k of A, e_k).  Dense tuples appear
-only at public outputs (hnf_basis, kernel_basis, SnfSolver.solve,
-HomologyPresentation.kernel).  rational_rank is a separate sparse
-fraction-free elimination that shares no code with the engine, so the
-two can cross-check each other.  Everything runs on arbitrary-precision
-Python ints, and IntMatrix and ZModule refuse any other entry type.
+echelon basis of the rows (column k of A, e_k).  Kernels, solves and
+coordinates are dicts; dense tuples appear only in IntMatrix.row and
+to_lists and in Lattice's dense-in, dense-out paths.  rational_rank is a
+separate sparse fraction-free elimination that shares no code with the
+engine, so the two can cross-check each other.  Everything runs on
+Python ints, and IntMatrix, ZModule and Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -49,13 +49,11 @@ __all__ = [
     "ZModule",
     "HomologyPresentation",
     "Lattice",
-    "kernel_basis",
     "kernel_lattice",
     "cokernel_structure",
     "homology_presentation",
     "check_complex",
     "SnfSolver",
-    "hermite_reduce",
     "rational_rank",
     "det",
 ]
@@ -70,13 +68,21 @@ def _index(i, n: int, what: str) -> int:
     return i
 
 
+def _dimension(n, what: str) -> int:
+    """n, once it is checked to be an int (not a bool) >= 0."""
+    if type(n) is not int or n < 0:
+        raise InputError(f"{what} {n!r} is not a nonnegative integer")
+    return n
+
+
+def _not_int(x):
+    raise InputError(f"entry {x!r} is not an integer")
+
+
 def _dict_row(values) -> dict:
     """The nonzero entries of a dense row, column -> entry, once every
     entry is checked to be an int."""
-    bad = next((x for x in values if type(x) is not int), None)
-    if bad is not None:
-        raise InputError(f"matrix entry {bad!r} is not an integer")
-    return {c: x for c, x in enumerate(values) if x}
+    return {c: x for c, x in enumerate(values) if (x if type(x) is int else _not_int(x))}
 
 
 class IntMatrix:
@@ -90,15 +96,15 @@ class IntMatrix:
     as a dense sequence or as such a dict; dict rows need cols.  Entries
     must be ints (type int exactly: no bool, float or Fraction), dense
     rows must have equal lengths, and a dict row may store no zero and
-    no column outside [0, cols).  The dense accessors (row, column,
-    columns, to_lists, indexing) fill in the zeros.
+    no column outside [0, cols); a shape is a nonnegative int.  The dense
+    accessors (row, to_lists, indexing) fill in the zeros.
     """
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries, cols: int | None = None):
         data = []
-        width = cols
+        width = cols if cols is None else _dimension(cols, "column count")
         for row in entries:
             if not isinstance(row, dict):
                 row = tuple(row)
@@ -111,11 +117,10 @@ class IntMatrix:
                 continue
             if cols is None:
                 raise InputError("dict rows need an explicit column count")
-            _dict_row(row.values())
             for c, x in row.items():
                 if type(c) is not int or not 0 <= c < cols:
                     raise InputError(f"column {c!r} is not an integer in [0, {cols})")
-                if x == 0:
+                if not (x if type(x) is int else _not_int(x)):
                     raise InputError(f"stored zero in column {c}")
             data.append(dict(row))
         if width is None:
@@ -139,6 +144,7 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
         return cls._of(rows, cols, ({},) * rows)
 
     @classmethod
@@ -152,14 +158,6 @@ class IntMatrix:
 
     def row(self, r: int) -> tuple:
         return _dense(self._entries[_index(r, self.rows, "row")], self.cols)
-
-    def column(self, c: int) -> tuple:
-        _index(c, self.cols, "column")
-        return tuple(row.get(c, 0) for row in self._entries)
-
-    def columns(self) -> list:
-        """Each column as a dense tuple."""
-        return [_dense(column, self.rows) for column in self.sparse_columns()]
 
     def sparse_rows(self) -> list:
         """A shallow copy of the stored rows, free for the caller to
@@ -195,12 +193,6 @@ class IntMatrix:
                     acc[c] = acc.get(c, 0) + x * y
             out.append({c: x for c, x in acc.items() if x})
         return IntMatrix._of(self.rows, other.cols, out)
-
-    def apply(self, vector) -> tuple:
-        vec = tuple(vector)
-        if len(vec) != self.cols:
-            raise InputError("vector length does not match column count")
-        return tuple(sum(x * vec[c] for c, x in row.items()) for row in self._entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -533,20 +525,6 @@ def _smith_mod(m: list, modulus: int, count: int) -> list:
     return factors
 
 
-def hermite_reduce(vectors, width: int) -> list:
-    """Row Hermite normal form of the span of the given vectors.
-
-    Rows come back with strictly increasing pivot columns, positive
-    pivots, and entries above each pivot reduced into [0, pivot).
-    """
-    return Lattice(width, vectors).hnf_basis()
-
-
-def kernel_basis(A: IntMatrix) -> list:
-    """Z-basis of {v : A v = 0}, Hermite-reduced, as dense tuples."""
-    return [_dense(row, A.cols) for row in kernel_lattice(A).basis]
-
-
 def kernel_lattice(A: IntMatrix) -> Lattice:
     """{v : A v = 0} as a Lattice whose basis is Hermite-reduced.
 
@@ -644,16 +622,16 @@ class SnfSolver:
             column[A.rows + k] = 1
         self._lattice = Lattice(A.rows + A.cols, columns)
 
-    def solve(self, b):
-        """One integer solution of A x = b, or None if none exists."""
-        b = tuple(b)
+    def solve(self, b: dict):
+        """One integer solution x of A x = b, or None if none exists; b
+        and x are dicts index -> entry, and x holds no zero."""
         m = self.A.rows
-        if len(b) != m:
-            raise InputError("right-hand side has wrong length")
-        v = {c: x for c, x in enumerate(b) if x}
+        v = self._lattice._entry(b)
+        if any(type(r) is not int or not 0 <= r < m for r in v):
+            raise InputError(f"a right-hand side index lies outside [0, {m})")
         if self._lattice._clear(v, m) is None:
             return None
-        return tuple(-v.get(m + k, 0) for k in range(self.A.cols))
+        return {k - m: -x for k, x in v.items() if k >= m and x}
 
 
 class Lattice:
@@ -674,18 +652,18 @@ class Lattice:
     __slots__ = ("n", "basis", "pivots")
 
     def __init__(self, n: int, vectors=()):
-        self.n = n
+        self.n = _dimension(n, "lattice width")
         self.basis, self.pivots = [], []
         for v in vectors:
             self.add(v)
 
     def _entry(self, vec) -> dict:
-        """A new dict of the nonzero entries of vec."""
+        """A new dict of the nonzero entries of vec, each checked to be an int."""
         if not isinstance(vec, dict):
             vec = dict(enumerate(vec))
             if len(vec) != self.n:
                 raise InputError(f"vector of width {len(vec)} in a lattice in Z^{self.n}")
-        return {c: x for c, x in vec.items() if x}
+        return {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
 
     def add(self, vec):
         v = self._entry(vec)
@@ -824,7 +802,7 @@ class HomologyPresentation:
     relations.  Their unit relations are eliminated: run on the relation
     columns, the engine's +-1 pivots each write one basis row in terms of
     the others, so only the rows that survive are generators.  Generator
-    f is basis row free[f], the cycle kernel[f]; relations holds the
+    f is the cycle kernel_lattice().basis[free[f]]; relations holds the
     residual relations in generator coordinates, and project maps basis
     coordinates to generator coordinates.
 
@@ -834,7 +812,7 @@ class HomologyPresentation:
     make it an isomorphism.
     """
 
-    __slots__ = ("kernel", "free", "relations", "structure", "_cycles",
+    __slots__ = ("free", "relations", "structure", "_cycles",
                  "_pivots", "_position", "_index", "_relation_lattice")
 
     def __init__(self, cycles: Lattice, columns: list):
@@ -848,7 +826,6 @@ class HomologyPresentation:
         index = {g: f for f, g in enumerate(free)}
         residual = [{index[g]: x for g, x in row.items()} for row in residual]
         relations = IntMatrix._of(len(residual), len(free), residual).transpose()
-        object.__setattr__(self, "kernel", tuple(_dense(cycles.basis[g], cycles.n) for g in free))
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "structure", structure)
@@ -876,17 +853,14 @@ class HomologyPresentation:
         presentation was built with; callers must not add to it."""
         return self._cycles
 
-    def project(self, coords) -> tuple:
+    def project(self, coords: dict) -> dict:
         """Generator coordinates of the class with the given basis
-        coordinates, a sequence or a sparse dict index -> entry."""
-        v = dict(coords) if isinstance(coords, dict) else dict(enumerate(coords))
+        coordinates, both dicts index -> nonzero entry."""
         index = self._index
-        return _dense({index[g]: x for g, x in _substitute(self._pivots, self._position, v).items()},
-                      len(self.free))
+        return {index[g]: x for g, x in _substitute(self._pivots, self._position, dict(coords)).items()}
 
-    def coordinates(self, cycle):
-        """Generator coordinates of an ambient cycle, or None when it is
-        not a cycle."""
+    def coordinates(self, cycle: dict):
+        """Generator coordinates of an ambient cycle (dicts), or None if it is not a cycle."""
         x = self._cycles.coordinates(cycle)
         return None if x is None else self.project(x)
 

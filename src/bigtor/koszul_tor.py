@@ -41,7 +41,6 @@ from .intlinalg import (
     homology_presentation,
     kernel_lattice,
     rational_rank,
-    _dense,
     _eliminate_units,
     _substitute,
 )
@@ -77,7 +76,7 @@ class KoszulCycle(NamedTuple):
     split into one polynomial coefficient per exterior generator."""
 
     index: KoszulIndex
-    coordinates: tuple
+    coordinates: dict  # basis index -> nonzero entry
     components: tuple  # pairs (i, Polynomial): the coefficient of xi_i
     explanation: str
 
@@ -217,11 +216,6 @@ def tor_piece(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> ZModule:
     return _tor_structure(_complex_for(K, S), p, j)
 
 
-def tor_presentation(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> HomologyPresentation:
-    _check_bidegree(K, S, p, j)
-    return _complex_for(K, S).homology(p, j)
-
-
 def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
     _require_even(D, "degree bound")
@@ -252,8 +246,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
                    if not pres.class_is_zero(pres.project({g: 1}))), None)
     if chosen is None:
         raise InternalCheckError("nonzero homology but every generator died")
-    coordinates = _dense(chosen, cycles.n)
-    if any(complex_.differential(1, j).apply(coordinates)):
+    if not complex_.differential(1, j).mul(IntMatrix.from_columns([chosen], cycles.n)).is_zero():
         raise InternalCheckError("selected witness is not a cycle")
     monomials = complex_.coefficient_basis(1, j).monomials
     parts = {}  # xi index -> the coefficient's terms
@@ -271,7 +264,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     )
     return KoszulCycle(
         index=KoszulIndex(p=1, j=j),
-        coordinates=coordinates,
+        coordinates=dict(chosen),
         components=tuple(components),
         explanation=explanation,
     )
@@ -445,7 +438,8 @@ def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
 
 def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
     """The full-space search: the first Hermite-reduced v in Z[K]_j with
-    u_stage v in (u_1, ..., u_{stage-1}) but v outside it, or None."""
+    u_stage v in (u_1, ..., u_{stage-1}) but v outside it, as a dict
+    monomial index -> nonzero coefficient, or None."""
 
     def ideal(d):  # -[u_1 | ... | u_{stage-1}] into degree d
         block = IntMatrix.zeros(len(monomial_basis(K, d)), 0)
@@ -457,8 +451,7 @@ def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
     ideal_here = Lattice(mult.cols, ideal(j).sparse_columns())
     cut = ({c: x for c, x in v.items() if c < mult.cols}
            for v in kernel_lattice(mult.hstack(ideal(j + 2))).basis)
-    v = next((v for v in cut if v not in ideal_here), None)
-    return None if v is None else _dense(v, mult.cols)
+    return next((v for v in cut if v not in ideal_here), None)
 
 
 def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> RegularSequenceReport:
@@ -479,7 +472,8 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     v = _annihilated_class(K, forms, stage, j)
     if v is None:
         raise InternalCheckError(f"quotient scan and full-space search disagree at u{stage}, j={j}")
-    poly = Polynomial(K.m, {mono: c for mono, c in zip(monomial_basis(K, j).monomials, v) if c})
+    monomials = monomial_basis(K, j).monomials
+    poly = Polynomial(K.m, {monomials[c]: x for c, x in v.items()})
     witness = RegularityWitness(stage, j, poly.render(), forms[stage - 1].render())
     return RegularSequenceReport(regular=False, bound=D, witness=witness)
 

@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, ZModule, cokernel_structure, kernel_basis
+from .intlinalg import IntMatrix, ZModule, _dense, cokernel_structure, kernel_lattice
 from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
@@ -471,12 +471,12 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
                     g = reduce(K, g * row_polys[i])
             columns.append({index[mono]: c for mono, c in reduce(K, g * f_red).terms.items()})
         matrix = IntMatrix.from_columns(columns, rows=len(target))
-        for vec in kernel_basis(matrix):
+        for vec in kernel_lattice(matrix).basis:
             witnesses.append(
                 AnnihilatorWitness(
                     degree=e,
                     u_exponents=tuple(u_monos),
-                    coefficients=tuple(vec),
+                    coefficients=_dense(vec, matrix.cols),
                 )
             )
     return witnesses

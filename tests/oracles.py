@@ -11,25 +11,30 @@ from math import comb
 
 
 def rational_rank(rows):
-    """Rank over Q by Gaussian elimination with exact fractions."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    """Rank over Q by forward Gaussian elimination with exact fractions.
+
+    Rows are dicts column -> nonzero Fraction.  Each row is reduced by
+    the pivot rows found so far, each scaled to a leading 1 and keyed by
+    its leading column, until it vanishes or leads in a new column.  An
+    echelon form gives the rank, so nothing above a pivot is cleared.
+    """
+    pivots = {}  # leading column -> pivot row, leading entry 1
+    for values in rows:
+        row = {c: Fraction(x) for c, x in enumerate(values) if x}
+        while row:
+            lead = min(row)
+            factor = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = {c: x / factor for c, x in row.items()}
+                break
+            for c, y in pivot.items():
+                x = row.get(c, 0) - factor * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def det_fraction(rows):

@@ -130,11 +130,12 @@ def test_orbifold_product_fails_with_cross_checked_witness():
     u1, u2 = forms_of(S)
     f = parse_polynomial("x2*x3^2", 4)
     coords = poly_coords(K, f, 6)
-    ideal_6 = Lattice(len(coords), mult_matrix(K, u1, 4).columns())
+    ideal_6 = Lattice(len(coords), mult_matrix(K, u1, 4).sparse_columns())
     assert tuple(coords) not in ideal_6
-    image = mult_matrix(K, u2, 6).apply(coords)
-    ideal_8 = Lattice(len(image), mult_matrix(K, u1, 6).columns())
-    assert tuple(image) in ideal_8
+    column = IntMatrix.from_columns([coords], len(coords))
+    image = mult_matrix(K, u2, 6).mul(column).transpose().row(0)
+    ideal_8 = Lattice(len(image), mult_matrix(K, u1, 6).sparse_columns())
+    assert image in ideal_8
 
     direct = regular_sequence_check(K, S, 10)
     assert not direct.regular

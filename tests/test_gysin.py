@@ -133,11 +133,12 @@ def test_index_maps_match_the_dense_maps(corpus):
         for p in range(G.n + 2):
             basis = identity(G.base.chain_dim(p, j))
             assert IntMatrix.from_columns(
-                [G.tau_star(p, j)(col) for col in basis.columns()], G.ext.chain_dim(p, j)
+                [G.tau_star(p, j).push(col) for col in basis.sparse_columns()], G.ext.chain_dim(p, j)
             ) == _dense_tau_star(G, p, j)
             basis = identity(G.ext.chain_dim(p, j))
             assert IntMatrix.from_columns(
-                [G.tau_lower(p, j)(col) for col in basis.columns()], G.base.chain_dim(p - 1, j - 2)
+                [G.tau_lower(p, j).push(col) for col in basis.sparse_columns()],
+                G.base.chain_dim(p - 1, j - 2),
             ) == _dense_tau_lower(G, p, j)
 
 

@@ -1,8 +1,10 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from bigtor import intlinalg
 from bigtor.errors import InputError, InternalCheckError
 from bigtor.simplicial import SubgroupData, build_complex, check_local_freeness
 from bigtor.intlinalg import (
@@ -12,15 +14,34 @@ from bigtor.intlinalg import (
     ZModule,
     cokernel_structure,
     det,
-    hermite_reduce,
     homology_presentation,
-    kernel_basis,
+    kernel_lattice,
     rational_rank,
     _bareiss,
     _smith_mod,
 )
 
 import oracles
+
+
+def to_dense(v, n):
+    """The dict vector v as a tuple of n entries."""
+    return tuple(v.get(c, 0) for c in range(n))
+
+
+def to_sparse(v):
+    """The nonzero entries of the sequence v, as a dict index -> entry."""
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def apply(A, v):
+    """A v for a dense vector v, on A's dense rows."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in A.to_lists())
+
+
+def dense_kernel(A):
+    """The Hermite-reduced kernel basis of A as dense tuples."""
+    return [to_dense(v, A.cols) for v in kernel_lattice(A).basis]
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -90,7 +111,7 @@ def test_zmodule_value_semantics():
 def test_homology_presentation_is_immutable():
     pres = homology_presentation(IntMatrix([[0]]), IntMatrix([[2]]))
     with pytest.raises(AttributeError):
-        pres.kernel = ()
+        pres.free = ()
 
 
 def test_smith_mod_matches_oracle_on_random_residuals():
@@ -113,11 +134,11 @@ def test_kernel_basis_random():
     rng = random.Random(7)
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        basis = kernel_basis(A)
+        basis = dense_kernel(A)
         for v in basis:
-            assert all(x == 0 for x in A.apply(v))
+            assert all(x == 0 for x in apply(A, v))
         assert len(basis) == A.cols - oracles.rational_rank(A.to_lists())
-        assert kernel_basis(A) == basis
+        assert dense_kernel(A) == basis
     # the Hermite normal form of a lattice is unique, so the engine must
     # return the very rows the oracle's Smith-form transform V gives
     for A in structured_matrices(71):
@@ -130,10 +151,10 @@ def test_kernel_basis_random():
         diag = [S[i][i] for i in range(min(A.rows, A.cols)) if S[i][i]]
         assert diag == oracles.smith_diagonal(m)
         rank = len(diag)
-        expected = hermite_reduce([tuple(row[c] for row in V) for c in range(rank, A.cols)], A.cols)
-        assert kernel_basis(A) == expected
+        expected = Lattice(A.cols, [tuple(row[c] for row in V) for c in range(rank, A.cols)])
+        assert dense_kernel(A) == expected.hnf_basis()
     no_units = IntMatrix([[2, 4, 6], [4, 8, 12], [0, 0, 0]])
-    assert kernel_basis(no_units) == [(1, 1, -1), (0, 3, -2)]
+    assert dense_kernel(no_units) == [(1, 1, -1), (0, 3, -2)]
 
 
 def test_cokernel_structure_known():
@@ -170,7 +191,7 @@ def test_hermite_reduce_shape_and_span():
             tuple(rng.randint(-6, 6) for _ in range(width))
             for _ in range(rng.randint(0, 5))
         ]
-        reduced = hermite_reduce(vectors, width)
+        reduced = Lattice(width, vectors).hnf_basis()
         pivots = []
         for row in reduced:
             lead = next(c for c in range(width) if row[c])
@@ -182,17 +203,17 @@ def test_hermite_reduce_shape_and_span():
                 assert 0 <= reduced[above][lead] < reduced[pos][lead]
         shuffled = list(vectors)
         rng.shuffle(shuffled)
-        assert hermite_reduce(shuffled, width) == reduced
+        assert Lattice(width, shuffled).hnf_basis() == reduced
 
 
 def test_hermite_reduce_wrong_width():
     with pytest.raises(InputError):
-        hermite_reduce([(1, 2, 3)], 2)
+        Lattice(2, [(1, 2, 3)])
 
 
 def random_hermite_basis(rng, width, count):
     vectors = [tuple(rng.randint(-6, 6) for _ in range(width)) for _ in range(count)]
-    return hermite_reduce(vectors, width)
+    return Lattice(width, vectors).hnf_basis()
 
 
 def combine(coeffs, basis, width):
@@ -207,10 +228,10 @@ def test_solver_round_trip():
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x = tuple(rng.randint(-5, 5) for _ in range(A.cols))
-        b = A.apply(x)
-        got = SnfSolver(A).solve(b)
-        assert got is not None
-        assert A.apply(got) == b
+        b = apply(A, x)
+        got = SnfSolver(A).solve(to_sparse(b))
+        assert got is not None and all(got.values())
+        assert apply(A, to_dense(got, A.cols)) == b
     # back-substitution in a Hermite basis agrees with the solver's echelon solve
     for _ in range(30):
         width = rng.randint(1, 6)
@@ -218,12 +239,12 @@ def test_solver_round_trip():
         x = tuple(rng.randint(-5, 5) for _ in basis)
         b = combine(x, basis, width)
         solver = SnfSolver(IntMatrix.from_columns(basis, rows=width))
-        assert Lattice(width, basis).coordinates(b) == solver.solve(b) == x
+        assert Lattice(width, basis).coordinates(b) == to_dense(solver.solve(to_sparse(b)), len(x)) == x
 
 
 def test_solver_reports_unsolvable():
-    assert SnfSolver(IntMatrix([[2]])).solve((1,)) is None
-    assert SnfSolver(IntMatrix([[2, 0], [0, 2]])).solve((1, 1)) is None
+    assert SnfSolver(IntMatrix([[2]])).solve({0: 1}) is None
+    assert SnfSolver(IntMatrix([[2, 0], [0, 2]])).solve({0: 1, 1: 1}) is None
     # off the span: outside the rational span, or an odd combination of
     # the basis, which lies off the doubled (non-saturated) lattice
     rng = random.Random(37)
@@ -241,9 +262,11 @@ def test_solver_reports_unsolvable():
             cases.append((doubled, combine(x, basis, width)))
         for rows, b in cases:
             assert Lattice(width, rows).coordinates(b) is None
-            assert SnfSolver(IntMatrix.from_columns(rows, rows=width)).solve(b) is None
-    with pytest.raises(InputError):
-        SnfSolver(IntMatrix([[1]])).solve((1, 2))
+            assert SnfSolver(IntMatrix.from_columns(rows, rows=width)).solve(to_sparse(b)) is None
+    # a right-hand side index outside [0, rows) or an entry that is not an int
+    for b in ({1: 2}, {-1: 1}, {0.0: 1}, {True: 1}, {0: 1.5}):
+        with pytest.raises(InputError):
+            SnfSolver(IntMatrix([[1]])).solve(b)
 
 
 def test_lattice_takes_dense_or_dict_vectors():
@@ -342,10 +365,6 @@ def presentation_of(R):
     return pres
 
 
-def unit(k, i):
-    return tuple(1 if t == i else 0 for t in range(k))
-
-
 def test_pruned_presentation_random():
     rng = random.Random(808)
     for trial in range(80):
@@ -362,12 +381,11 @@ def test_pruned_presentation_random():
             assert pres.free == tuple(range(k))
         assert pres.relations.rows == pres.generator_count
         for f, g in enumerate(pres.free):
-            assert pres.kernel[f] == unit(k, g)
-            assert pres.project(unit(k, g)) == unit(pres.generator_count, f)
-            assert pres.project({g: 1}) == unit(pres.generator_count, f)
-            assert pres.coordinates(unit(k, g)) == unit(pres.generator_count, f)
-        residual = Lattice(pres.generator_count, pres.relations.columns())
-        for column in R.columns():
+            assert pres.kernel_lattice().basis[g] == {g: 1}
+            assert pres.project({g: 1}) == {f: 1}
+            assert pres.coordinates({g: 1}) == {f: 1}
+        residual = Lattice(pres.generator_count, pres.relations.sparse_columns())
+        for column in R.sparse_columns():
             assert pres.project(column) in residual
             assert pres.class_is_zero(pres.project(column))
 
@@ -400,7 +418,7 @@ def test_homology_subquotient_random():
         mid = rng.randint(1, 5)
         hi = rng.randint(0, 4)
         d_in = random_matrix(rng, mid, hi, lo=-4, hi=4)
-        left = kernel_basis(d_in.transpose())
+        left = dense_kernel(d_in.transpose())
         low = rng.randint(0, 3)
         rows = []
         for _ in range(low):
@@ -443,9 +461,9 @@ def test_det_matches_oracle():
 def test_int_matrix_basics():
     A = IntMatrix([[1, 2], [3, 4]])
     assert A.row(0) == (1, 2)
-    assert A.column(1) == (2, 4)
+    assert A.sparse_columns()[1] == {0: 2, 1: 4}
     assert A.transpose().row(0) == (1, 3)
-    assert A.apply((1, 0)) == (1, 3)
+    assert A.mul(IntMatrix([[1], [0]])) == IntMatrix([[1], [3]])
     assert A.hstack(IntMatrix([[5], [6]])).row(0) == (1, 2, 5)
     assert A.scaled(-1) == IntMatrix([[-1, -2], [-3, -4]])
     assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix([[1], [2]])
@@ -459,11 +477,10 @@ def test_int_matrix_basics():
 def test_int_matrix_refuses_indices_that_are_not_ints(index):
     # rows are dicts, so a float column would otherwise read a silent 0
     A = IntMatrix([[1, 2], [3, 4]])
-    for read in (lambda: A[0, index], lambda: A[index, 0], lambda: A.row(index),
-                 lambda: A.column(index)):
+    for read in (lambda: A[0, index], lambda: A[index, 0], lambda: A.row(index)):
         with pytest.raises(InputError, match="is not an integer"):
             read()
-    for read in (lambda: A[0, 2], lambda: A[-1, 0], lambda: A.row(2), lambda: A.column(-1)):
+    for read in (lambda: A[0, 2], lambda: A[-1, 0], lambda: A.row(2), lambda: A.row(-1)):
         with pytest.raises(IndexError):
             read()
 
@@ -479,12 +496,13 @@ def test_int_matrix_round_trips_through_every_constructor():
         lists = M.to_lists()
         dense = IntMatrix(lists, cols=M.cols)
         sparse = IntMatrix([{c: x for c, x in enumerate(row) if x} for row in lists], M.cols)
-        by_columns = IntMatrix.from_columns(M.columns(), M.rows)
+        columns = [to_dense(column, M.rows) for column in M.sparse_columns()]
+        by_columns = IntMatrix.from_columns(columns, M.rows)
         assert dense == sparse == by_columns == M
         assert len({hash(dense), hash(sparse), hash(by_columns)}) == 1
         assert (dense.rows, dense.cols) == (sparse.rows, sparse.cols) == (M.rows, M.cols)
         assert M.transpose().transpose() == M
-        assert M.transpose().to_lists() == [list(col) for col in M.columns()]
+        assert M.transpose().to_lists() == [list(col) for col in columns]
         assert dense.to_lists() == lists
         assert [M.row(r) for r in range(M.rows)] == [tuple(row) for row in lists]
         assert all(M[r, c] == lists[r][c] for r in range(M.rows) for c in range(M.cols))
@@ -512,6 +530,66 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
         ZModule(0, (2, entry))
     with pytest.raises(InputError, match="is not an integer"):
         ZModule(entry)
+
+
+@pytest.mark.parametrize("entry", [1.5, 3.0, True, False, Fraction(3, 2), Fraction(2)],
+                         ids=["float", "integral-float", "true", "false", "fraction",
+                              "integral-fraction"])
+def test_lattice_refuses_entries_that_are_not_ints(entry):
+    # a float was kept as a pivot, and an integral float was a member
+    with pytest.raises(InputError, match="is not an integer"):
+        Lattice(2, [(entry, 0), (0, 2)])
+    L = Lattice(2, [(1, 0)])
+    for vec in ((entry, 0), {0: entry}, {1: entry}):
+        with pytest.raises(InputError, match="is not an integer"):
+            vec in L
+        with pytest.raises(InputError, match="is not an integer"):
+            L.add(vec)
+    assert L.basis == [{0: 1}]
+
+
+@pytest.mark.parametrize("size", [-1, -3, 2.0, True], ids=["minus-one", "minus-three", "float", "bool"])
+def test_shapes_must_be_nonnegative_ints(size):
+    for build in (lambda: IntMatrix.zeros(size, 2), lambda: IntMatrix.zeros(2, size),
+                  lambda: IntMatrix([], cols=size), lambda: IntMatrix([{0: 1}], cols=size),
+                  lambda: IntMatrix.from_columns([], rows=size), lambda: Lattice(size)):
+        with pytest.raises(InputError, match="is not a nonnegative integer"):
+            build()
+    assert (IntMatrix.zeros(0, 0).rows, IntMatrix([], cols=0).cols, Lattice(0).n) == (0, 0, 0)
+
+
+def test_all_lists_exactly_the_public_definitions():
+    # deleting or adding a public function or class must update __all__ too
+    defined = {name for name, obj in vars(intlinalg).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == intlinalg.__name__}
+    assert sorted(intlinalg.__all__) == sorted(defined)
+
+
+def test_rational_rank_of_products_of_known_rank():
+    # an n x r factor with an invertible triangular r x r block in some r
+    # of its rows, times an r x m factor with one in some r of its
+    # columns: both have rank r, so the product has rank exactly r
+    rng = random.Random(61)
+    for _ in range(60):
+        r = rng.randint(0, 5)
+        n, m = rng.randint(r, 9), rng.randint(r, 9)
+
+        def triangular(k):
+            return [rng.choice((-3, -2, -1, 1, 2, 3)) if t == k else rng.randint(-4, 4) * (t > k)
+                    for t in range(r)]
+
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        for k, i in enumerate(rng.sample(range(n), r)):
+            left[i] = triangular(k)
+        right = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+        for k, c in enumerate(rng.sample(range(m), r)):
+            for t, x in enumerate(triangular(k)):
+                right[t][c] = x
+        product = [[sum(row[t] * right[t][c] for t in range(r)) for c in range(m)] for row in left]
+        transposed = [list(col) for col in zip(*product)] if n else [[] for _ in range(m)]
+        assert oracles.rational_rank(product) == oracles.rational_rank(transposed) == r
+        assert rational_rank(IntMatrix(product, cols=m)) == r
 
 
 @pytest.mark.parametrize("row, message", [

@@ -22,7 +22,6 @@ from bigtor.koszul_tor import (
     regular_sequence_check,
     tor1_witness,
     tor_piece,
-    tor_presentation,
     tor_table,
     verdicts,
 )
@@ -321,11 +320,11 @@ def test_input_validation(corpus):
     problem = corpus["wps12"]
     K, S = problem.complex, problem.B
     with pytest.raises(InputError):
-        tor_presentation(K, S, -1, 4)
+        tor_piece(K, S, -1, 4)
     with pytest.raises(InputError):
-        tor_presentation(K, S, S.n + 1, 4)
+        tor_piece(K, S, S.n + 1, 4)
     with pytest.raises(InputError):
-        tor_presentation(K, S, 0, 3)
+        tor_piece(K, S, 0, 3)
     with pytest.raises(InputError):
         tor_table(K, S, 7)
     with pytest.raises(InputError):

@@ -52,7 +52,7 @@ def assert_scan_matches_full_space_search(K, S, D):
         assert injective == (v is None), (stage, j)
         if v is not None and expected is None:
             basis = monomial_basis(K, j)
-            poly = Polynomial(K.m, {mono: c for mono, c in zip(basis.monomials, v) if c})
+            poly = Polynomial(K.m, {basis.monomials[c]: x for c, x in v.items()})
             expected = RegularityWitness(stage, j, poly.render(), forms[stage - 1].render())
     report = regular_sequence_check(K, S, D)
     assert report.regular == (expected is None)

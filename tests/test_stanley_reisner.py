@@ -189,7 +189,7 @@ def test_mult_matrix_agrees_with_reduce():
             expect = [0] * len(target)
             for exp, c in image.terms.items():
                 expect[index[exp]] = c
-            assert list(M.column(col)) == expect
+            assert list(M.transpose().row(col)) == expect
 
 
 def test_mult_matrices_commute():
