@@ -541,14 +541,11 @@ def _build_parser() -> _Parser:
             default=12,
             help="even internal degree bound D (default 12)",
         )
-        p.add_argument(
-            "--rational",
-            action="store_true",
-            help="rank-only recomputation over Q where supported",
-        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    common(sub.add_parser("tor", help="bigraded Tor table"))
+    p_tor = sub.add_parser("tor", help="bigraded Tor table")
+    common(p_tor)
+    p_tor.add_argument("--rational", action="store_true", help="ranks only, recomputed over Q")
     common(sub.add_parser("check-bigcm", help="Tor_1 vanishing plus regular-sequence cross-check"))
     common(sub.add_parser("check-free", help="all four freeness verdicts and depth"))
     common(sub.add_parser("check-local-free", help="vertex submatrix determinants"))
@@ -607,7 +604,7 @@ def run(argv) -> int:
         )
     spec = parse_problem(text)._replace(
         max_degree=args.max_degree,
-        rational=args.rational,
+        rational=getattr(args, "rational", False),
         split=getattr(args, "split", None),
     )
     if spec.max_degree < 0 or spec.max_degree % 2:

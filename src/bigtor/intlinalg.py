@@ -11,12 +11,11 @@ One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
 (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001); a unit pivot
 keeps each Schur update integral, so the matrix is equivalent to the
-identity on the pivots plus a small residual.  A fraction-free Bareiss
-pass gives the residual's rank r and a nonzero r x r minor M, and its
-invariant factors come from a Smith normal form of [R | M I] with every
-entry reduced mod M (Domich, Kannan and Trotter 1987; Cohen, GTM 138,
-section 2.4), so no entry ever exceeds M; a stage whose pivot is prime
-to M splits off a factor 1 at once.  Kernels are lifted back through the
+identity on the pivots plus a small residual.  The residual's invariant
+factors come from Hermite forms on Lattice, of its rows, then of the
+transposed basis, and so on until the matrix is diagonal (Kannan and
+Bachem, SIAM J. Comput. 8, 1979), and the diagonal is put in
+divisibility order by gcd and lcm.  Kernels are lifted back through the
 logged pivot rows and Hermite-reduced.
 
 A homology subquotient ker/im is presented as a finitely generated
@@ -26,15 +25,17 @@ basis row in terms of the others) and verified as it is built.
 _substitute rewrites a vector through such a log of pivots, for
 presentations and for the regular-sequence scan's quotients alike.
 
-Lattice is the one echelon form that carries transforms, on the same
-dict rows, with its pivots found by bisection; it size-reduces every row
-it builds, so entries stay small, and SnfSolver solves A x = b on the
-echelon basis of the rows (column k of A, e_k).  Kernels, solves and
-coordinates are dicts; dense tuples appear only in IntMatrix.row and
-to_lists and in Lattice's dense-in, dense-out paths.  rational_rank is a
-separate sparse fraction-free elimination that shares no code with the
-engine, so the two can cross-check each other.  Everything runs on
-Python ints, and IntMatrix, ZModule and Lattice refuse any other entry.
+Lattice is the one echelon form, on the same dict rows, with its pivots
+found by bisection: it serves kernels, presentations, solves and
+invariant factors.  It size-reduces every row it builds, so entries stay
+small, and SnfSolver solves A x = b on the echelon basis of the rows
+(column k of A, e_k).  Kernels, solves and coordinates are dicts; dense
+tuples appear only in IntMatrix.row and to_lists and in Lattice's
+dense-in, dense-out paths.  rational_rank is a separate sparse
+fraction-free elimination that shares no code with the engine, so the
+two can cross-check each other, and a dense Bareiss pass serves det
+alone.  Everything runs on Python ints, and IntMatrix, ZModule and
+Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -419,9 +420,9 @@ def _substitute(pivots: list, position: dict, v: dict) -> dict:
 
 def _bareiss(m: list) -> tuple:
     """Fraction-free elimination of the dense rows m, in place, with row
-    and column swaps.  Returns (rank, minor, sign): minor is the leading
-    rank x rank minor of the swapped matrix (nonzero; 1 at rank 0) and
-    sign the parity of the swaps."""
+    and column swaps, for det alone.  Returns (rank, minor, sign): minor
+    is the leading rank x rank minor of the swapped matrix (nonzero; 1 at
+    rank 0) and sign the parity of the swaps."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     sign = 1
@@ -450,79 +451,6 @@ def _bareiss(m: list) -> tuple:
         prev = p
         r += 1
     return r, prev, sign
-
-
-def _smith_mod(m: list, modulus: int, count: int) -> list:
-    """The count smallest invariant factors of the lattice spanned by the
-    columns of m and modulus * Z^rows, smallest first.
-
-    Unimodular row and column operations run on entries reduced mod
-    modulus; a stage ends with its row and column clear and every
-    remaining entry divisible by d = gcd(pivot, modulus), which splits
-    off d Z.  A remainder that is zero mod modulus holds only factors
-    equal to modulus.
-    """
-    a = [[x % modulus for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    factors = []
-    t = 0
-    while len(factors) < count:
-        found = next(((i, k) for i in range(t, rows) for k in range(t, cols) if a[i][k]), None)
-        if found is None:
-            factors.extend([modulus] * (count - len(factors)))
-            break
-        i, k = found
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[k] = row[k], row[t]
-        while True:
-            top = a[t]
-            for k in range(t + 1, cols):
-                b = top[k]
-                if not b:
-                    continue
-                p = top[t]
-                if b % p == 0:
-                    q = b // p
-                    for row in a:
-                        row[k] = (row[k] - q * row[t]) % modulus
-                else:
-                    g, x, y = _xgcd(p, b)
-                    p, b = p // g, b // g
-                    for row in a:
-                        u, v = row[t], row[k]
-                        row[t] = (x * u + y * v) % modulus
-                        row[k] = (p * v - b * u) % modulus
-            dirty = False
-            for i in range(t + 1, rows):
-                row = a[i]
-                b = row[t]
-                if not b:
-                    continue
-                top = a[t]
-                p = top[t]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [(v - q * u) % modulus for u, v in zip(top, row)]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    p, b = p // g, b // g
-                    a[t] = [(x * u + y * v) % modulus for u, v in zip(top, row)]
-                    a[i] = [(p * v - b * u) % modulus for u, v in zip(top, row)]
-                    dirty = True
-            if dirty:
-                continue
-            d = math.gcd(a[t][t], modulus)
-            if d == 1:
-                break  # every entry is divisible by 1: nothing to scan for
-            bad = next((i for i in range(t + 1, rows) if any(x % d for x in a[i][t + 1:])), None)
-            if bad is None:
-                break
-            a[t] = [(u + v) % modulus for u, v in zip(a[t], a[bad])]
-        factors.append(d)
-        t += 1
-    return factors
 
 
 def kernel_lattice(A: IntMatrix) -> Lattice:
@@ -575,20 +503,41 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
 
 def cokernel_structure(A: IntMatrix) -> ZModule:
     """Structure of Z^rows / column span of A: each unit pivot adds 1 to
-    the rank and an invariant factor 1; the residual adds its rank and
-    invariant factors, found modulo a nonzero minor."""
+    the rank and an invariant factor 1; the residual adds the nonzero
+    entries of an equivalent diagonal matrix (_diagonal), put in
+    divisibility order by replacing each pair with its gcd and lcm."""
     if A.is_zero():
         return ZModule(A.rows)
     pivots, residual = _eliminate_units(A.sparse_rows())
-    rank = len(pivots)
-    factors = []
-    if residual:
-        cols = sorted(set().union(*residual))
-        dense = [[row.get(c, 0) for c in cols] for row in residual]
-        r, minor, _ = _bareiss([list(row) for row in dense])
-        rank += r
-        factors = _smith_mod(dense, abs(minor), r)
-    return ZModule(A.rows - rank, tuple(d for d in factors if d >= 2))
+    diagonal = _diagonal(residual, A.cols)
+    factors = [d for d in diagonal if d > 1]
+    for i, d in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(d, factors[j])
+            d, factors[j] = g, d // g * factors[j]
+        factors[i] = d
+    return ZModule(A.rows - len(pivots) - len(diagonal), tuple(d for d in factors if d > 1))
+
+
+def _diagonal(rows: list, width: int) -> list:
+    """The positive diagonal of a diagonal matrix equivalent to the sparse
+    rows (dicts column -> entry in [0, width)), as the echelon basis of
+    the rows, of its transpose, and so on, until each row holds only its
+    pivot (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+
+    No cap bounds the loop.  Each round's leading pivot is the gcd of
+    the previous echelon's first row, so it divides the previous leading
+    pivot, and when the two are equal the pivot is alone in its row and
+    column.  A pivot alone in its row and column stays alone, because
+    Lattice combines rows only at a shared pivot and reduces a row only
+    in pivot columns right of its own.  So every round the first pivot
+    that is not yet alone either shrinks strictly or ends up alone.
+    """
+    lattice = Lattice(width, rows)
+    while any(len(row) > 1 for row in lattice.basis):
+        columns = IntMatrix._of(lattice.rank, lattice.n, lattice.basis).sparse_columns()
+        lattice = Lattice(lattice.rank, [column for column in columns if column])
+    return [row[lead] for row, lead in zip(lattice.basis, lattice.pivots)]
 
 
 def check_complex(d_out: IntMatrix, d_in: IntMatrix):
@@ -856,11 +805,15 @@ class HomologyPresentation:
     def project(self, coords: dict) -> dict:
         """Generator coordinates of the class with the given basis
         coordinates, both dicts index -> nonzero entry."""
+        if not isinstance(coords, dict):
+            raise InputError(f"coordinates {coords!r} are not a dict index -> entry")
         index = self._index
         return {index[g]: x for g, x in _substitute(self._pivots, self._position, dict(coords)).items()}
 
     def coordinates(self, cycle: dict):
         """Generator coordinates of an ambient cycle (dicts), or None if it is not a cycle."""
+        if not isinstance(cycle, dict):
+            raise InputError(f"cycle {cycle!r} is not a dict index -> entry")
         x = self._cycles.coordinates(cycle)
         return None if x is None else self.project(x)
 

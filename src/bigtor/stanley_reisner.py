@@ -60,8 +60,8 @@ class LinearForm:
                 terms[exp] = c
         return Polynomial(m, terms)
 
-    def render(self, var: str = "x") -> str:
-        return self.as_polynomial().render(var)
+    def render(self) -> str:
+        return self.as_polynomial().render()
 
 
 def _monomial_key(exponents: tuple):
@@ -222,12 +222,9 @@ class Polynomial:
 _FACTOR_RE = re.compile(r"([A-Za-z])(\d+)(?:\^(\d+))?")
 
 
-def parse_polynomial(text: str, nvars: int, var: str = "x") -> Polynomial:
-    """Parse the canonical text form back into a Polynomial.
-
-    Accepts both "2x1^2" and "2*x1^2" spellings; the variable letter
-    must match `var` throughout.
-    """
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    """Parse the canonical text form in x1..x{nvars} back into a
+    Polynomial.  Accepts both "2x1^2" and "2*x1^2" spellings."""
     stripped = text.strip()
     if not stripped:
         raise InputError("empty polynomial text")
@@ -259,9 +256,9 @@ def parse_polynomial(text: str, nvars: int, var: str = "x") -> Polynomial:
                 if not fm:
                     raise InputError(f"bad factor {factor!r} in polynomial {text!r}")
                 letter, index, power = fm.group(1), int(fm.group(2)), fm.group(3)
-                if letter != var:
+                if letter != "x":
                     raise InputError(
-                        f"unexpected variable {letter!r} in polynomial {text!r} (expected {var!r})"
+                        f"unexpected variable {letter!r} in polynomial {text!r} (expected 'x')"
                     )
                 if not 1 <= index <= nvars:
                     raise InputError(f"variable {letter}{index} out of range (m = {nvars})")
@@ -271,13 +268,13 @@ def parse_polynomial(text: str, nvars: int, var: str = "x") -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def parse_linear_form(text: str, nvars: int, var: str = "x") -> LinearForm:
+def parse_linear_form(text: str, nvars: int) -> LinearForm:
     """Parse a linear expression like "x2 + x3 - x4" into a LinearForm."""
-    poly = parse_polynomial(text, nvars, var=var)
+    poly = parse_polynomial(text, nvars)
     coeffs = [0] * nvars
     for exp, c in poly.terms.items():
         if sum(exp) != 1:
-            raise InputError(f"expression {text!r} is not linear in the {var}'s")
+            raise InputError(f"expression {text!r} is not linear in the x's")
         coeffs[exp.index(1)] = c
     return LinearForm(tuple(coeffs))
 

@@ -64,9 +64,8 @@ def broken_prune(monkeypatch):
     original = HomologyPresentation.project
 
     def flipped(self, coords):
-        items = coords.items() if isinstance(coords, dict) else enumerate(coords)
         free = set(self.free)
-        return original(self, {g: x if g in free else -x for g, x in items})
+        return original(self, {g: x if g in free else -x for g, x in coords.items()})
 
     def install():
         monkeypatch.setattr(HomologyPresentation, "project", flipped)

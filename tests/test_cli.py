@@ -152,6 +152,14 @@ def test_rational_mode(capsys):
     assert all(e["torsion"] == [] for e in payload["result"]["entries"])
 
 
+def test_only_tor_takes_rational(capsys):
+    argv = ["--input", path_of("prod1212"), "--max-degree", "4", "--rational"]
+    assert cli.main(["tor", *argv]) == 0
+    assert capsys.readouterr().out.startswith("Tor ranks over Q")
+    assert cli.main(["check-free", *argv]) == 1
+    assert "unrecognized arguments: --rational" in capsys.readouterr().err
+
+
 def test_gkm_command(capsys):
     code = cli.main(["gkm", "--input", path_of("cp1cp1"), "x2 + x3 - x4"])
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,6 @@ from bigtor.intlinalg import (
     homology_presentation,
     kernel_lattice,
     rational_rank,
-    _bareiss,
-    _smith_mod,
 )
 
 import oracles
@@ -114,9 +113,9 @@ def test_homology_presentation_is_immutable():
         pres.free = ()
 
 
-def test_smith_mod_matches_oracle_on_random_residuals():
+def test_cokernel_structure_matches_oracle_on_random_residuals():
     # residuals as the unit-pivot pass leaves them: no entry is +-1, so
-    # a stage often meets gcd(pivot, minor) = 1 only after merging rows
+    # the whole matrix reaches the alternating Hermite forms
     rng = random.Random(1987)
     residuals = [structured_matrix(rng, units=False) for _ in range(60)]
     values = [x for x in range(-12, 13) if x not in (-1, 1)]
@@ -125,9 +124,45 @@ def test_smith_mod_matches_oracle_on_random_residuals():
         for rows, cols in ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60))
     ]
     for A in residuals:
-        m = A.to_lists()
-        rank, minor, _ = _bareiss([list(row) for row in m])
-        assert _smith_mod(m, abs(minor), rank) == oracles.smith_diagonal(m), m
+        got = cokernel_structure(A)
+        assert (got.rank, list(got.torsion)) == oracles.cokernel_invariants(A.to_lists(), A.rows), A
+
+
+def residual_shaped_matrix(rng):
+    """A dense or a sparse matrix of up to 30 x 30 with entries in
+    [-100, 100] and no entry +-1, so the unit-pivot pass finds nothing."""
+    rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+    values = [x for x in range(-100, 101) if x not in (-1, 1)]
+    density = rng.choice((1.0, 0.5, 0.1))
+    A = [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    return IntMatrix(A)
+
+
+def test_invariant_factors_of_residual_shaped_matrices(monkeypatch):
+    # every Lattice entry the phase makes obeys the Hadamard bound of the
+    # residual: x^2 <= the product of the squared row norms
+    entries = []
+    original = Lattice.add
+
+    def recorded(self, vec):
+        original(self, vec)
+        entries.extend(x for row in self.basis for x in row.values())
+
+    monkeypatch.setattr(Lattice, "add", recorded)
+    rng = random.Random(1979)
+    for _ in range(40):
+        A = residual_shaped_matrix(rng)
+        rows = A.to_lists()
+        entries.clear()
+        got = cokernel_structure(A)
+        rank_q = oracles.rational_rank(rows)
+        assert got.rank == A.rows - rank_q
+        for p in (2, 3, 5):
+            divisible = sum(1 for d in got.torsion if d % p == 0)
+            assert rank_q - oracles.fp_rank(rows, p) == divisible
+        bound = math.prod(sum(x * x for x in row) for row in rows if any(row))
+        assert entries and all(x * x <= bound for x in entries), rows
 
 
 def test_kernel_basis_random():
@@ -401,6 +436,20 @@ def test_broken_prune_is_caught(broken_prune, rows):
     broken_prune()
     with pytest.raises(InternalCheckError, match="escaped the pruned relation lattice"):
         presentation_of(R)
+
+
+def test_presentation_refuses_dense_coordinates():
+    pres = homology_presentation(IntMatrix.zeros(0, 2), IntMatrix([[2], [0]]))
+    assert pres.coordinates({0: 1}) == {0: 1}
+    with pytest.raises(InputError, match="not a dict"):
+        pres.project((1, 0))
+    with pytest.raises(InputError, match="not a dict"):
+        pres.coordinates((1, 0))
+    # refused before the cycle test, so a dense non-cycle is refused too
+    pres = homology_presentation(IntMatrix([[1, 1]]), IntMatrix([[2], [-2]]))
+    assert pres.coordinates({0: 1}) is None
+    with pytest.raises(InputError, match="not a dict"):
+        pres.coordinates((1, 0))
 
 
 def test_homology_presentation_rejects_non_complex():

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 import bigtor
+from bigtor.cli import parse_problem
 from bigtor.errors import InputError
 from bigtor.gysin import GysinData
 from bigtor.intlinalg import IntMatrix, ZModule
@@ -139,6 +140,20 @@ def test_octahedron_check_bigcm_at_degree_24_is_fast_and_small(tmp_path, budget)
         code, hwm_kb = fresh_cli_run(tmp_path, "check-bigcm", 24)
     assert code == 0
     assert hwm_kb < 30 * 1024
+
+
+def test_orbifold_octahedron_table_at_degree_32_is_fast(budget):
+    # every residual here is torsion-heavy and nearly a graph incidence
+    # matrix; its invariant factors are all 2
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    problem = parse_problem((path / "octahedron_orbifold.tcx").read_text())
+    K, S = problem.complex, problem.B
+    with budget(2):
+        table = tor_table(K, S, 32)
+    assert euler_discrepancies(K, S, table) == []
+    ranks = rational_tor_ranks(K, S, 32)
+    assert {key: table.piece(*key).rank for key in ranks} == ranks
+    assert str(verdicts(table).bigcm) == "FAILS(p=1, j=8, group=Z/2)"
 
 
 def test_koszul_complex_is_freed(corpus):
