@@ -20,10 +20,9 @@ logged pivot rows and Hermite-reduced.
 
 A homology subquotient ker/im is presented as a finitely generated
 abelian group: the image columns written in a kernel basis by echelon
-back-substitution, pruned by the same engine (each unit pivot writes one
-basis row in terms of the others) and verified as it is built.
-_substitute rewrites a vector through such a log of pivots, for
-presentations and for the regular-sequence scan's quotients alike.
+back-substitution, pruned by the same engine and verified as it is
+built.  Quotient is the one owner of the engine's pivot log: it prunes
+the presentations and the regular-sequence scan's quotients alike.
 
 Lattice is the one echelon form, on the same dict rows, with its pivots
 found by bisection: it serves kernels, presentations, solves and
@@ -42,6 +41,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 
@@ -49,6 +49,7 @@ __all__ = [
     "IntMatrix",
     "ZModule",
     "HomologyPresentation",
+    "Quotient",
     "Lattice",
     "kernel_lattice",
     "cokernel_structure",
@@ -388,36 +389,6 @@ def _eliminate_units(rows: list) -> tuple:
     return pivots, [active[i] for i in sorted(active)]
 
 
-def _substitute(pivots: list, position: dict, v: dict) -> dict:
-    """Rewrite the sparse vector v (a dict, consumed) over the generators
-    that the unit pivots logged by _eliminate_units left free, modulo
-    the eliminated rows; position maps each pivot generator to its place
-    in the log.  Returns the nonzero entries.
-
-    Substitutes the pivots in elimination order.  A pivot row holds only
-    free generators and later pivots' generators, so taking the pivots
-    earliest first leaves only free generators.
-    """
-    heap = [position[g] for g in v if g in position]
-    heapq.heapify(heap)
-    while heap:
-        g, row = pivots[heapq.heappop(heap)]
-        x = v.pop(g, 0)
-        if not x:
-            continue
-        factor = x * row[g]  # g = -row[g] * (the rest of row), row[g] = +-1
-        for k, y in row.items():
-            if k == g:
-                continue
-            if k in v:
-                v[k] -= factor * y
-            else:
-                v[k] = -factor * y
-                if k in position:
-                    heapq.heappush(heap, position[k])
-    return {g: x for g, x in v.items() if x}
-
-
 def _bareiss(m: list) -> tuple:
     """Fraction-free elimination of the dense rows m, in place, with row
     and column swaps, for det alone.  Returns (rank, minor, sign): minor
@@ -743,16 +714,74 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
+class Quotient(NamedTuple):
+    """Z^n modulo relations, as the engine leaves it: each unit pivot of
+    the relations writes one generator in terms of the others, so only
+    the free generators survive.  relations holds the residual relations,
+    dicts over the n generators, and rank their rank over Q; pivots logs
+    (generator, row) in elimination order, and position maps each pivot
+    generator to its place in the log.  HomologyPresentation prunes with
+    it, and the regular-sequence scan divides by one form at a time."""
+
+    free: tuple
+    relations: list
+    rank: int
+    pivots: list
+    position: dict
+
+    @classmethod
+    def of(cls, n: int) -> "Quotient":
+        """Z^n, with no relations."""
+        return cls(tuple(range(_dimension(n, "generator count"))), [], 0, [], {})
+
+    def matrix(self, vectors: list) -> IntMatrix:
+        """The vectors, over the n generators, as matrix rows."""
+        return IntMatrix._of(len(vectors), len(self.free) + len(self.pivots), vectors)
+
+    def divided_by(self, vectors: list) -> "Quotient":
+        """This quotient modulo further vectors over its free generators."""
+        if not vectors:
+            return self
+        new, residual = _eliminate_units([dict(v) for v in self.relations + vectors])
+        gone = {g: len(self.pivots) + k for k, (g, _) in enumerate(new)}
+        free = tuple(g for g in self.free if g not in gone)
+        rank = rational_rank(self.matrix(residual))
+        return Quotient(free, residual, rank, self.pivots + new, {**self.position, **gone})
+
+    def project(self, v: dict) -> dict:
+        """The sparse vector v (left as it is) over the free generators,
+        modulo the eliminated rows, with no zero entry.  A pivot row holds
+        only free generators and later pivots' generators, so substituting
+        the pivots in elimination order leaves only free generators."""
+        pivots, position, v = self.pivots, self.position, dict(v)
+        heap = [position[g] for g in v if g in position]
+        heapq.heapify(heap)
+        while heap:
+            g, row = pivots[heapq.heappop(heap)]
+            x = v.pop(g, 0)
+            if not x:
+                continue
+            factor = x * row[g]  # g = -row[g] * (the rest of row), row[g] = +-1
+            for k, y in row.items():
+                if k == g:
+                    continue
+                if k in v:
+                    v[k] -= factor * y
+                else:
+                    v[k] = -factor * y
+                    if k in position:
+                        heapq.heappush(heap, position[k])
+        return {g: x for g, x in v.items() if x}
+
+
 class HomologyPresentation:
     """ker(d_out)/im(d_in) as Z^k modulo the column span of relations.
 
     The cycles have a Hermite-reduced basis, kept in kernel_lattice(),
     and the columns of d_in written in that basis are the full
-    relations.  Their unit relations are eliminated: run on the relation
-    columns, the engine's +-1 pivots each write one basis row in terms of
-    the others, so only the rows that survive are generators.  Generator
-    f is the cycle kernel_lattice().basis[free[f]]; relations holds the
-    residual relations in generator coordinates, and project maps basis
+    relations, pruned by Quotient.  Generator f is the cycle
+    kernel_lattice().basis[free[f]]; relations holds the residual
+    relations in generator coordinates, and project maps basis
     coordinates to generator coordinates.
 
     Verified on construction, not trusted: the residual must present the
@@ -762,25 +791,23 @@ class HomologyPresentation:
     """
 
     __slots__ = ("free", "relations", "structure", "_cycles",
-                 "_pivots", "_position", "_index", "_relation_lattice")
+                 "_quotient", "_index", "_relation_lattice")
 
     def __init__(self, cycles: Lattice, columns: list):
         """cycles has the Hermite-reduced kernel basis as its basis;
         columns lists the full relations as sparse dicts basis index ->
         entry."""
         structure = cokernel_structure(IntMatrix._of(len(columns), cycles.rank, columns).transpose())
-        pivots, residual = _eliminate_units([dict(column) for column in columns])
-        pivot_gens = {g for g, _ in pivots}
-        free = tuple(g for g in range(cycles.rank) if g not in pivot_gens)
+        quotient = Quotient.of(cycles.rank).divided_by(columns)
+        free = quotient.free
         index = {g: f for f, g in enumerate(free)}
-        residual = [{index[g]: x for g, x in row.items()} for row in residual]
+        residual = [{index[g]: x for g, x in row.items()} for row in quotient.relations]
         relations = IntMatrix._of(len(residual), len(free), residual).transpose()
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_cycles", cycles)
-        object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_position", {g: i for i, (g, _) in enumerate(pivots)})
+        object.__setattr__(self, "_quotient", quotient)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_relation_lattice", Lattice(len(free), residual))
         if cokernel_structure(relations) != structure:
@@ -808,7 +835,7 @@ class HomologyPresentation:
         if not isinstance(coords, dict):
             raise InputError(f"coordinates {coords!r} are not a dict index -> entry")
         index = self._index
-        return {index[g]: x for g, x in _substitute(self._pivots, self._position, dict(coords)).items()}
+        return {index[g]: x for g, x in self._quotient.project(coords).items()}
 
     def coordinates(self, cycle: dict):
         """Generator coordinates of an ambient cycle (dicts), or None if it is not a cycle."""

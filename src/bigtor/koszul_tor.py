@@ -20,7 +20,7 @@ Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
 second, independent regular-sequence checker that never touches the
 Koszul complex: it decides each u_i's injectivity on the quotients by
-u_1, ..., u_{i-1} as the unit-pivot engine leaves them, building each
+u_1, ..., u_{i-1} as intlinalg.Quotient leaves them, building each
 quotient only when the scan reaches it.
 """
 
@@ -36,13 +36,12 @@ from .intlinalg import (
     Lattice,
     ZModule,
     HomologyPresentation,
+    Quotient,
     check_complex,
     cokernel_structure,
     homology_presentation,
     kernel_lattice,
     rational_rank,
-    _eliminate_units,
-    _substitute,
 )
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
 from .stanley_reisner import (
@@ -374,33 +373,7 @@ class RegularSequenceReport(NamedTuple):
     witness: RegularityWitness | None = None
 
 
-class _Quotient(NamedTuple):
-    """Z[K]_j modulo the forms scanned so far, as _eliminate_units leaves
-    it: the surviving monomials, the residual relations over them with
-    their rank, and the pivot log (and each pivot's place in it)."""
-
-    free: tuple
-    relations: list
-    rank: int
-    pivots: list
-    position: dict
-
-    def matrix(self, vectors: list) -> IntMatrix:
-        """The vectors, over this degree's monomials, as matrix rows."""
-        return IntMatrix._of(len(vectors), len(self.free) + len(self.pivots), vectors)
-
-    def divided_by(self, vectors: list) -> "_Quotient":
-        """This quotient modulo further vectors over its free monomials."""
-        if not vectors:
-            return self
-        new, residual = _eliminate_units([dict(v) for v in self.relations + vectors])
-        gone = {g: len(self.pivots) + k for k, (g, _) in enumerate(new)}
-        free = tuple(g for g in self.free if g not in gone)
-        rank = rational_rank(self.matrix(residual))
-        return _Quotient(free, residual, rank, self.pivots + new, {**self.position, **gone})
-
-
-def _is_injective(here: _Quotient, there: _Quotient, phi: list) -> bool:
+def _is_injective(here: Quotient, there: Quotient, phi: list) -> bool:
     """Whether the map with images phi of here.free is injective from here
     to there.  Over Q, rank ker = rank here - (rank [phi | R] - rank R),
     R the relations of there.  At rank 0 the kernel is torsion, so a
@@ -422,16 +395,14 @@ def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
     of Z[K]/(u_1, ..., u_{stage-1})) in scan order.  The stage-(i+1)
     quotient in degree j + 2 is stage i's modulo the image of u_i, built
     when the scan reaches it, so stopping early eliminates no more."""
-    quotients = {j: _Quotient(tuple(range(len(monomial_basis(K, j)))), [], 0, [], {})
-                 for j in range(0, D + 1, 2)}
+    quotients = {j: Quotient.of(len(monomial_basis(K, j))) for j in range(0, D + 1, 2)}
     images = {}  # j -> the last stage's images of degree j, over degree j + 2
     for stage, u in enumerate(forms, 1):
         here = quotients[0]
         for j in range(0, D - 1, 2):
             there = quotients[j + 2] = quotients[j + 2].divided_by(images.pop(j, []))
             columns = mult_matrix(K, u, j).sparse_columns()
-            phi = images[j] = [_substitute(there.pivots, there.position, columns[m])
-                               for m in here.free]
+            phi = images[j] = [there.project(columns[m]) for m in here.free]
             yield stage, j, _is_injective(here, there, phi)
             here = there
 

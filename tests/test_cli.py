@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
@@ -314,3 +316,50 @@ def test_import_footprint(code, absent, present):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(sorted(present))
+
+
+# the corpus and benchmark inputs, mutated by the robustness test below
+MUTABLE = sorted(DATA_DIR.glob("*.tcx")) + sorted(
+    (DATA_DIR.parent.parent / "perfbench" / "inputs").glob("*.tcx"))
+TOKENS = ("0", "-1", "18446744073709551616", "{}", "{1 1}", "x", "[", ";", "3.5")
+EVERY_COMMAND = (
+    ["tor"], ["tor", "--rational"], ["check-bigcm"], ["check-free"], ["check-local-free"],
+    ["check-connected"], ["hilbert"], ["gkm", "x1 + x2"],
+    ["find-torsion", "--extra", "u3", "--vertex", "{1 2}"], ["annihilate", "--element", "x1*x2"],
+    ["gysin"], ["gysin", "--split", "1"],
+)
+
+
+def mutate(rng, text):
+    """text with one line dropped or duplicated, one token replaced, or
+    another input file appended."""
+    lines = text.splitlines()
+    kind = rng.randrange(4)
+    if kind == 0:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 1:
+        k = rng.randrange(len(lines))
+        lines.insert(k, lines[k])
+    elif kind == 2:
+        spans = [(i, m.span()) for i, line in enumerate(lines) if not line.startswith("#")
+                 for m in re.finditer(r"-?\d+|\w+|[^\s\w]", line)]
+        i, (a, b) = rng.choice(spans)
+        lines[i] = lines[i][:a] + rng.choice(TOKENS) + lines[i][b:]
+    else:
+        lines += rng.choice(MUTABLE).read_text().splitlines()
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", MUTABLE, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_mutated_inputs_never_exit_two(source, tmp_path, capsys, budget):
+    # a malformed or odd input is a result (0) or an input error (1), never a bug (2)
+    rng = random.Random(f"{source.parent.name}/{source.name}")
+    for _ in range(3):
+        text = mutate(rng, source.read_text())
+        path = write(tmp_path, text)
+        with budget(3):
+            for command in EVERY_COMMAND:
+                argv = command + ["--input", path, "--max-degree", str(rng.choice((0, 2, 4, 6, 8)))]
+                code = cli.main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1) and "Traceback" not in err, (argv, text, err)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from bigtor.simplicial import SubgroupData, build_complex, check_local_freeness
 from bigtor.intlinalg import (
     IntMatrix,
     Lattice,
+    Quotient,
     SnfSolver,
     ZModule,
     cokernel_structure,
@@ -436,6 +438,63 @@ def test_broken_prune_is_caught(broken_prune, rows):
     broken_prune()
     with pytest.raises(InternalCheckError, match="escaped the pruned relation lattice"):
         presentation_of(R)
+
+
+def random_relation_set(rng):
+    """Up to 14 sparse relations over n <= 12 generators with entries in
+    [-3, 3]; some get a planted +-1, so that unit pivots occur."""
+    n = rng.randint(1, 12)
+    relations = []
+    for _ in range(rng.randint(0, 14)):
+        v = {c: x for c in range(n) if rng.random() < 0.4 and (x := rng.randint(-3, 3))}
+        if rng.random() < 0.3:
+            v[rng.randrange(n)] = rng.choice((-1, 1))
+        relations.append(v)
+    return n, relations
+
+
+def test_quotient_in_two_steps_presents_the_quotient_at_once():
+    # the regular-sequence scan divides stage by stage, projecting each
+    # new vector first; it must present Z^n modulo all the relations
+    rng = random.Random(1818)
+    for _ in range(100):
+        n, relations = random_relation_set(rng)
+        cut = rng.randint(0, len(relations))
+        first = Quotient.of(n).divided_by(relations[:cut])
+        steps = first.divided_by([first.project(v) for v in relations[cut:]])
+        at_once = Quotient.of(n).divided_by(relations)
+        expected = oracles.cokernel_invariants(IntMatrix.from_columns(relations, n).to_lists(), n)
+        for q in (steps, at_once):
+            assert len(q.free) + len(q.pivots) == n
+            got = cokernel_structure(q.matrix(q.relations))
+            assert (len(q.free) - q.rank, list(got.torsion)) == expected, (n, relations)
+            assert q.rank == oracles.rational_rank([to_dense(v, n) for v in q.relations])
+            residual = Lattice(n, q.relations)
+            for v in relations:
+                copy = dict(v)
+                assert q.project(v) in residual
+                assert v == copy
+            for g in q.free:
+                assert q.project({g: 1}) == {g: 1}
+
+
+def test_quotient_by_nothing_is_the_same_object():
+    q = Quotient.of(3)
+    assert q.divided_by([]) is q
+    q = q.divided_by([{0: 1, 1: 2}, {2: 4}])
+    assert (q.free, q.rank) == ((1, 2), 1)
+    assert q.divided_by([]) is q
+    with pytest.raises(InputError, match="not a nonnegative integer"):
+        Quotient.of(2.0)
+
+
+def test_only_intlinalg_names_the_pivot_log():
+    # Quotient owns the engine's pivot log: the scan and the presentations
+    # reach it through Quotient, never through the engine's helpers
+    for path in sorted(pathlib.Path(intlinalg.__file__).parent.glob("*.py")):
+        if path.name != "intlinalg.py":
+            text = path.read_text()
+            assert "_eliminate_units" not in text and "_substitute" not in text, path.name
 
 
 def test_presentation_refuses_dense_coordinates():
