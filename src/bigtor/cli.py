@@ -8,6 +8,9 @@ lines:
     B = [1 0 -2 0 ; 0 2 0 -1]
     form u3 = x2 + x3 - x4
 
+The command table `_COMMANDS` lists every command; its own arguments
+reach its handler as keywords.
+
 Exit codes: 0 for any computed verdict (a FAILS verdict is a result,
 not an error), 1 for bad input, 2 for a bug: a failed internal
 consistency check or any other exception.
@@ -42,14 +45,12 @@ from .stanley_reisner import (
 
 
 class ProblemSpec(NamedTuple):
-    """Parsed .tcx content plus the per-run options from flags."""
+    """Parsed .tcx content plus the degree bound D."""
 
     complex: SimplicialComplex
     B: SubgroupData | None = None
     extra_forms: tuple = ()  # (name, LinearForm) pairs, file order
     max_degree: int = 12
-    rational: bool = False
-    split: int | None = None
 
     def form(self, name: str) -> LinearForm:
         for key, value in self.extra_forms:
@@ -217,12 +218,12 @@ def emit_json(command: str, input_path: str, max_degree: int, result: dict) -> s
 # --- command implementations ----------------------------------------------
 
 
-def _cmd_tor(spec: ProblemSpec):
+def _cmd_tor(spec: ProblemSpec, rational: bool):
     from .koszul_tor import rational_tor_ranks, tor_table
 
     S = spec.require_B()
     D = spec.max_degree
-    if spec.rational:
+    if rational:
         ranks = rational_tor_ranks(spec.complex, S, D)
         entries = [
             {"p": p, "j": j, "q": j - p, "rank": r, "torsion": []}
@@ -469,14 +470,13 @@ def _cmd_annihilate(spec: ProblemSpec, element: str):
     return result, "\n".join(lines)
 
 
-def _cmd_gysin(spec: ProblemSpec):
+def _cmd_gysin(spec: ProblemSpec, split: int | None):
     from .gysin import GysinData, connecting_map_check, verify_exactness
 
     S = spec.require_B()
-    if spec.split is not None and not 1 <= spec.split <= S.n:
+    if split is not None and not 1 <= split <= S.n:
         raise InputError(f"--split must be between 1 and {S.n}")
-    split = None if spec.split is None else spec.split - 1
-    G = GysinData(spec.complex, S, spec.max_degree, split=split)
+    G = GysinData(spec.complex, S, spec.max_degree, split=None if split is None else split - 1)
     report = verify_exactness(G)
     connecting = connecting_map_check(G)
     result = {
@@ -529,92 +529,70 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# command -> (handler, help text, its own arguments as (flag, options) pairs)
+_COMMANDS = {
+    "tor": (_cmd_tor, "bigraded Tor table", [
+        ("--rational", dict(action="store_true", help="ranks only, recomputed over Q")),
+    ]),
+    "check-bigcm": (_cmd_check_bigcm, "Tor_1 vanishing plus regular-sequence cross-check", []),
+    "check-free": (_cmd_check_free, "all four freeness verdicts and depth", []),
+    "check-local-free": (_cmd_check_local_free, "vertex submatrix determinants", []),
+    "check-connected": (_cmd_check_connected, "is the kernel subgroup a torus", []),
+    "hilbert": (_cmd_hilbert, "Hilbert coefficients of Z[K]", []),
+    "gkm": (_cmd_gkm, "restriction tuple of a polynomial", [
+        ("polynomial", dict(help="polynomial in x1..xm")),
+    ]),
+    "find-torsion": (_cmd_find_torsion, "torsion certificate at a vertex", [
+        ("--extra", dict(required=True, help="name of a form from the input file")),
+        ("--vertex", dict(required=True, help="maximal face, like '{1 2}'")),
+    ]),
+    "annihilate": (_cmd_annihilate, "annihilators of an element in the u's", [
+        ("--element", dict(required=True, help="polynomial in x1..xm")),
+    ]),
+    "gysin": (_cmd_gysin, "long exact sequence verification", [
+        ("--split", dict(
+            type=int, help="1-based row of B used as the extra form (default: last row)"
+        )),
+    ]),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bigtor", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help=".tcx problem file")
         p.add_argument(
-            "--max-degree",
-            type=int,
-            default=12,
-            help="even internal degree bound D (default 12)",
+            "--max-degree", type=int, default=12, help="even internal degree bound D (default 12)"
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_tor = sub.add_parser("tor", help="bigraded Tor table")
-    common(p_tor)
-    p_tor.add_argument("--rational", action="store_true", help="ranks only, recomputed over Q")
-    common(sub.add_parser("check-bigcm", help="Tor_1 vanishing plus regular-sequence cross-check"))
-    common(sub.add_parser("check-free", help="all four freeness verdicts and depth"))
-    common(sub.add_parser("check-local-free", help="vertex submatrix determinants"))
-    common(sub.add_parser("check-connected", help="is the kernel subgroup a torus"))
-    common(sub.add_parser("hilbert", help="Hilbert coefficients of Z[K]"))
-    p_gkm = sub.add_parser("gkm", help="restriction tuple of a polynomial")
-    common(p_gkm)
-    p_gkm.add_argument("polynomial", help="polynomial in x1..xm")
-    p_ft = sub.add_parser("find-torsion", help="torsion certificate at a vertex")
-    common(p_ft)
-    p_ft.add_argument("--extra", required=True, help="name of a form from the input file")
-    p_ft.add_argument("--vertex", required=True, help="maximal face, like '{1 2}'")
-    p_ann = sub.add_parser("annihilate", help="annihilators of an element in the u's")
-    common(p_ann)
-    p_ann.add_argument("--element", required=True, help="polynomial in x1..xm")
-    p_gy = sub.add_parser("gysin", help="long exact sequence verification")
-    common(p_gy)
-    p_gy.add_argument(
-        "--split",
-        type=int,
-        default=None,
-        help="1-based row of B used as the extra form (default: last row)",
-    )
+        for flag, options in own:
+            p.add_argument(flag, **options)
     return parser
 
 
-_DISPATCH = {
-    "tor": _cmd_tor,
-    "check-bigcm": _cmd_check_bigcm,
-    "check-free": _cmd_check_free,
-    "check-local-free": _cmd_check_local_free,
-    "check-connected": _cmd_check_connected,
-    "hilbert": _cmd_hilbert,
-    "gkm": _cmd_gkm,
-    "find-torsion": _cmd_find_torsion,
-    "annihilate": _cmd_annihilate,
-    "gysin": _cmd_gysin,
-}
-
-# options every command shares; whatever else argparse returns is the
-# command's own arguments, passed to it by keyword
-_COMMON = {"command", "input", "max_degree", "rational", "json", "split"}
-
-
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    # what these four leave in args is the command's own arguments
+    command, path, max_degree, as_json = map(args.pop, ("command", "input", "max_degree", "json"))
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise InputError(
-            f"cannot read {args.input}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         )
-    spec = parse_problem(text)._replace(
-        max_degree=args.max_degree,
-        rational=getattr(args, "rational", False),
-        split=getattr(args, "split", None),
-    )
-    if spec.max_degree < 0 or spec.max_degree % 2:
-        raise InputError(f"--max-degree must be even and nonnegative, got {spec.max_degree}")
+    spec = parse_problem(text)._replace(max_degree=max_degree)
+    if max_degree < 0 or max_degree % 2:
+        raise InputError(f"--max-degree must be even and nonnegative, got {max_degree}")
 
-    own = {key: value for key, value in vars(args).items() if key not in _COMMON}
-    result, text_report = _DISPATCH[args.command](spec, **own)
+    result, text_report = _COMMANDS[command][0](spec, **args)
 
-    if args.json:
-        sys.stdout.write(emit_json(args.command, args.input, spec.max_degree, result))
+    if as_json:
+        sys.stdout.write(emit_json(command, path, max_degree, result))
     else:
         sys.stdout.write(text_report + "\n")
     return 0

@@ -307,13 +307,7 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
         )
     if not direct_zero:
         raise InternalCheckError("torsion certificate failed verification")
-    return TorsionCertificate(
-        vertex=cert.vertex,
-        f=cert.f,
-        g_extra_coefficient=cert.g_extra_coefficient,
-        g_u_coefficients=cert.g_u_coefficients,
-        verified=True,
-    )
+    return cert._replace(verified=True)
 
 
 def phi_matrix(K: SimplicialComplex, S: SubgroupData, j: int) -> IntMatrix:

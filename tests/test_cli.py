@@ -242,10 +242,10 @@ def test_hilbert_command(capsys):
 
 
 def test_internal_errors_exit_two(monkeypatch, capsys):
-    def explode(spec):
+    def explode(spec, rational):
         raise InternalCheckError("forced for the exit-code contract")
 
-    monkeypatch.setitem(cli._DISPATCH, "tor", explode)
+    monkeypatch.setitem(cli._COMMANDS, "tor", (explode, *cli._COMMANDS["tor"][1:]))
     code = cli.main(["tor", "--input", path_of("wps12")])
     captured = capsys.readouterr()
     assert code == 2
@@ -253,10 +253,10 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
 
 
 def test_stray_exceptions_exit_two(monkeypatch, capsys):
-    def explode(spec):
+    def explode(spec, rational):
         return 1 // 0
 
-    monkeypatch.setitem(cli._DISPATCH, "tor", explode)
+    monkeypatch.setitem(cli._COMMANDS, "tor", (explode, *cli._COMMANDS["tor"][1:]))
     code = cli.main(["tor", "--input", path_of("wps12")])
     err = capsys.readouterr().err
     assert code == 2
@@ -266,8 +266,9 @@ def test_stray_exceptions_exit_two(monkeypatch, capsys):
 
 def test_replace_keeps_parsed_fields():
     spec = cli.parse_problem((DATA_DIR / "cp1cp1.tcx").read_text())
-    flagged = spec._replace(max_degree=8, rational=True, split=2)
-    assert (flagged.max_degree, flagged.rational, flagged.split) == (8, True, 2)
+    assert cli.ProblemSpec._fields == ("complex", "B", "extra_forms", "max_degree")
+    flagged = spec._replace(max_degree=8)
+    assert flagged.max_degree == 8
     assert flagged.complex == spec.complex
     assert flagged.B == spec.B
     assert flagged.extra_forms == spec.extra_forms
@@ -363,3 +364,50 @@ def test_mutated_inputs_never_exit_two(source, tmp_path, capsys, budget):
                 code = cli.main(argv)
                 err = capsys.readouterr().err
                 assert code in (0, 1) and "Traceback" not in err, (argv, text, err)
+
+
+# every command's own arguments on the command line, and the keywords its
+# handler must receive for them
+OWN_OPTIONS = {
+    "tor": (["--rational"], {"rational": True}),
+    "check-bigcm": ([], {}),
+    "check-free": ([], {}),
+    "check-local-free": ([], {}),
+    "check-connected": ([], {}),
+    "hilbert": ([], {}),
+    "gkm": (["x1 + x2"], {"polynomial": "x1 + x2"}),
+    "find-torsion": (["--extra", "u3", "--vertex", "{1 2}"], {"extra": "u3", "vertex": "{1 2}"}),
+    "annihilate": (["--element", "x1"], {"element": "x1"}),
+    "gysin": (["--split", "2"], {"split": 2}),
+}
+
+
+@pytest.mark.parametrize("command", OWN_OPTIONS)
+def test_handler_gets_exactly_its_own_options(command, monkeypatch, capsys):
+    assert list(OWN_OPTIONS) == list(cli._COMMANDS)
+    calls = []
+
+    def record(spec, **options):
+        calls.append((spec, options))
+        return {"recorded": True}, "recorded"
+
+    monkeypatch.setitem(cli._COMMANDS, command, (record, *cli._COMMANDS[command][1:]))
+    argv, expected = OWN_OPTIONS[command]
+    code = cli.main([command, "--input", path_of("cp1cp1"), "--max-degree", "6", "--json", *argv])
+    assert code == 0
+    [(spec, options)] = calls
+    assert options == expected
+    assert spec.max_degree == 6
+    assert json.loads(capsys.readouterr().out)["result"] == {"recorded": True}
+
+
+def test_readme_command_table_matches_cli():
+    # the README's command table lists the commands of _COMMANDS in order,
+    # each row naming the command's own options
+    readme = (DATA_DIR.parent.parent / "README.md").read_text()
+    table = readme.split("| command | output |", 1)[1].split("\n\n", 1)[0]
+    cells = re.findall(r"^\| `([^`]*)` \|", table, flags=re.MULTILINE)
+    assert [cell.split()[0] for cell in cells] == list(cli._COMMANDS)
+    for cell, (_, _, own) in zip(cells, cli._COMMANDS.values()):
+        for flag, _ in own:
+            assert (flag if flag.startswith("--") else {"polynomial": "POLY"}[flag]) in cell
