@@ -173,24 +173,6 @@ def parse_problem(text: str) -> ProblemSpec:
     return ProblemSpec(complex=complex_, B=subgroup, extra_forms=tuple(parsed_forms))
 
 
-def render_problem(spec: ProblemSpec) -> str:
-    """Canonical .tcx text; parse(render(spec)) round-trips."""
-    lines = [f"m = {spec.complex.m}"]
-    faces = spec.complex.face_vertices()
-    if faces:
-        lines.append(
-            "faces = " + " ".join("{" + " ".join(map(str, f)) + "}" for f in faces)
-        )
-    if spec.B is not None:
-        rows = " ; ".join(
-            " ".join(str(x) for x in spec.B.B.row(r)) for r in range(spec.B.n)
-        )
-        lines.append(f"B = [{rows}]")
-    for name, form in spec.extra_forms:
-        lines.append(f"form {name} = {form.render()}")
-    return "\n".join(lines) + "\n"
-
-
 # --- JSON helpers ---------------------------------------------------------
 
 

@@ -24,8 +24,6 @@ from .simplicial import SimplicialComplex, SubgroupData, _memoized
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
-    _u_monomials,
-    monomial_basis,
     reduce,
 )
 
@@ -309,27 +307,3 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
         raise InternalCheckError("torsion certificate failed verification")
     return cert._replace(verified=True)
 
-
-def phi_matrix(K: SimplicialComplex, S: SubgroupData, j: int) -> IntMatrix:
-    """Matrix of the restriction map on degree-j monomials, columns
-    indexed by the monomial basis and rows by (vertex, u-monomial)
-    pairs, scaled integral; its rank decides injectivity in degree j."""
-    data = vertex_data(K, S)
-    basis = monomial_basis(K, j)
-    u_monos = _u_monomials(S.n, j // 2)
-    images = []
-    for mono in basis.monomials:
-        p = Polynomial(K.m, {mono: 1})
-        images.append(phi_restrictions(K, S, p))
-    denom = 1
-    for t in images:
-        for entry in t.entries:
-            for c in entry.terms.values():
-                denom = math.lcm(denom, c.denominator)
-    rows = []
-    for vi in range(len(data)):
-        for um in u_monos:
-            rows.append(
-                [int(t[vi].terms.get(um, 0) * denom) for t in images]
-            )
-    return IntMatrix(rows, cols=len(basis))

@@ -718,21 +718,20 @@ class Quotient(NamedTuple):
     """Z^n modulo relations, as the engine leaves it: each unit pivot of
     the relations writes one generator in terms of the others, so only
     the free generators survive.  relations holds the residual relations,
-    dicts over the n generators, and rank their rank over Q; pivots logs
-    (generator, row) in elimination order, and position maps each pivot
-    generator to its place in the log.  HomologyPresentation prunes with
-    it, and the regular-sequence scan divides by one form at a time."""
+    dicts over the n generators; pivots logs (generator, row) in
+    elimination order, and position maps each pivot generator to its
+    place in the log.  HomologyPresentation prunes with it, and the
+    regular-sequence scan divides by one form at a time."""
 
     free: tuple
     relations: list
-    rank: int
     pivots: list
     position: dict
 
     @classmethod
     def of(cls, n: int) -> "Quotient":
         """Z^n, with no relations."""
-        return cls(tuple(range(_dimension(n, "generator count"))), [], 0, [], {})
+        return cls(tuple(range(_dimension(n, "generator count"))), [], [], {})
 
     def matrix(self, vectors: list) -> IntMatrix:
         """The vectors, over the n generators, as matrix rows."""
@@ -745,8 +744,7 @@ class Quotient(NamedTuple):
         new, residual = _eliminate_units([dict(v) for v in self.relations + vectors])
         gone = {g: len(self.pivots) + k for k, (g, _) in enumerate(new)}
         free = tuple(g for g in self.free if g not in gone)
-        rank = rational_rank(self.matrix(residual))
-        return Quotient(free, residual, rank, self.pivots + new, {**self.position, **gone})
+        return Quotient(free, residual, self.pivots + new, {**self.position, **gone})
 
     def project(self, v: dict) -> dict:
         """The sparse vector v (left as it is) over the free generators,

@@ -45,7 +45,6 @@ from .intlinalg import (
 )
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
 from .stanley_reisner import (
-    GradedBasis,
     LinearForm,
     Polynomial,
     _require_even,
@@ -97,7 +96,7 @@ class KoszulComplex:
         """Size-p subsets of {1..n} in ascending lexicographic order."""
         return tuple(itertools.combinations(range(1, self.n + 1), p))
 
-    def coefficient_basis(self, p: int, j: int) -> GradedBasis:
+    def coefficient_basis(self, p: int, j: int) -> tuple:
         return monomial_basis(self.K, j - 2 * p)
 
     def chain_dim(self, p: int, j: int) -> int:
@@ -184,14 +183,6 @@ class BigradedTor(NamedTuple):
         return max((p for (p, j), zm in self.table.items() if not zm.is_zero()), default=0)
 
 
-def _check_bidegree(K: SimplicialComplex, S: SubgroupData, p: int, j: int):
-    if K.m != S.m:
-        raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
-    if type(p) is not int or not 0 <= p <= S.n:
-        raise InputError(f"homological degree {p!r} is not an integer in 0..{S.n}")
-    _require_even(j)
-
-
 def _tor_structure(complex_: KoszulComplex, p: int, j: int) -> ZModule:
     """Tor_p in internal degree j from ranks and invariant factors alone.
 
@@ -209,16 +200,11 @@ def _tor_structure(complex_: KoszulComplex, p: int, j: int) -> ZModule:
     return ZModule(d_in.rows - rank_out - rank_in, coker_in.torsion)
 
 
-def tor_piece(K: SimplicialComplex, S: SubgroupData, p: int, j: int) -> ZModule:
-    """Tor_p in internal degree j, as an abelian group."""
-    _check_bidegree(K, S, p, j)
-    return _tor_structure(_complex_for(K, S), p, j)
-
-
 def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
     _require_even(D, "degree bound")
-    _check_bidegree(K, S, 0, 0)
+    if K.m != S.m:
+        raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
     complex_ = _complex_for(K, S)
     table = {}
     for p in range(S.n + 1):
@@ -247,7 +233,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
         raise InternalCheckError("nonzero homology but every generator died")
     if not complex_.differential(1, j).mul(IntMatrix.from_columns([chosen], cycles.n)).is_zero():
         raise InternalCheckError("selected witness is not a cycle")
-    monomials = complex_.coefficient_basis(1, j).monomials
+    monomials = complex_.coefficient_basis(1, j)
     parts = {}  # xi index -> the coefficient's terms
     for c, x in chosen.items():
         idx, t = divmod(c, len(monomials))
@@ -373,14 +359,16 @@ class RegularSequenceReport(NamedTuple):
     witness: RegularityWitness | None = None
 
 
-def _is_injective(here: Quotient, there: Quotient, phi: list) -> bool:
+def _is_injective(here: Quotient, there: Quotient, phi: list,
+                  here_rank: int, there_rank: int) -> bool:
     """Whether the map with images phi of here.free is injective from here
-    to there.  Over Q, rank ker = rank here - (rank [phi | R] - rank R),
-    R the relations of there.  At rank 0 the kernel is torsion, so a
-    torsion-free here passes; otherwise ker [phi | R], cut to here.free,
-    must lie in here's relation lattice."""
+    to there, given the ranks over Q of their relations.  Over Q,
+    rank ker = rank here - (rank [phi | R] - rank R), R the relations of
+    there.  At rank 0 the kernel is torsion, so a torsion-free here
+    passes; otherwise ker [phi | R], cut to here.free, must lie in here's
+    relation lattice."""
     image = there.matrix(phi + there.relations)
-    if rational_rank(image) - there.rank < len(here.free) - here.rank:
+    if rational_rank(image) - there_rank < len(here.free) - here_rank:
         return False
     if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
         return True
@@ -394,16 +382,21 @@ def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
     """Yield (stage, j, whether u_stage is injective from degree j to j + 2
     of Z[K]/(u_1, ..., u_{stage-1})) in scan order.  The stage-(i+1)
     quotient in degree j + 2 is stage i's modulo the image of u_i, built
-    when the scan reaches it, so stopping early eliminates no more."""
+    when the scan reaches it, so stopping early eliminates no more.  Each
+    division also ranks the new relations over Q, once per quotient."""
     quotients = {j: Quotient.of(len(monomial_basis(K, j))) for j in range(0, D + 1, 2)}
+    ranks = dict.fromkeys(quotients, 0)  # j -> rank over Q of quotients[j].relations
     images = {}  # j -> the last stage's images of degree j, over degree j + 2
     for stage, u in enumerate(forms, 1):
         here = quotients[0]
         for j in range(0, D - 1, 2):
-            there = quotients[j + 2] = quotients[j + 2].divided_by(images.pop(j, []))
+            vectors = images.pop(j, [])
+            there = quotients[j + 2] = quotients[j + 2].divided_by(vectors)
+            if vectors:
+                ranks[j + 2] = rational_rank(there.matrix(there.relations))
             columns = mult_matrix(K, u, j).sparse_columns()
             phi = images[j] = [there.project(columns[m]) for m in here.free]
-            yield stage, j, _is_injective(here, there, phi)
+            yield stage, j, _is_injective(here, there, phi, ranks[j], ranks[j + 2])
             here = there
 
 
@@ -443,7 +436,7 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     v = _annihilated_class(K, forms, stage, j)
     if v is None:
         raise InternalCheckError(f"quotient scan and full-space search disagree at u{stage}, j={j}")
-    monomials = monomial_basis(K, j).monomials
+    monomials = monomial_basis(K, j)
     poly = Polynomial(K.m, {monomials[c]: x for c, x in v.items()})
     witness = RegularityWitness(stage, j, poly.render(), forms[stage - 1].render())
     return RegularSequenceReport(regular=False, bound=D, witness=witness)

@@ -165,27 +165,6 @@ def face_count_by_size(K: SimplicialComplex) -> tuple:
     return tuple(counts)
 
 
-def minimal_nonfaces(K: SimplicialComplex) -> list:
-    """Inclusion-minimal non-faces, as sorted vertex tuples.
-
-    These are the supports of the monomial generators of the face
-    ideal.  A ghost vertex shows up here as a singleton.
-    """
-    faces = all_faces(K)
-    found = set()
-    for mask in faces:
-        for v in range(K.m):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            cand = mask | bit
-            if cand in faces or cand in found:
-                continue
-            if all((cand & ~(1 << w)) in faces for w in range(K.m) if cand & (1 << w)):
-                found.add(cand)
-    return sorted((_to_vertices(mask) for mask in found), key=lambda t: (len(t), t))
-
-
 class SubgroupData:
     """An n x m integer matrix B of full row rank over Q.
 

@@ -3,9 +3,9 @@
 Monomials carry the topological grading deg x_i = 2, so every internal
 degree in sight is even.  The module provides monomial bases per
 degree, reduction modulo the face ideal, multiplication matrices for
-linear forms, graded pieces of quotients by linear forms, the closed
-Hilbert formula, and the homogeneous annihilator search.  Bases and
-multiplication matrices are memoized on their complex (simplicial).
+linear forms, the closed Hilbert formula, and the homogeneous
+annihilator search.  Bases and multiplication matrices are memoized on
+their complex (simplicial).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, ZModule, _dense, cokernel_structure, kernel_lattice
+from .intlinalg import IntMatrix, _dense, kernel_lattice
 from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
@@ -279,26 +279,6 @@ def parse_linear_form(text: str, nvars: int) -> LinearForm:
     return LinearForm(tuple(coeffs))
 
 
-class GradedBasis:
-    """All face-supported monomials of one even internal degree, in
-    graded-lex order with x1 largest."""
-
-    __slots__ = ("degree", "monomials")
-
-    def __init__(self, degree: int, monomials: tuple):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "monomials", monomials)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedBasis is immutable")
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def index_map(self) -> dict:
-        return {mono: i for i, mono in enumerate(self.monomials)}
-
-
 def _require_even(j: int, name: str = "internal degree"):
     """Refuse j unless it is an int (not a bool), even and nonnegative."""
     if type(j) is not int or j < 0 or j % 2:
@@ -314,8 +294,9 @@ def _support_mask(exp: tuple) -> int:
 
 
 @_memoized
-def monomial_basis(K: SimplicialComplex, j: int) -> GradedBasis:
-    """Monomials of internal degree j whose support is a face of K."""
+def monomial_basis(K: SimplicialComplex, j: int) -> tuple:
+    """Monomials of internal degree j whose support is a face of K, in
+    graded-lex order with x1 largest."""
     _require_even(j)
     total = j // 2
     monos = []
@@ -337,7 +318,7 @@ def monomial_basis(K: SimplicialComplex, j: int) -> GradedBasis:
                 exp[p] = e
             monos.append(tuple(exp))
     monos.sort(reverse=True)
-    return GradedBasis(degree=j, monomials=tuple(monos))
+    return tuple(monos)
 
 
 def hilbert_coefficient(K: SimplicialComplex, j: int) -> int:
@@ -378,28 +359,16 @@ def mult_matrix(K: SimplicialComplex, u: LinearForm, j: int) -> IntMatrix:
         raise InputError("multiplication by the zero form is not allowed")
     source = monomial_basis(K, j)
     target = monomial_basis(K, j + 2)
-    index = source.index_map()
+    index = {mono: i for i, mono in enumerate(source)}
     terms = [(k, c) for k, c in enumerate(u.coeffs) if c]
     rows = []
-    for mono in target.monomials:
+    for mono in target:
         row = {}
         for k, c in terms:
             if mono[k]:
                 row[index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]] = c
         rows.append(row)
     return IntMatrix._of(len(target), len(source), rows)
-
-
-def quotient_piece(K: SimplicialComplex, forms, j: int) -> ZModule:
-    """Degree-j piece of Z[K]/(forms) as an abelian group: the cokernel
-    of the multiplication matrices into degree j, side by side (none
-    when j < 2)."""
-    _require_even(j)
-    ideal = IntMatrix.zeros(len(monomial_basis(K, j)), 0)
-    if j >= 2:
-        for u in forms:
-            ideal = ideal.hstack(mult_matrix(K, u, j - 2))
-    return cokernel_structure(ideal)
 
 
 class AnnihilatorWitness(NamedTuple):
@@ -459,7 +428,7 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
         if not u_monos:
             continue
         target = monomial_basis(K, deg_f + e)
-        index = target.index_map()
+        index = {mono: i for i, mono in enumerate(target)}
         columns = []
         for exp in u_monos:
             g = Polynomial.constant(K.m, 1)

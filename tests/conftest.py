@@ -6,6 +6,9 @@ import pytest
 
 from bigtor.cli import parse_problem
 from bigtor.intlinalg import HomologyPresentation
+from bigtor.stanley_reisner import LinearForm, monomial_basis, mult_matrix
+
+import oracles
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -22,6 +25,19 @@ CORPUS_NAMES = [
 
 def load_problem(name):
     return parse_problem((DATA_DIR / f"{name}.tcx").read_text())
+
+
+def tor0_oracle(K, S, j):
+    """(rank, torsion list) of the degree-j piece of Z[K]/(u_1, ..., u_n),
+    which is Tor_0: the cokernel of the multiplication matrices into
+    degree j, side by side as dense lists, by the oracle's Smith normal
+    form, which shares no code with the elimination engine."""
+    rows = [[] for _ in monomial_basis(K, j)]
+    for i in range(S.n if j >= 2 else 0):
+        block = mult_matrix(K, LinearForm(S.row_coefficients(i)), j - 2).to_lists()
+        for row, part in zip(rows, block):
+            row.extend(part)
+    return oracles.cokernel_invariants(rows, len(rows))
 
 
 @pytest.fixture(scope="session")

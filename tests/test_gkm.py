@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from bigtor.gkm import (
     edge_data,
     find_torsion,
     gkm_check,
-    phi_matrix,
     phi_restrictions,
     vertex_data,
 )
@@ -20,6 +20,7 @@ from bigtor.stanley_reisner import (
     LinearForm,
     Polynomial,
     hilbert_coefficient,
+    monomial_basis,
     parse_polynomial,
     reduce,
 )
@@ -186,8 +187,16 @@ def test_non_pure_complex_is_not_gkm():
 
 
 def test_phi_matrix_injective_in_smooth_case():
+    # the restriction map on degree-j monomials: one column per monomial and
+    # one row per (vertex, u-monomial), scaled integral
     for j in range(2, 14, 2):
-        M = phi_matrix(SQUARE, DELZANT, j)
+        images = [phi_restrictions(SQUARE, DELZANT, Polynomial.monomial(4, mono))
+                  for mono in monomial_basis(SQUARE, j)]
+        cells = sorted({(v, exp) for t in images for v, entry in enumerate(t.entries)
+                        for exp in entry.terms})
+        rows = [[Fraction(t[v].terms.get(exp, 0)) for t in images] for v, exp in cells]
+        denom = math.lcm(*(x.denominator for row in rows for x in row))
+        M = IntMatrix([[int(x * denom) for x in row] for row in rows], cols=len(images))
         assert rational_rank(M) == hilbert_coefficient(SQUARE, j)
 
 

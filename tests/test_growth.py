@@ -33,7 +33,6 @@ from bigtor.koszul_tor import (
     KoszulComplex,
     euler_discrepancies,
     regular_sequence_check,
-    tor_piece,
     tor_table,
     verdicts,
 )
@@ -148,10 +147,11 @@ def test_gysin_growth_case_finishes(name, split, budget, monkeypatch):
     assert 0 < bits[0] <= MAX_LATTICE_BITS, bits[0]
     assert report.all_pass
     assert connecting and all(connecting.values())
+    ext, base = tor_table(K, S_ext, G.D), tor_table(K, G.S_base, G.D)
     for node in report.nodes:
         if node.j < 0:
             continue
         if node.term == "tor_ext" and 0 <= node.p <= S_ext.n:
-            assert node.group == tor_piece(K, S_ext, node.p, node.j), (node.p, node.j)
+            assert node.group == ext.piece(node.p, node.j), (node.p, node.j)
         if node.term == "tor_base" and 0 <= node.p <= G.n:
-            assert node.group == tor_piece(K, G.S_base, node.p, node.j), (node.p, node.j)
+            assert node.group == base.piece(node.p, node.j), (node.p, node.j)

@@ -13,7 +13,7 @@ from bigtor.gysin import (
     verify_exactness,
 )
 from bigtor.intlinalg import IntMatrix
-from bigtor.koszul_tor import KoszulComplex, tor_piece
+from bigtor.koszul_tor import KoszulComplex, tor_table
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis
 
@@ -72,11 +72,12 @@ def test_node_groups_match_tor_tables(corpus):
     K, S_ext = problem.complex, problem.B
     G = GysinData(K, S_ext, 8)
     report = verify_exactness(G)
+    ext, base = tor_table(K, S_ext, G.D), tor_table(K, G.S_base, G.D)
     for node in report.nodes:
         if node.term == "tor_ext" and 0 <= node.p <= S_ext.n and node.j >= 0:
-            assert node.group == tor_piece(K, S_ext, node.p, node.j), (node.p, node.j)
+            assert node.group == ext.piece(node.p, node.j), (node.p, node.j)
         if node.term == "tor_base" and 0 <= node.p <= G.n and node.j >= 0:
-            assert node.group == tor_piece(K, G.S_base, node.p, node.j)
+            assert node.group == base.piece(node.p, node.j)
 
 
 def _dense_tau_star(G, p, j):
@@ -327,8 +328,9 @@ def test_seeded_gysin_problem(index, budget):
         # lift) agree modulo boundaries, or connecting_map_check raises
         assert connecting and all(connecting.values()), split
         ext, base = _Oracle(G.ext), _Oracle(G.base)
+        tables = {S_ext: tor_table(K, S_ext, G.D), G.S_base: tor_table(K, G.S_base, G.D)}
         for node in report.nodes:
             oracle, S = (ext, S_ext) if node.term == "tor_ext" else (base, G.S_base)
             assert oracles.structure_pair(node.group) == oracle.group(node.p, node.j), (split, node)
             if node.j >= 0 and 0 <= node.p <= S.n:
-                assert node.group == tor_piece(K, S, node.p, node.j), (split, node)
+                assert node.group == tables[S].piece(node.p, node.j), (split, node)

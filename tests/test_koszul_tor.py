@@ -22,7 +22,6 @@ from bigtor.koszul_tor import (
     rational_tor_ranks,
     regular_sequence_check,
     tor1_witness,
-    tor_piece,
     tor_table,
     verdicts,
 )
@@ -32,11 +31,11 @@ from bigtor.stanley_reisner import (
     Polynomial,
     hilbert_coefficient,
     monomial_basis,
-    quotient_piece,
     reduce,
 )
 
 import oracles
+from conftest import tor0_oracle
 
 
 def forms_of(S):
@@ -65,7 +64,7 @@ def formula_differential(K, forms, p, j):
     def chain_basis(q):
         if q < 0 or q > n or j - 2 * q < 0:
             return []
-        monomials = monomial_basis(K, j - 2 * q).monomials
+        monomials = monomial_basis(K, j - 2 * q)
         return [(S, mono) for S in itertools.combinations(range(1, n + 1), q) for mono in monomials]
 
     source, target = chain_basis(p), chain_basis(p - 1)
@@ -188,9 +187,10 @@ def test_homology_matches_naive_oracle(corpus_problem):
     _, problem = corpus_problem
     kc = koszul_of(problem)
     K, S = problem.complex, problem.B
+    table = tor_table(K, S, 8)
     for p in range(S.n + 1):
         for j in range(0, 10, 2):
-            got = tor_piece(K, S, p, j)
+            got = table.piece(p, j)
             rank, torsion = oracles.homology_structure(
                 kc.differential(p, j).to_lists(),
                 kc.differential(p + 1, j).to_lists(),
@@ -201,20 +201,21 @@ def test_homology_matches_naive_oracle(corpus_problem):
 
 def test_weighted_12_head_of_table(corpus):
     problem = corpus["wps12"]
-    K, S = problem.complex, problem.B
-    assert tor_piece(K, S, 0, 0) == ZModule(1)
-    assert tor_piece(K, S, 0, 2) == ZModule(1)
-    assert tor_piece(K, S, 0, 4) == ZModule(0, (2,))
-    assert tor_piece(K, S, 1, 4) == ZModule(0)
+    table = tor_table(problem.complex, problem.B, 4)
+    assert table.piece(0, 0) == ZModule(1)
+    assert table.piece(0, 2) == ZModule(1)
+    assert table.piece(0, 4) == ZModule(0, (2,))
+    assert table.piece(1, 4) == ZModule(0)
 
 
 def test_prod1212_pinned_values(corpus):
     problem = corpus["prod1212"]
     K, S = problem.complex, problem.B
-    assert tor_piece(K, S, 1, 8) == ZModule(0, (2,))
-    assert tor_piece(K, S, 1, 10) == ZModule(0, (2, 2))
-    assert tor_piece(K, S, 0, 4).torsion == (2, 2)
-    witness = tor1_witness(K, S, tor_table(K, S, 10))
+    table = tor_table(K, S, 10)
+    assert table.piece(1, 8) == ZModule(0, (2,))
+    assert table.piece(1, 10) == ZModule(0, (2, 2))
+    assert table.piece(0, 4).torsion == (2, 2)
+    witness = tor1_witness(K, S, table)
     assert witness is not None
     assert witness.index.p == 1
     assert witness.index.j == 8
@@ -307,8 +308,9 @@ def test_euler_characteristic_oracle(corpus_problem):
 def test_tor0_matches_quotient_piece(corpus_problem):
     _, problem = corpus_problem
     K, S = problem.complex, problem.B
+    table = tor_table(K, S, 10)
     for j in range(0, 12, 2):
-        assert tor_piece(K, S, 0, j) == quotient_piece(K, forms_of(S), j)
+        assert oracles.structure_pair(table.piece(0, j)) == tor0_oracle(K, S, j), j
 
 
 def test_rational_ranks_match_integral(corpus_problem):
@@ -335,15 +337,9 @@ def test_input_validation(corpus):
     problem = corpus["wps12"]
     K, S = problem.complex, problem.B
     with pytest.raises(InputError):
-        tor_piece(K, S, -1, 4)
-    with pytest.raises(InputError):
-        tor_piece(K, S, S.n + 1, 4)
-    with pytest.raises(InputError):
-        tor_piece(K, S, 0, 3)
-    with pytest.raises(InputError):
         tor_table(K, S, 7)
     with pytest.raises(InputError):
-        tor_piece(build_complex(3, [(1,)]), S, 0, 0)
+        tor_table(build_complex(3, [(1,)]), S, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -351,15 +347,12 @@ def test_input_validation(corpus):
     lambda K, S: tor_table(K, S, 4.0),
     lambda K, S: regular_sequence_check(K, S, 4.0),
     lambda K, S: rational_tor_ranks(K, S, 4.0),
-    lambda K, S: tor_piece(K, S, 0.0, 2),
-    lambda K, S: tor_piece(K, S, True, 2),
-    lambda K, S: tor_piece(K, S, 0, False),
-    lambda K, S: quotient_piece(K, [], 2.0),
+    lambda K, S: tor_table(K, S, False),
     lambda K, S: GysinData(K, S, 4.0),
     lambda K, S: GysinData(K, S, 4, split=0.5),
     lambda K, S: GysinData(K, S, 4, split=False),
-], ids=["hilbert", "table", "regular-sequence", "rational", "float-p", "bool-p", "bool-j",
-        "quotient", "gysin", "float-split", "bool-split"])
+], ids=["hilbert", "table", "regular-sequence", "rational", "bool-j", "gysin", "float-split",
+        "bool-split"])
 def test_degrees_that_are_not_ints_are_refused(corpus, call):
     # a float degree reached math.comb or range() as a TypeError (exit 2 on
     # the CLI), and a bool or integral float passed as a degree

@@ -1,0 +1,68 @@
+"""Every public name in bigtor has a user inside the package or in the
+benchmark harness.
+
+A public top-level function or class, or a public method, that no other
+part of src/bigtor refers to and that perfbench does not call (child.py)
+or hook (layers.METHODS) serves tests alone, and the command line never
+runs it.  Uses are matched by name over the syntax trees, so a method
+counts as used when any attribute of that name is read.
+"""
+
+import ast
+import collections
+import pathlib
+
+import bigtor
+
+PACKAGE = pathlib.Path(bigtor.__file__).resolve().parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _definitions(tree):
+    """(name, node) for public top-level functions and classes and the
+    public methods of public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names_read(tree):
+    """How often each name is read in tree, as a Name id or Attribute attr."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _perfbench_names():
+    names = set(_names_read(ast.parse((PERFBENCH / "child.py").read_text())))
+    for node in ast.parse((PERFBENCH / "layers.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets
+        ):
+            names |= {meth for _, _, meth, _ in ast.literal_eval(node.value)}
+    return names
+
+
+def unused_public_names():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    reads = sum((_names_read(tree) for tree in trees), collections.Counter())
+    pinned = _perfbench_names()
+    unused = []
+    for path, tree in zip(sorted(PACKAGE.glob("*.py")), trees):
+        for qualified, node in _definitions(tree):
+            name = qualified.rsplit(".", 1)[-1]
+            # the definition's own body does not count as a use
+            if name not in pinned and reads[name] == _names_read(node)[name]:
+                unused.append(f"{path.stem}.{qualified}")
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unused_public_names() == []

@@ -52,7 +52,7 @@ def assert_scan_matches_full_space_search(K, S, D):
         assert injective == (v is None), (stage, j)
         if v is not None and expected is None:
             basis = monomial_basis(K, j)
-            poly = Polynomial(K.m, {basis.monomials[c]: x for c, x in v.items()})
+            poly = Polynomial(K.m, {basis[c]: x for c, x in v.items()})
             expected = RegularityWitness(stage, j, poly.render(), forms[stage - 1].render())
     report = regular_sequence_check(K, S, D)
     assert report.regular == (expected is None)
@@ -90,7 +90,7 @@ def test_torsion_free_quotients_skip_the_kernel_test(budget):
 
 @pytest.mark.parametrize("name", ["prod1212", "cut_k2"])
 def test_decision_that_misses_a_failure_exits_two(name, monkeypatch, capsys):
-    monkeypatch.setattr(koszul_tor, "_is_injective", lambda here, there, phi: True)
+    monkeypatch.setattr(koszul_tor, "_is_injective", lambda here, there, phi, here_rank, there_rank: True)
     code = cli.main(["check-bigcm", "--input", str(DATA_DIR / f"{name}.tcx"),
                      "--max-degree", "10", "--json"])
     assert code == 2
@@ -101,7 +101,7 @@ def test_decision_that_misses_a_failure_exits_two(name, monkeypatch, capsys):
 def test_decision_that_invents_a_failure_is_caught(name, monkeypatch, capsys):
     problem = cli.parse_problem((DATA_DIR / f"{name}.tcx").read_text())
     assert regular_sequence_check(problem.complex, problem.B, 10).regular
-    monkeypatch.setattr(koszul_tor, "_is_injective", lambda here, there, phi: False)
+    monkeypatch.setattr(koszul_tor, "_is_injective", lambda here, there, phi, here_rank, there_rank: False)
     with pytest.raises(InternalCheckError, match="full-space search disagree"):
         regular_sequence_check(problem.complex, problem.B, 10)
     code = cli.main(["check-bigcm", "--input", str(DATA_DIR / f"{name}.tcx"),

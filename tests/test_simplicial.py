@@ -10,7 +10,6 @@ from bigtor.simplicial import (
     check_local_freeness,
     face_count_by_size,
     is_face,
-    minimal_nonfaces,
 )
 
 import oracles
@@ -69,13 +68,6 @@ def test_ghost_vertices_are_not_faces():
     K = build_complex(5, [(1, 4), (4, 5), (1, 5)])
     assert not is_face(K, (2,))
     assert not is_face(K, (3,))
-    assert (2,) in minimal_nonfaces(K)
-    assert (3,) in minimal_nonfaces(K)
-
-
-def test_minimal_nonfaces_square():
-    K = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert minimal_nonfaces(K) == [(1, 3), (2, 4)]
 
 
 def test_subgroup_data_validation():
