@@ -14,9 +14,9 @@ keeps each Schur update integral, so the matrix is equivalent to the
 identity on the pivots plus a small residual.  The residual's invariant
 factors come from Hermite forms on Lattice, of its rows, then of the
 transposed basis, and so on until the matrix is diagonal (Kannan and
-Bachem, SIAM J. Comput. 8, 1979), and the diagonal is put in
-divisibility order by gcd and lcm.  Kernels are lifted back through the
-logged pivot rows and Hermite-reduced.
+Bachem, SIAM J. Comput. 8, 1979).  homology_structures reads a chain
+complex's homology, cokernels included, off one such pass per map, and
+kernels are lifted back through the logged pivot rows.
 
 A homology subquotient ker/im is presented as a finitely generated
 abelian group: the image columns written in a kernel basis by echelon
@@ -53,6 +53,7 @@ __all__ = [
     "Lattice",
     "kernel_lattice",
     "cokernel_structure",
+    "homology_structures",
     "homology_presentation",
     "check_complex",
     "SnfSolver",
@@ -472,22 +473,42 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
     return kernel.hermite()
 
 
+def homology_structures(differentials) -> list:
+    """H_0, ..., H_{k-1} of the complex d_0, ..., d_k (d_p: C_p -> C_{p-1})
+    as ZModules, from one elimination of each d_p in turn; the maps may
+    come from a generator, so that none is built before its turn.
+
+    d_{p+1} is checked to compose to zero with d_p, so its rows at d_p's
+    unit pivot columns are integer combinations of its other rows (the
+    pivot block is unimodular) and are blanked before it is eliminated
+    (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  H_p
+    has rank dim C_p - rank d_p - rank d_{p+1} and the torsion of coker
+    d_{p+1} (ker d_p is saturated): _diagonal's entries by gcd and lcm.
+    """
+    groups, d_out, rank_out, paired = [], None, 0, ()
+    for d in differentials:
+        if d_out is not None:
+            check_complex(d_out, d)
+        pivots, residual = _eliminate_units(
+            [{} if r in paired else dict(row) for r, row in enumerate(d._entries)])
+        diagonal = _diagonal(residual, d.cols)
+        factors = [x for x in diagonal if x > 1]
+        for i in range(len(factors)):
+            for k in range(i + 1, len(factors)):
+                g = math.gcd(factors[i], factors[k])
+                factors[i], factors[k] = g, factors[i] // g * factors[k]
+        rank = len(pivots) + len(diagonal)
+        groups.append(ZModule(d.rows - rank_out - rank, tuple(x for x in factors if x > 1)))
+        d_out, rank_out, paired = d, rank, {c for c, _ in pivots}
+        del pivots, residual  # free these rows before the next map is built
+    return groups[1:]  # groups[0] is coker d_0
+
+
 def cokernel_structure(A: IntMatrix) -> ZModule:
-    """Structure of Z^rows / column span of A: each unit pivot adds 1 to
-    the rank and an invariant factor 1; the residual adds the nonzero
-    entries of an equivalent diagonal matrix (_diagonal), put in
-    divisibility order by replacing each pair with its gcd and lcm."""
+    """Structure of Z^rows / column span of A: H_0 of 0 <- Z^rows <- Z^cols."""
     if A.is_zero():
         return ZModule(A.rows)
-    pivots, residual = _eliminate_units(A.sparse_rows())
-    diagonal = _diagonal(residual, A.cols)
-    factors = [d for d in diagonal if d > 1]
-    for i, d in enumerate(factors):
-        for j in range(i + 1, len(factors)):
-            g = math.gcd(d, factors[j])
-            d, factors[j] = g, d // g * factors[j]
-        factors[i] = d
-    return ZModule(A.rows - len(pivots) - len(diagonal), tuple(d for d in factors if d > 1))
+    return homology_structures([IntMatrix.zeros(0, A.rows), A])[0]
 
 
 def _diagonal(rows: list, width: int) -> list:

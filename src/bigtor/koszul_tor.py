@@ -11,10 +11,10 @@ carry the degree bound D.
 
 Each differential is assembled straight into sparse rows from the rows
 of K's multiplication matrices (Davis, Direct Methods for Sparse Linear
-Systems, 2006, ch. 2) and goes to the elimination engine as it is.  K
-memoizes those matrices for every Koszul complex and scan on it.  A
-KoszulComplex memoizes its subsets, differentials, cokernels and homology
-presentations and frees them with it; nothing caches a KoszulComplex.
+Systems, 2006, ch. 2); one homology_structures pass over a degree's
+differentials gives its Tor.  K memoizes the multiplication matrices for
+every Koszul complex and scan on it, and a KoszulComplex its subsets,
+differentials and presentations until it is freed; nothing caches one.
 
 Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
@@ -37,9 +37,9 @@ from .intlinalg import (
     ZModule,
     HomologyPresentation,
     Quotient,
-    check_complex,
     cokernel_structure,
     homology_presentation,
+    homology_structures,
     kernel_lattice,
     rational_rank,
 )
@@ -82,8 +82,8 @@ class KoszulCycle(NamedTuple):
 class KoszulComplex:
     """Chain-level data for Z[K] tensor the exterior algebra on the
     given linear forms.  The instance owns its caches: subsets,
-    differentials, cokernels and homology presentations are each built
-    once and freed with it."""
+    differentials and homology presentations are each built once and
+    freed with it."""
 
     def __init__(self, K: SimplicialComplex, forms):
         self.K = K
@@ -145,10 +145,6 @@ class KoszulComplex:
         return IntMatrix._of(rows, cols, out)
 
     @_memoized
-    def cokernel(self, p: int, j: int) -> ZModule:
-        return cokernel_structure(self.differential(p, j))
-
-    @_memoized
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
 
@@ -169,7 +165,11 @@ class BigradedTor(NamedTuple):
     table: dict
 
     def piece(self, p: int, j: int) -> ZModule:
-        return self.table.get((p, j), ZModule(0))
+        """Tor_p in internal degree j; a cell outside the table is refused."""
+        if not (type(p) is type(j) is int and 0 <= p <= self.n and 0 <= j <= self.D and j % 2 == 0):
+            raise InputError(f"cell ({p!r}, {j!r}) is outside the table: "
+                             f"p in 0..{self.n}, even j in 0..{self.D}")
+        return self.table[(p, j)]
 
     def entries(self) -> list:
         """Nonzero entries as (p, j, ZModule), sorted by (p, j)."""
@@ -183,33 +183,15 @@ class BigradedTor(NamedTuple):
         return max((p for (p, j), zm in self.table.items() if not zm.is_zero()), default=0)
 
 
-def _tor_structure(complex_: KoszulComplex, p: int, j: int) -> ZModule:
-    """Tor_p in internal degree j from ranks and invariant factors alone.
-
-    rank = dim - rank d_out - rank d_in, and the torsion is that of
-    coker d_in: ker d_out is saturated, so every torsion class of
-    C/im d_in is a cycle.  The complex memoizes each cokernel, so a
-    table eliminates each differential once.
-    """
-    d_out = complex_.differential(p, j)
-    d_in = complex_.differential(p + 1, j)
-    check_complex(d_out, d_in)
-    rank_out = d_out.rows - complex_.cokernel(p, j).rank
-    coker_in = complex_.cokernel(p + 1, j)
-    rank_in = d_in.rows - coker_in.rank
-    return ZModule(d_in.rows - rank_out - rank_in, coker_in.torsion)
-
-
 def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
     _require_even(D, "degree bound")
     if K.m != S.m:
         raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
     complex_ = _complex_for(K, S)
-    table = {}
-    for p in range(S.n + 1):
-        for j in range(0, D + 1, 2):
-            table[(p, j)] = _tor_structure(complex_, p, j)
+    columns = {j: homology_structures(complex_.differential(p, j) for p in range(S.n + 2))
+               for j in range(0, D + 1, 2)}
+    table = {(p, j): groups[p] for j, groups in columns.items() for p in range(S.n + 1)}
     return BigradedTor(n=S.n, D=D, table=table)
 
 
@@ -221,7 +203,8 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     The witness is the first Hermite-reduced kernel basis vector whose
     class is nonzero, so reruns always pick the same cycle.
     """
-    j = next((j for j in range(0, table.D + 1, 2) if not table.piece(1, j).is_zero()), None)
+    degrees = range(0, table.D + 1, 2) if table.n else ()  # no Tor_1 when n = 0
+    j = next((j for j in degrees if not table.piece(1, j).is_zero()), None)
     if j is None:
         return None
     complex_ = _complex_for(K, S)

@@ -77,7 +77,7 @@ MEMO_CASES = [
     (mult_matrix, (0,), (False,)),
 ] + [
     (method, good, bad)
-    for method in ("differential", "cokernel", "homology")
+    for method in ("differential", "homology")
     for good, bad in (((1, 4), (1.0, 4)), ((1, 4), (True, 4)), ((1, 4), (1, 4.0)),
                       ((1, 4), (1, Fraction(4))), ((0, 0), (0, False)))
 ]
@@ -107,7 +107,7 @@ def test_memo_hit_refuses_what_a_miss_refuses(corpus, call, good, bad):
 
 
 def test_out_of_range_bidegrees_give_zero_maps(corpus):
-    # _tor_structure asks for d(n + 1, j), and the Gysin maps for d(p - 1, j - 2) at j = 0
+    # tor_table asks for d(n + 1, j), and the Gysin maps for d(p - 1, j - 2) at j = 0
     complex_ = _koszul(corpus["wps12"])
     n = complex_.n
     for p, j in ((n + 1, 4), (n + 2, 4), (-1, 4), (0, -2), (1, 0)):

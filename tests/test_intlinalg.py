@@ -18,6 +18,7 @@ from bigtor.intlinalg import (
     cokernel_structure,
     det,
     homology_presentation,
+    homology_structures,
     kernel_lattice,
     rational_rank,
 )
@@ -517,6 +518,64 @@ def test_homology_presentation_rejects_non_complex():
         homology_presentation(IntMatrix([[1]]), IntMatrix([[1]]))
     with pytest.raises(InternalCheckError):
         homology_presentation(IntMatrix([[1, 0]]), IntMatrix([[1]]))
+
+
+def test_homology_structures_blank_a_paired_row_with_an_entry():
+    # d_1's unit pivot pairs a basis element of C_1, and d_2 holds 2 in its row
+    complex_ = [IntMatrix.zeros(0, 1), IntMatrix([[1, 1]]), IntMatrix([[2], [-2]])]
+    assert homology_structures(complex_) == [ZModule(0), ZModule(0, (2,))]
+    assert homology_structures(iter(complex_)) == [ZModule(0), ZModule(0, (2,))]
+
+
+def test_homology_structures_check_every_pair():
+    with pytest.raises(InternalCheckError, match="compose to zero"):
+        homology_structures([IntMatrix([[1]]), IntMatrix([[1]])])
+    # the first pair composes to zero, the second does not
+    with pytest.raises(InternalCheckError, match="compose to zero"):
+        homology_structures([IntMatrix.zeros(0, 1), IntMatrix([[1, 1]]), IntMatrix([[1], [0]])])
+    with pytest.raises(InternalCheckError, match="chain spaces disagree"):
+        homology_structures([IntMatrix.zeros(0, 2), IntMatrix([[1, 1]])])
+
+
+def random_unimodular(rng, n):
+    """(U, U^-1) as dense lists, U a product of random row additions."""
+    U = [[int(i == k) for k in range(n)] for i in range(n)]
+    inverse = [row[:] for row in U]
+    for _ in range(3 * n if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        U[i] = [x + q * y for x, y in zip(U[i], U[k])]  # U <- (1 + q e_i e_k^T) U
+        for row in inverse:  # U^-1 <- U^-1 (1 - q e_i e_k^T)
+            row[k] -= q * row[i]
+    return U, inverse
+
+
+def test_homology_structures_of_disguised_standard_complexes():
+    # a direct sum of free generators and pieces Z --t--> Z, with a random
+    # unimodular change of basis in every degree: H_p is Z^(free in C_p)
+    # plus Z/t for each piece from C_{p+1}, whatever the disguise
+    rng = random.Random(22)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        free = [rng.randint(0, 2) for _ in range(k + 1)]
+        pieces = [[]] + [[rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(0, 3))]
+                         for _ in range(k)] + [[]]
+        dims = [free[p] + len(pieces[p]) + len(pieces[p + 1]) for p in range(k + 1)]
+        changes = [random_unimodular(rng, n) for n in dims]
+        complex_ = [IntMatrix.zeros(0, dims[0])]
+        for p in range(1, k + 1):
+            D = [[0] * dims[p] for _ in range(dims[p - 1])]
+            for i, t in enumerate(pieces[p]):
+                D[free[p - 1] + len(pieces[p - 1]) + i][free[p] + i] = t
+            U, inverse = IntMatrix(changes[p - 1][0], dims[p - 1]), IntMatrix(changes[p][1], dims[p])
+            complex_.append(U.mul(IntMatrix(D, dims[p])).mul(inverse))
+        expected = []
+        for p in range(k):
+            diagonal = [[t if r == c else 0 for c in range(len(pieces[p + 1]))]
+                        for r, t in enumerate(pieces[p + 1])]
+            torsion = tuple(d for d in oracles.smith_diagonal(diagonal) if d > 1)
+            expected.append(ZModule(free[p], torsion))
+        assert homology_structures(complex_) == expected, (free, pieces)
 
 
 def test_homology_subquotient_random():

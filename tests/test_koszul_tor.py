@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -36,6 +37,7 @@ from bigtor.stanley_reisner import (
 
 import oracles
 from conftest import tor0_oracle
+from test_regular_sequence import random_problem
 
 
 def forms_of(S):
@@ -183,13 +185,11 @@ def test_chain_dims_count_subset_blocks(corpus_problem):
                 assert dim == len(kc.subsets(p)) * len(kc.coefficient_basis(p, j))
 
 
-def test_homology_matches_naive_oracle(corpus_problem):
-    _, problem = corpus_problem
+def assert_table_matches_naive_oracle(problem, D):
     kc = koszul_of(problem)
-    K, S = problem.complex, problem.B
-    table = tor_table(K, S, 8)
-    for p in range(S.n + 1):
-        for j in range(0, 10, 2):
+    table = tor_table(problem.complex, problem.B, D)
+    for p in range(problem.B.n + 1):
+        for j in range(0, D + 1, 2):
             got = table.piece(p, j)
             rank, torsion = oracles.homology_structure(
                 kc.differential(p, j).to_lists(),
@@ -199,6 +199,20 @@ def test_homology_matches_naive_oracle(corpus_problem):
             assert (got.rank, list(got.torsion)) == (rank, torsion), (p, j)
 
 
+def test_homology_matches_naive_oracle(corpus_problem):
+    assert_table_matches_naive_oracle(corpus_problem[1], 8)
+
+
+def test_homology_matches_naive_oracle_on_random_problems(budget):
+    # the first problems of the benchmark's library-fuzz stream (its seed
+    # and draw): m <= 5, n <= 3, B entries in [-3, 3]
+    rng = random.Random(2012)
+    with budget(20):
+        for _ in range(40):
+            problem = parse_problem(random_problem(rng))
+            assert_table_matches_naive_oracle(problem, 8)
+
+
 def test_weighted_12_head_of_table(corpus):
     problem = corpus["wps12"]
     table = tor_table(problem.complex, problem.B, 4)
@@ -206,6 +220,23 @@ def test_weighted_12_head_of_table(corpus):
     assert table.piece(0, 2) == ZModule(1)
     assert table.piece(0, 4) == ZModule(0, (2,))
     assert table.piece(1, 4) == ZModule(0)
+    assert table.piece(1, 0) == ZModule(0)
+
+
+@pytest.mark.parametrize("p, j", [(0, 6), (0, 3), (5, 4), (2, 0), (-1, 0), (0, -2),
+                                  (True, 0), (0, 4.0), ("0", 0)])
+def test_piece_refuses_cells_outside_the_table(corpus, p, j):
+    problem = corpus["wps12"]
+    with pytest.raises(InputError, match="outside the table"):
+        tor_table(problem.complex, problem.B, 4).piece(p, j)
+
+
+def test_tor1_witness_is_none_without_forms(corpus):
+    K = corpus["wps12"].complex
+    S = SubgroupData(IntMatrix.zeros(0, K.m))
+    table = tor_table(K, S, 4)
+    assert table.n == 0 and table.piece(0, 4) == ZModule(2)  # x1^2 and x2^2
+    assert tor1_witness(K, S, table) is None
 
 
 def test_prod1212_pinned_values(corpus):
