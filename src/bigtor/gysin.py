@@ -21,13 +21,13 @@ the generic snake-chase lift builds tau_* as a matrix, for an echelon
 solve (intlinalg.SnfSolver), and it adds tau*(z) for a fixed chain z so
 that it differs from the explicit wedge lift.
 
-A homology presentation comes with its unit relations already
-eliminated (intlinalg.HomologyPresentation): one generator per kernel
-row that survives, and only the residual relations.  Induced maps run
-the chain maps on those generators' kernel rows and take the image's
-coordinates in the target's generators; exactness at a node is an
-equality of two coordinate lattices over the residual relations.  The
-verification is exact integer arithmetic end to end.
+A homology presentation (intlinalg.HomologyPresentation) is built on
+the chain group divided by its boundaries: its generators are cycles
+on the coordinates that survive, and its relations are the residual
+boundaries.  Induced maps run the chain maps on those generator cycles
+and take the image's coordinates in the target's generators; exactness
+at a node is an equality of two coordinate lattices over the residual
+relations.  The verification is exact integer arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -204,9 +204,8 @@ class GysinData:
         target generator coordinates; chain_map takes and returns sparse
         vectors (dicts index -> entry)."""
         cols = []
-        cycles = src.kernel_lattice().basis
-        for g in src.free:
-            x = tgt.coordinates(chain_map(cycles[g]))
+        for cycle in src.kernel_lattice().basis:
+            x = tgt.coordinates(chain_map(cycle))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
@@ -282,7 +281,7 @@ class GysinData:
         differs from the wedge lift wherever that chain group is nonzero.
         """
         src = self.base.homology(p, j)
-        kernel = [src.kernel_lattice().basis[g] for g in src.free]
+        kernel = src.kernel_lattice().basis
         proj = self.tau_lower(p + 1, j + 2)
         dim = self.ext.chain_dim(p + 1, j + 2)
         if wedge_lift:

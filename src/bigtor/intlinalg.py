@@ -19,10 +19,11 @@ complex's homology, cokernels included, off one such pass per map, and
 kernels are lifted back through the logged pivot rows.
 
 A homology subquotient ker/im is presented as a finitely generated
-abelian group: the image columns written in a kernel basis by echelon
-back-substitution, pruned by the same engine and verified as it is
-built.  Quotient is the one owner of the engine's pivot log: it prunes
-the presentations and the regular-sequence scan's quotients alike.
+abelian group on the chain group divided by the boundaries first: the
+cycles among the surviving coordinates, modulo the residual boundaries,
+verified as it is built.  Quotient is the one owner of the engine's
+pivot log: it divides by the boundaries of a presentation and by the
+forms of the regular-sequence scan alike.
 
 Lattice is the one echelon form, on the same dict rows, with its pivots
 found by bisection: it serves kernels, presentations, solves and
@@ -491,7 +492,7 @@ def homology_structures(differentials) -> list:
             check_complex(d_out, d)
         pivots, residual = _eliminate_units(
             [{} if r in paired else dict(row) for r, row in enumerate(d._entries)])
-        diagonal = _diagonal(residual, d.cols)
+        diagonal = _diagonal(residual, d.cols) if residual else []
         factors = [x for x in diagonal if x > 1]
         for i in range(len(factors)):
             for k in range(i + 1, len(factors)):
@@ -741,8 +742,9 @@ class Quotient(NamedTuple):
     the free generators survive.  relations holds the residual relations,
     dicts over the n generators; pivots logs (generator, row) in
     elimination order, and position maps each pivot generator to its
-    place in the log.  HomologyPresentation prunes with it, and the
-    regular-sequence scan divides by one form at a time."""
+    place in the log.  A homology presentation divides by the
+    boundaries with it, and the regular-sequence scan divides by one
+    form at a time."""
 
     free: tuple
     relations: list
@@ -796,72 +798,48 @@ class Quotient(NamedTuple):
 class HomologyPresentation:
     """ker(d_out)/im(d_in) as Z^k modulo the column span of relations.
 
-    The cycles have a Hermite-reduced basis, kept in kernel_lattice(),
-    and the columns of d_in written in that basis are the full
-    relations, pruned by Quotient.  Generator f is the cycle
-    kernel_lattice().basis[free[f]]; relations holds the residual
-    relations in generator coordinates, and project maps basis
-    coordinates to generator coordinates.
-
-    Verified on construction, not trusted: the residual must present the
-    same group as the full relations, and every full relation must
-    project into the residual lattice; since project is onto, the two
-    make it an isomorphism.
+    C_p is divided by the boundaries first (a Quotient by the columns of
+    d_in), so every chain is congruent to one on the surviving
+    coordinates, and such a chain is a cycle exactly when d_out kills
+    it.  The k generators are the Hermite-reduced kernel basis of d_out
+    on those coordinates, kept with C_p indices in kernel_lattice(), and
+    relations holds the quotient's residual boundaries in that basis.
+    homology_presentation verifies the result: every column of d_in must
+    have class 0.
     """
 
-    __slots__ = ("free", "relations", "structure", "_cycles",
-                 "_quotient", "_index", "_relation_lattice")
+    __slots__ = ("relations", "structure", "_boundaries", "_cycles", "_relation_lattice")
 
-    def __init__(self, cycles: Lattice, columns: list):
-        """cycles has the Hermite-reduced kernel basis as its basis;
-        columns lists the full relations as sparse dicts basis index ->
-        entry."""
-        structure = cokernel_structure(IntMatrix._of(len(columns), cycles.rank, columns).transpose())
-        quotient = Quotient.of(cycles.rank).divided_by(columns)
-        free = quotient.free
-        index = {g: f for f, g in enumerate(free)}
-        residual = [{index[g]: x for g, x in row.items()} for row in quotient.relations]
-        relations = IntMatrix._of(len(residual), len(free), residual).transpose()
-        object.__setattr__(self, "free", free)
+    def __init__(self, boundaries: Quotient, cycles: Lattice, columns: list):
+        """boundaries is C_p modulo the columns of d_in, cycles has the
+        generators as its basis and columns lists the residual boundaries
+        as sparse dicts basis index -> entry."""
+        relations = IntMatrix._of(len(columns), cycles.rank, columns).transpose()
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "structure", cokernel_structure(relations))
+        object.__setattr__(self, "_boundaries", boundaries)
         object.__setattr__(self, "_cycles", cycles)
-        object.__setattr__(self, "_quotient", quotient)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_relation_lattice", Lattice(len(free), residual))
-        if cokernel_structure(relations) != structure:
-            raise InternalCheckError("pruned relations present a different group")
-        for column in columns:
-            if self.project(column) not in self._relation_lattice:
-                raise InternalCheckError("a relation escaped the pruned relation lattice")
+        object.__setattr__(self, "_relation_lattice", Lattice(cycles.rank, columns))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomologyPresentation is immutable")
 
     @property
     def generator_count(self) -> int:
-        return len(self.free)
+        return self._cycles.rank
 
     def kernel_lattice(self) -> Lattice:
-        """The cycles, with the Hermite-reduced kernel basis as basis:
-        its coordinates() are basis coordinates.  The one lattice the
-        presentation was built with; callers must not add to it."""
+        """The generators' span, with the generators as its Hermite-reduced
+        basis: its coordinates() are generator coordinates.  The one
+        lattice the presentation was built with; callers must not add
+        to it."""
         return self._cycles
-
-    def project(self, coords: dict) -> dict:
-        """Generator coordinates of the class with the given basis
-        coordinates, both dicts index -> nonzero entry."""
-        if not isinstance(coords, dict):
-            raise InputError(f"coordinates {coords!r} are not a dict index -> entry")
-        index = self._index
-        return {index[g]: x for g, x in self._quotient.project(coords).items()}
 
     def coordinates(self, cycle: dict):
         """Generator coordinates of an ambient cycle (dicts), or None if it is not a cycle."""
         if not isinstance(cycle, dict):
             raise InputError(f"cycle {cycle!r} is not a dict index -> entry")
-        x = self._cycles.coordinates(cycle)
-        return None if x is None else self.project(x)
+        return self._cycles.coordinates(self._boundaries.project(cycle))
 
     def class_is_zero(self, coords) -> bool:
         """Whether the class with the given generator coordinates, a
@@ -870,19 +848,32 @@ class HomologyPresentation:
 
 
 def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresentation:
-    """Presentation of ker(d_out)/im(d_in).
+    """Presentation of ker(d_out)/im(d_in), built on C_p modulo the
+    boundaries, so no kernel over all of C_p is formed.
 
     Requires d_out * d_in = 0; anything else means the complex handed in
     is broken, which is reported as an internal error.
     """
     check_complex(d_out, d_in)
-    # kernel of an integer matrix is a saturated sublattice, so every
-    # image column has integer coordinates in the kernel basis
-    lattice = kernel_lattice(d_out)
-    columns = [lattice.coordinates(column) for column in d_in.sparse_columns()]
+    image = d_in.sparse_columns()
+    boundaries = Quotient.of(d_in.rows).divided_by(image)
+    free = boundaries.free
+    index = {c: k for k, c in enumerate(free)}
+    restricted = [{index[c]: x for c, x in row.items() if c in index} for row in d_out._entries]
+    kernel = kernel_lattice(IntMatrix._of(d_out.rows, len(free), restricted))
+    # free is increasing, so the Hermite basis keeps its pivot order and stays reduced
+    cycles = Lattice(d_in.rows, ({free[k]: x for k, x in vec.items()} for vec in kernel.basis))
+    # the residual boundaries are cycles on the free coordinates, and the
+    # kernel there is saturated, so each has integer coordinates
+    columns = [cycles.coordinates(row) for row in boundaries.relations]
     if None in columns:
-        raise InternalCheckError("image vector escaped the kernel lattice")
-    return HomologyPresentation(lattice, columns)
+        raise InternalCheckError("a boundary escaped the kernel lattice")
+    pres = HomologyPresentation(boundaries, cycles, columns)
+    for column in image:
+        coords = pres.coordinates(column)
+        if coords is None or not pres.class_is_zero(coords):
+            raise InternalCheckError("a column of d_in has a nonzero class")
+    return pres
 
 
 def rational_rank(A: IntMatrix) -> int:

@@ -102,7 +102,7 @@ class KoszulComplex:
     def chain_dim(self, p: int, j: int) -> int:
         if p < 0 or p > self.n or j - 2 * p < 0:
             return 0
-        return len(self.coefficient_basis(p, j)) * len(self.subsets(p))
+        return len(self.coefficient_basis(p, j)) * math.comb(self.n, p)
 
     @_memoized
     def differential(self, p: int, j: int) -> IntMatrix:
@@ -189,9 +189,12 @@ def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     if K.m != S.m:
         raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
     complex_ = _complex_for(K, S)
-    columns = {j: homology_structures(complex_.differential(p, j) for p in range(S.n + 2))
+    # C_p vanishes in degree j once 2p > j, so Tor_p does too
+    columns = {j: homology_structures(complex_.differential(p, j)
+                                      for p in range(min(S.n, j // 2) + 2))
                for j in range(0, D + 1, 2)}
-    table = {(p, j): groups[p] for j, groups in columns.items() for p in range(S.n + 1)}
+    table = {(p, j): groups[p] if p < len(groups) else ZModule(0)
+             for j, groups in columns.items() for p in range(S.n + 1)}
     return BigradedTor(n=S.n, D=D, table=table)
 
 
@@ -200,8 +203,9 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     degree of the table (of K and S) where Tor_1 is nonzero; None when
     Tor_1 vanishes there.
 
-    The witness is the first Hermite-reduced kernel basis vector whose
-    class is nonzero, so reruns always pick the same cycle.
+    The witness is the first vector of the Hermite-reduced basis of
+    ker d_1 whose class is nonzero in the presentation of H_1, so reruns
+    always pick the same cycle.
     """
     degrees = range(0, table.D + 1, 2) if table.n else ()  # no Tor_1 when n = 0
     j = next((j for j in degrees if not table.piece(1, j).is_zero()), None)
@@ -209,12 +213,12 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
         return None
     complex_ = _complex_for(K, S)
     pres = complex_.homology(1, j)
-    cycles = pres.kernel_lattice()
-    chosen = next((vec for g, vec in enumerate(cycles.basis)
-                   if not pres.class_is_zero(pres.project({g: 1}))), None)
+    d = complex_.differential(1, j)
+    chosen = next((vec for vec in kernel_lattice(d).basis
+                   if not pres.class_is_zero(pres.coordinates(vec))), None)
     if chosen is None:
         raise InternalCheckError("nonzero homology but every generator died")
-    if not complex_.differential(1, j).mul(IntMatrix.from_columns([chosen], cycles.n)).is_zero():
+    if not d.mul(IntMatrix.from_columns([chosen], d.cols)).is_zero():
         raise InternalCheckError("selected witness is not a cycle")
     monomials = complex_.coefficient_basis(1, j)
     parts = {}  # xi index -> the coefficient's terms

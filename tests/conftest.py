@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from bigtor.cli import parse_problem
-from bigtor.intlinalg import HomologyPresentation
+from bigtor.intlinalg import Quotient
 from bigtor.stanley_reisner import LinearForm, monomial_basis, mult_matrix
 
 import oracles
@@ -74,17 +74,17 @@ def budget():
 
 @pytest.fixture
 def broken_prune(monkeypatch):
-    """Patch HomologyPresentation.project so that every pivot generator
-    is substituted with the wrong sign; the gate that runs as each
+    """Patch Quotient.project so that every pivot generator is
+    substituted with the wrong sign; the gate that runs as each
     presentation is built must catch it."""
-    original = HomologyPresentation.project
+    original = Quotient.project
 
-    def flipped(self, coords):
-        free = set(self.free)
-        return original(self, {g: x if g in free else -x for g, x in coords.items()})
+    def flipped(self, v):
+        pivots = [(g, {k: y if k == g else -y for k, y in row.items()}) for g, row in self.pivots]
+        return original(self._replace(pivots=pivots), v)
 
     def install():
-        monkeypatch.setattr(HomologyPresentation, "project", flipped)
+        monkeypatch.setattr(Quotient, "project", flipped)
 
     return install
 

@@ -213,6 +213,34 @@ def test_homology_matches_naive_oracle_on_random_problems(budget):
             assert_table_matches_naive_oracle(problem, 8)
 
 
+def assert_presentations_match_table(problem, D):
+    kc = koszul_of(problem)
+    table = tor_table(problem.complex, problem.B, D)
+    for p in range(problem.B.n + 1):
+        for j in range(0, D + 1, 2):
+            pres = kc.homology(p, j)
+            d_out, d_in = kc.differential(p, j), kc.differential(p + 1, j)
+            rows = d_out.to_lists()
+            rank, torsion = oracles.homology_structure(rows, d_in.to_lists(), kc.chain_dim(p, j))
+            assert pres.structure == table.piece(p, j), (p, j)
+            assert (pres.structure.rank, list(pres.structure.torsion)) == (rank, torsion), (p, j)
+            for generator in pres.kernel_lattice().basis:
+                assert all(sum(row[c] * x for c, x in generator.items()) == 0 for row in rows)
+            for column in d_in.sparse_columns():
+                assert pres.class_is_zero(pres.coordinates(column)), (p, j)
+
+
+def test_presentations_match_table_and_oracle(corpus, budget):
+    # the presentations gysin and the witness read: the same groups as the
+    # table and the dense oracle, generators that are cycles, and boundaries
+    # whose classes vanish
+    rng = random.Random(2312)
+    problems = list(corpus.values()) + [parse_problem(random_problem(rng)) for _ in range(40)]
+    with budget(20):
+        for problem in problems:
+            assert_presentations_match_table(problem, 8)
+
+
 def test_weighted_12_head_of_table(corpus):
     problem = corpus["wps12"]
     table = tor_table(problem.complex, problem.B, 4)
