@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NotGKMError
 from .intlinalg import IntMatrix, det, rational_rank
-from .simplicial import SimplicialComplex, SubgroupData, _memoized
+from .simplicial import SimplicialComplex, SubgroupData, _column_submatrix, _memoized
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
@@ -106,9 +106,7 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
             raise NotGKMError(
                 f"complex is not pure of dimension {n - 1}: face {set(face)} has size {len(face)}"
             )
-        sub = IntMatrix.from_columns(
-            [tuple(S.B[(r, i - 1)] for r in range(n)) for i in face], rows=n
-        )
+        sub = _column_submatrix(S.B, face)
         d = det(sub)
         if d == 0:
             raise NotGKMError(f"vertex submatrix at face {set(face)} is singular")
@@ -116,9 +114,7 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
         inverse = tuple(
             tuple(Fraction(_cofactor(sub, c, r), d) for c in range(n)) for r in range(n)
         )
-        out.append(
-            VertexData(face=face, submatrix=sub, det=d, alpha_rows=inverse)
-        )
+        out.append(VertexData(face=face, submatrix=sub, det=d, alpha_rows=inverse))
     data = tuple(out)
     for r in range(n):
         expected = Polynomial.variable(n, r + 1)

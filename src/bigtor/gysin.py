@@ -19,7 +19,8 @@ short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
 the generic snake-chase lift builds tau_* as a matrix, for an echelon
 solve (intlinalg.SnfSolver), and it adds tau*(z) for a fixed chain z so
-that it differs from the explicit wedge lift.
+that it differs from the explicit wedge lift; by linearity the chase
+applies the extended differential to tau*(z) once per cell.
 
 A homology presentation (intlinalg.HomologyPresentation) is built on
 the chain group divided by its boundaries: its generators are cycles
@@ -257,10 +258,15 @@ class GysinData:
         inc = self.tau_star(p, j + 2)
         xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
+        # by linearity, d_ext runs once on the generic lift's shift (see _lifts)
+        shift = {} if wedge_lift else self._shift(p + 1, j + 2)
+        shifted = {}
+        for e, x in shift.items():
+            _add_multiple(shifted, x, d_ext[e])
         cols = []
         for w in self._lifts(p, j, wedge_lift):
-            y = {}
-            for e, x in w.items():
+            y = dict(shifted)
+            for e, x in _add_multiple(dict(w), -1, shift).items():
                 _add_multiple(y, x, d_ext[e])
             if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
@@ -269,6 +275,11 @@ class GysinData:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
+
+    @_memoized
+    def _shift(self, p: int, j: int) -> dict:
+        """tau*(z), z the all-ones base chain at (p, j); see _lifts."""
+        return self.tau_star(p, j).push(dict.fromkeys(range(self.base.chain_dim(p, j)), 1))
 
     def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
         """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
@@ -292,11 +303,10 @@ class GysinData:
             for e, k in proj.target.items():
                 rows[k][e] = proj.sign
             solver = SnfSolver(IntMatrix(rows, cols=dim))
-            inc = self.tau_star(p + 1, j + 2)
-            shift = inc.push(dict.fromkeys(inc.target, 1))
             lifts = [solver.solve(vec) for vec in kernel]
             if None in lifts:
                 raise InternalCheckError("projection failed to lift a cycle")
+            shift = self._shift(p + 1, j + 2)
             lifts = [_add_multiple(w, 1, shift) for w in lifts]
         if any(proj.push(w) != vec for vec, w in zip(kernel, lifts)):
             raise InternalCheckError("lift does not project back")

@@ -26,16 +26,15 @@ pivot log: it divides by the boundaries of a presentation and by the
 forms of the regular-sequence scan alike.
 
 Lattice is the one echelon form, on the same dict rows, with its pivots
-found by bisection: it serves kernels, presentations, solves and
-invariant factors.  It size-reduces every row it builds, so entries stay
-small, and SnfSolver solves A x = b on the echelon basis of the rows
-(column k of A, e_k).  Kernels, solves and coordinates are dicts; dense
-tuples appear only in IntMatrix.row and to_lists and in Lattice's
-dense-in, dense-out paths.  rational_rank is a separate sparse
+found by bisection: it serves kernels, presentations, solves, invariant
+factors and determinants.  It size-reduces every row it builds, so
+entries stay small, and SnfSolver solves A x = b on the echelon basis of
+the rows (column k of A, e_k).  Kernels, solves and coordinates are
+dicts; dense tuples appear only in IntMatrix.row and to_lists and in
+Lattice's dense-in, dense-out paths.  rational_rank is a separate sparse
 fraction-free elimination that shares no code with the engine, so the
-two can cross-check each other, and a dense Bareiss pass serves det
-alone.  Everything runs on Python ints, and IntMatrix, ZModule and
-Lattice refuse any other entry.
+two can cross-check each other.  Everything runs on Python ints, and
+IntMatrix, ZModule and Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -391,41 +390,6 @@ def _eliminate_units(rows: list) -> tuple:
     return pivots, [active[i] for i in sorted(active)]
 
 
-def _bareiss(m: list) -> tuple:
-    """Fraction-free elimination of the dense rows m, in place, with row
-    and column swaps, for det alone.  Returns (rank, minor, sign): minor
-    is the leading rank x rank minor of the swapped matrix (nonzero; 1 at
-    rank 0) and sign the parity of the swaps."""
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    sign = 1
-    prev = 1
-    r = 0
-    while r < rows and r < cols:
-        found = next(((i, k) for i in range(r, rows) for k in range(r, cols) if m[i][k]), None)
-        if found is None:
-            break
-        i, k = found
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            sign = -sign
-        if k != r:
-            for row in m:
-                row[r], row[k] = row[k], row[r]
-            sign = -sign
-        top = m[r]
-        p = top[r]
-        for i in range(r + 1, rows):
-            row = m[i]
-            a = row[r]
-            for k in range(r + 1, cols):
-                row[k] = (row[k] * p - a * top[k]) // prev
-            row[r] = 0
-        prev = p
-        r += 1
-    return r, prev, sign
-
-
 def kernel_lattice(A: IntMatrix) -> Lattice:
     """{v : A v = 0} as a Lattice whose basis is Hermite-reduced.
 
@@ -589,13 +553,18 @@ class Lattice:
     (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A Hermite-reduced
     basis added in pivot order is therefore kept as it is.  A vector
     handed in is a sequence of n entries or a dict, converted once.
+
+    sign is the determinant (+-1) of the row operations so far, the vector
+    being added counted last: xgcd steps [[x, y], [-b/g, a/g]] and
+    subtractions have determinant 1, so only negating a new pivot row and
+    moving it from the end to its place flip it (det uses it).
     """
 
-    __slots__ = ("n", "basis", "pivots")
+    __slots__ = ("n", "basis", "pivots", "sign")
 
     def __init__(self, n: int, vectors=()):
         self.n = _dimension(n, "lattice width")
-        self.basis, self.pivots = [], []
+        self.basis, self.pivots, self.sign = [], [], 1
         for v in vectors:
             self.add(v)
 
@@ -618,6 +587,9 @@ class Lattice:
             if pos == len(pivots) or pivots[pos] != lead:
                 if v[lead] < 0:
                     v = {c: -x for c, x in v.items()}
+                    self.sign = -self.sign
+                if (len(pivots) - pos) & 1:  # v moves from the end to pos
+                    self.sign = -self.sign
                 basis.insert(pos, self._reduce(v, lead))
                 pivots.insert(pos, lead)
                 return
@@ -907,8 +879,11 @@ def rational_rank(A: IntMatrix) -> int:
 
 
 def det(A: IntMatrix) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
+    """Determinant of a square integer matrix: the sign of one Lattice of
+    its rows times the product of its pivots, or 0 below full rank."""
     if A.rows != A.cols:
         raise InputError("determinant of a non-square matrix")
-    rank, minor, sign = _bareiss(A.to_lists())
-    return sign * minor if rank == A.rows else 0
+    lattice = Lattice(A.cols, A._entries)
+    if lattice.rank < A.rows:
+        return 0
+    return lattice.sign * math.prod(row[lead] for row, lead in zip(lattice.basis, lattice.pivots))

@@ -255,9 +255,8 @@ def check_local_freeness(K: SimplicialComplex, S: SubgroupData) -> LocalFreeness
         dets.append((vertices, d))
         if d == 0:
             failing.append(vertices)
-    status = "PASS" if not failing else "FAIL"
     return LocalFreenessReport(
-        status=status,
+        status="PASS" if not failing else "FAIL",
         face_dets=tuple(dets),
         failing_faces=tuple(failing),
         warnings=tuple(warnings),

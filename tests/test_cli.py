@@ -15,6 +15,8 @@ from bigtor.errors import InternalCheckError
 
 from conftest import DATA_DIR
 
+import oracles
+
 
 def path_of(name):
     return str(DATA_DIR / f"{name}.tcx")
@@ -352,6 +354,46 @@ def test_mutated_inputs_never_exit_two(source, tmp_path, capsys, budget):
                 code = cli.main(argv)
                 err = capsys.readouterr().err
                 assert code in (0, 1) and "Traceback" not in err, (argv, text, err)
+
+
+def scale_B(rng, text):
+    """text with each entry of B multiplied by its own factor in
+    [2^64, 2^65), so that every nonzero entry lies past 2^64."""
+    def scale(entries):
+        return re.sub(r"-?\d+", lambda e: str(int(e[0]) * rng.randrange(2**64, 2**65)), entries)
+
+    return re.sub(r"^(B\s*=\s*\[)([^\]]*)", lambda m: m[1] + scale(m[2]), text, flags=re.M)
+
+
+@pytest.mark.parametrize("source", MUTABLE, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_entries_past_64_bits_never_exit_two(source, tmp_path, capsys, budget):
+    # B with entries past 2^64 is a result (0) or an input error (1), on time
+    rng = random.Random(f"scaled/{source.parent.name}/{source.name}")
+    text = scale_B(rng, source.read_text())
+    assert re.search(r"\d{20}", text), text
+    path = write(tmp_path, text)
+    with budget(3):
+        for command in (["check-local-free"], ["check-connected"], ["gkm", "x1 + x2"], ["tor"],
+                        ["check-bigcm"], ["gysin"]):
+            argv = command + ["--input", path, "--max-degree", str(rng.choice((0, 2, 4, 6)))]
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1) and "Traceback" not in err, (argv, text, err)
+
+
+def test_face_determinants_match_the_oracle(capsys):
+    # every face determinant check-local-free prints, sign included, is the
+    # Fraction oracle's determinant of that face's columns of B
+    signs = set()
+    for source in MUTABLE:
+        assert cli.main(["check-local-free", "--input", str(source), "--json"]) == 0
+        faces = json.loads(capsys.readouterr().out)["result"]["face_determinants"]
+        B = cli.parse_problem(source.read_text()).require_B().B
+        for entry in faces:
+            columns = [[B[r, v - 1] for v in entry["face"]] for r in range(B.rows)]
+            assert entry["det"] == oracles.det_fraction(columns), (source.name, entry)
+            signs.add((entry["det"] > 0) - (entry["det"] < 0))
+    assert {-1, 1} <= signs
 
 
 # every command's own arguments on the command line, and the keywords its

@@ -627,6 +627,53 @@ def test_det_matches_oracle():
         det(IntMatrix.zeros(2, 3))
 
 
+def big_square(rng, n):
+    """n x n rows with entries up to 2^64 in size, small ones and zeros
+    mixed in, so that pivots move and leading entries change sign."""
+    return [[rng.choice((0, rng.randint(-9, 9), rng.randint(-2**64, 2**64))) for _ in range(n)]
+            for _ in range(n)]
+
+
+def permutation_sign(perm):
+    """The sign of a permutation of 0..n-1, by counting its inversions."""
+    return (-1) ** sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+
+
+def test_det_is_alternating_and_multiplicative_with_64_bit_entries():
+    # det(PA) = sgn(P) det(A), det(A^T) = det(A) and det(AB) = det(A) det(B),
+    # each value also checked against the Fraction oracle; a Lattice that
+    # lost either of its two sign flips gets these signs wrong
+    rng = random.Random(2424)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        A, B = big_square(rng, n), big_square(rng, n)
+        d, e = det(IntMatrix(A)), det(IntMatrix(B))
+        assert d == oracles.det_fraction(A) and e == oracles.det_fraction(B)
+        perm = rng.sample(range(n), n)
+        PA = [A[i] for i in perm]
+        assert det(IntMatrix(PA)) == permutation_sign(perm) * d == oracles.det_fraction(PA)
+        AT = [list(column) for column in zip(*A)]
+        assert det(IntMatrix(AT)) == d == oracles.det_fraction(AT)
+        AB = [[sum(x * y for x, y in zip(row, column)) for column in zip(*B)] for row in A]
+        assert det(IntMatrix(AB)) == d * e == oracles.det_fraction(AB)
+
+
+def test_det_is_zero_below_full_rank():
+    # a repeated row, a zero row or a row dependent on two others makes
+    # the rows span less than rank n, whatever the size of the entries
+    rng = random.Random(2425)
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        A = big_square(rng, n)
+        k, i, l = rng.sample(range(n), 3)
+        a, b = rng.randint(-2**64, 2**64), rng.randint(-9, 9)
+        for row in (A[i], [0] * n, [a * x + b * y for x, y in zip(A[i], A[l])]):
+            M = A[:k] + [row] + A[k + 1:]
+            assert det(IntMatrix(M)) == 0 == oracles.det_fraction(M)
+    assert det(IntMatrix([[2, 4], [1, 2]])) == 0
+    assert det(IntMatrix([[0]])) == 0
+
+
 def test_int_matrix_basics():
     A = IntMatrix([[1, 2], [3, 4]])
     assert A.row(0) == (1, 2)
