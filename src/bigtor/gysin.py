@@ -18,9 +18,8 @@ Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Exactness of the
 short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
 the generic snake-chase lift builds tau_* as a matrix, for an echelon
-solve (intlinalg.SnfSolver), and it adds tau*(z) for a fixed chain z so
-that it differs from the explicit wedge lift; by linearity the chase
-applies the extended differential to tau*(z) once per cell.
+solve (intlinalg.SnfSolver), and it adds the image under tau* of one
+base basis chain so that it differs from the explicit wedge lift.
 
 A homology presentation (intlinalg.HomologyPresentation) is built on
 the chain group divided by its boundaries: its generators are cycles
@@ -258,15 +257,10 @@ class GysinData:
         inc = self.tau_star(p, j + 2)
         xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
-        # by linearity, d_ext runs once on the generic lift's shift (see _lifts)
-        shift = {} if wedge_lift else self._shift(p + 1, j + 2)
-        shifted = {}
-        for e, x in shift.items():
-            _add_multiple(shifted, x, d_ext[e])
         cols = []
         for w in self._lifts(p, j, wedge_lift):
-            y = dict(shifted)
-            for e, x in _add_multiple(dict(w), -1, shift).items():
+            y = {}
+            for e, x in w.items():
                 _add_multiple(y, x, d_ext[e])
             if any(x for r, x in y.items() if r in xi):
                 raise InternalCheckError("chased boundary left the included subcomplex")
@@ -276,20 +270,16 @@ class GysinData:
             cols.append(coords)
         return IntMatrix.from_columns(cols, rows=tgt.generator_count)
 
-    @_memoized
-    def _shift(self, p: int, j: int) -> dict:
-        """tau*(z), z the all-ones base chain at (p, j); see _lifts."""
-        return self.tau_star(p, j).push(dict.fromkeys(range(self.base.chain_dim(p, j)), 1))
-
     def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
         """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
 
         With wedge_lift, (-1)^p times the xi_{n+1}-wedge: tau_* there
         (sign (-1)^p) inverted on its index set.  Otherwise the solver's
-        preimage plus tau*(z), z the all-ones base chain at (p+1, j+2):
-        tau_* kills tau*(z), and d tau*(z) = tau*(dz) pulls back to a
-        boundary, so the chased class does not change while the lift
-        differs from the wedge lift wherever that chain group is nonzero.
+        preimage plus tau*(e), e basis chain 0 of the base group at
+        (p+1, j+2) (nothing when that group is zero): tau_* kills tau*(e),
+        and d tau*(e) = tau*(de) pulls back to a boundary, so the chased
+        class does not change while the lift differs from the wedge lift
+        wherever that chain group is nonzero.
         """
         src = self.base.homology(p, j)
         kernel = src.kernel_lattice().basis
@@ -306,7 +296,7 @@ class GysinData:
             lifts = [solver.solve(vec) for vec in kernel]
             if None in lifts:
                 raise InternalCheckError("projection failed to lift a cycle")
-            shift = self._shift(p + 1, j + 2)
+            shift = self.tau_star(p + 1, j + 2).push({0: 1})
             lifts = [_add_multiple(w, 1, shift) for w in lifts]
         if any(proj.push(w) != vec for vec, w in zip(kernel, lifts)):
             raise InternalCheckError("lift does not project back")

@@ -439,9 +439,10 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
 
 
 def homology_structures(differentials) -> list:
-    """H_0, ..., H_{k-1} of the complex d_0, ..., d_k (d_p: C_p -> C_{p-1})
-    as ZModules, from one elimination of each d_p in turn; the maps may
-    come from a generator, so that none is built before its turn.
+    """H_0, ..., H_k of the complex d_1, ..., d_k (d_p: C_p -> C_{p-1},
+    k >= 1, nothing past C_k) as ZModules, from one elimination of each
+    d_p in turn; the maps may come from a generator, so that none is
+    built before its turn.
 
     d_{p+1} is checked to compose to zero with d_p, so its rows at d_p's
     unit pivot columns are integer combinations of its other rows (the
@@ -449,6 +450,7 @@ def homology_structures(differentials) -> list:
     (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  H_p
     has rank dim C_p - rank d_p - rank d_{p+1} and the torsion of coker
     d_{p+1} (ker d_p is saturated): _diagonal's entries by gcd and lcm.
+    H_k is ker d_k, saturated and so free.
     """
     groups, d_out, rank_out, paired = [], None, 0, ()
     for d in differentials:
@@ -466,14 +468,15 @@ def homology_structures(differentials) -> list:
         groups.append(ZModule(d.rows - rank_out - rank, tuple(x for x in factors if x > 1)))
         d_out, rank_out, paired = d, rank, {c for c, _ in pivots}
         del pivots, residual  # free these rows before the next map is built
-    return groups[1:]  # groups[0] is coker d_0
+    groups.append(ZModule(d_out.cols - rank_out))
+    return groups
 
 
 def cokernel_structure(A: IntMatrix) -> ZModule:
-    """Structure of Z^rows / column span of A: H_0 of 0 <- Z^rows <- Z^cols."""
+    """Structure of Z^rows / column span of A: H_0 of Z^rows <- Z^cols."""
     if A.is_zero():
         return ZModule(A.rows)
-    return homology_structures([IntMatrix.zeros(0, A.rows), A])[0]
+    return homology_structures([A])[0]
 
 
 def _diagonal(rows: list, width: int) -> list:

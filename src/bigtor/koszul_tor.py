@@ -191,7 +191,7 @@ def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     complex_ = _complex_for(K, S)
     # C_p vanishes in degree j once 2p > j, so Tor_p does too
     columns = {j: homology_structures(complex_.differential(p, j)
-                                      for p in range(min(S.n, j // 2) + 2))
+                                      for p in range(1, max(1, min(S.n, j // 2)) + 1))
                for j in range(0, D + 1, 2)}
     table = {(p, j): groups[p] if p < len(groups) else ZModule(0)
              for j, groups in columns.items() for p in range(S.n + 1)}

@@ -211,6 +211,47 @@ def downward_closure(maximal):
     return faces
 
 
+def reduced_cohomology(faces, J, q):
+    """(rank, torsion) of H~^q(K_J; Z), K_J the full subcomplex on the
+    vertex set J of the complex with the given faces (frozensets, the
+    empty face among them), from its augmented simplicial cochains: the
+    empty face spans C^{-1}, and delta^k takes a k-face to the sum of the
+    (k+1)-faces tau over it, with sign (-1)^i for the i-th vertex of tau
+    missing from it."""
+    cells = {}
+    for face in faces:
+        if face <= J:
+            cells.setdefault(len(face) - 1, []).append(tuple(sorted(face)))
+
+    def coboundary(k):  # delta^k as dense rows, one per (k+1)-face
+        index = {face: c for c, face in enumerate(cells.get(k, ()))}
+        rows = []
+        for tau in cells.get(k + 1, ()):
+            row = [0] * len(index)
+            for i in range(len(tau)):
+                row[index[tau[:i] + tau[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        return rows
+
+    return homology_structure(coboundary(q), coboundary(q - 1), len(cells.get(q, ())))
+
+
+def hochster_tor(maximal, m, p, j):
+    """(rank, torsion) of Tor_p of Z[K] over Z[x_1..x_m] in degree j by
+    Hochster's formula: the sum of H~^{j/2-p-1}(K_J; Z) over the j/2-subsets
+    J of [m], its torsion as invariant factors (Bruns and Herzog,
+    Cohen-Macaulay Rings, Thm 5.5.1; Buchstaber and Panov, Toric Topology,
+    Thm 3.2.9)."""
+    faces = downward_closure(maximal)
+    rank, torsion = 0, []
+    for J in combinations(range(1, m + 1), j // 2):
+        r, t = reduced_cohomology(faces, frozenset(J), j // 2 - p - 1)
+        rank += r
+        torsion += t
+    diagonal = [[t if r == c else 0 for c in range(len(torsion))] for r, t in enumerate(torsion)]
+    return rank, [d for d in smith_diagonal(diagonal) if d > 1]
+
+
 def hilbert_coefficient(maximal, j):
     """Rank of the degree-j piece of the face ring, by binomial counting.
 

@@ -52,15 +52,15 @@ def test_complex_is_freed_by_reference_counting(corpus):
 
 def test_check_bigcm_builds_each_matrix_once(capsys):
     # octahedron with orbifold B at D=12: the table assembles d_p for
-    # p <= min(3, j/2) + 1 at j = 0..12 (2 + 3 + 4 + 5 + 5 + 5 + 5 = 29 maps;
-    # C_p is zero once 2p > j) and the witness's complex 2 more;
+    # 1 <= p <= max(1, min(3, j/2)) at j = 0..12 (1 + 1 + 2 + 3 + 3 + 3 + 3
+    # = 16 maps; C_p is zero once 2p > j) and the witness's complex 2 more;
     # every complex and the regular-sequence scan share the 3 forms x 6
     # degrees of multiplication matrices that K holds
     differential, mult = KoszulComplex.differential.cache_info(), mult_matrix.cache_info()
     argv = ["check-bigcm", "--input", str(INPUTS / "octahedron_orbifold.tcx"), "--max-degree", "12"]
     assert cli.main(argv) == 0
     assert "FAILS" in capsys.readouterr().out
-    assert KoszulComplex.differential.cache_info().misses - differential.misses == 31
+    assert KoszulComplex.differential.cache_info().misses - differential.misses == 18
     assert mult_matrix.cache_info().misses - mult.misses == 18
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -65,6 +66,38 @@ def test_generic_lift_differs_from_wedge_lift(corpus):
     assert differ
     checks = connecting_map_check(G)
     assert checks and all(checks.values())
+
+
+def cross4_orb():
+    """Boundary of the 4-dimensional cross-polytope (vertices i and i + 4
+    antipodal, 16 facets) with B = [diag(1, 2, 1, 2) | -diag(1, 2, 3, 4)]."""
+    facets = [tuple(i + 4 * pick for i, pick in zip(range(1, 5), picks))
+              for picks in itertools.product((0, 1), repeat=4)]
+    B = [[0] * 8 for _ in range(4)]
+    for i, (a, b) in enumerate(zip((1, 2, 1, 2), (1, 2, 3, 4))):
+        B[i][i], B[i][i + 4] = a, -b
+    return build_complex(8, facets), SubgroupData(IntMatrix(B, cols=8))
+
+
+def test_generic_lift_shifts_the_wedge_lift_by_one_basis_chain(corpus, budget):
+    # generic lift - wedge lift is tau*(e), e basis chain 0 of the base
+    # group at (p+1, j+2): one entry 1 where that group is nonzero
+    problem = corpus["cp1cp1"]
+    cases = [(problem.complex, problem.B, 10), (*cross4_orb(), 12)]
+    with budget(2):
+        for K, S_ext, D in cases:
+            G = GysinData(K, S_ext, D)
+            assert verify_exactness(G).all_pass
+            for j in range(0, G.D - 1, 2):
+                for p in range(G.n + 1):
+                    shift = G.tau_star(p + 1, j + 2).push({0: 1})
+                    assert list(shift.values()) == [1] * bool(G.base.chain_dim(p + 1, j + 2))
+                    for generic, wedge in zip(G._lifts(p, j, wedge_lift=False),
+                                              G._lifts(p, j, wedge_lift=True)):
+                        diff = {e: generic.get(e, 0) - wedge.get(e, 0) for e in generic.keys() | wedge}
+                        assert {e: x for e, x in diff.items() if x} == shift, (D, p, j)
+            checks = connecting_map_check(G)
+            assert checks and all(checks.values())
 
 
 def test_node_groups_match_tor_tables(corpus):

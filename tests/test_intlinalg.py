@@ -523,9 +523,9 @@ def test_homology_presentation_rejects_non_complex():
 
 def test_homology_structures_blank_a_paired_row_with_an_entry():
     # d_1's unit pivot pairs a basis element of C_1, and d_2 holds 2 in its row
-    complex_ = [IntMatrix.zeros(0, 1), IntMatrix([[1, 1]]), IntMatrix([[2], [-2]])]
-    assert homology_structures(complex_) == [ZModule(0), ZModule(0, (2,))]
-    assert homology_structures(iter(complex_)) == [ZModule(0), ZModule(0, (2,))]
+    complex_ = [IntMatrix([[1, 1]]), IntMatrix([[2], [-2]])]
+    assert homology_structures(complex_) == [ZModule(0), ZModule(0, (2,)), ZModule(0)]
+    assert homology_structures(iter(complex_)) == [ZModule(0), ZModule(0, (2,)), ZModule(0)]
 
 
 def test_homology_structures_check_every_pair():
@@ -533,9 +533,12 @@ def test_homology_structures_check_every_pair():
         homology_structures([IntMatrix([[1]]), IntMatrix([[1]])])
     # the first pair composes to zero, the second does not
     with pytest.raises(InternalCheckError, match="compose to zero"):
-        homology_structures([IntMatrix.zeros(0, 1), IntMatrix([[1, 1]]), IntMatrix([[1], [0]])])
+        homology_structures([IntMatrix([[1, 1]]), IntMatrix([[1], [-1]]), IntMatrix([[1]])])
     with pytest.raises(InternalCheckError, match="chain spaces disagree"):
-        homology_structures([IntMatrix.zeros(0, 2), IntMatrix([[1, 1]])])
+        homology_structures([IntMatrix([[1, 1]]), IntMatrix([[1]])])
+    # a pair that passes: the last group is ker d_2, of rank 2 - 1
+    assert homology_structures([IntMatrix([[1, 1]]), IntMatrix([[1, 2], [-1, -2]])]) == [
+        ZModule(0), ZModule(0), ZModule(1)]
 
 
 def random_unimodular(rng, n):
@@ -563,15 +566,15 @@ def test_homology_structures_of_disguised_standard_complexes():
                          for _ in range(k)] + [[]]
         dims = [free[p] + len(pieces[p]) + len(pieces[p + 1]) for p in range(k + 1)]
         changes = [random_unimodular(rng, n) for n in dims]
-        complex_ = [IntMatrix.zeros(0, dims[0])]
+        complex_ = []
         for p in range(1, k + 1):
             D = [[0] * dims[p] for _ in range(dims[p - 1])]
             for i, t in enumerate(pieces[p]):
                 D[free[p - 1] + len(pieces[p - 1]) + i][free[p] + i] = t
             U, inverse = IntMatrix(changes[p - 1][0], dims[p - 1]), IntMatrix(changes[p][1], dims[p])
             complex_.append(U.mul(IntMatrix(D, dims[p])).mul(inverse))
-        expected = []
-        for p in range(k):
+        expected = []  # H_k is Z^free[k], as pieces[k + 1] is empty
+        for p in range(k + 1):
             diagonal = [[t if r == c else 0 for c in range(len(pieces[p + 1]))]
                         for r, t in enumerate(pieces[p + 1])]
             torsion = tuple(d for d in oracles.smith_diagonal(diagonal) if d > 1)

@@ -36,7 +36,7 @@ from bigtor.stanley_reisner import (
 )
 
 import oracles
-from conftest import tor0_oracle
+from conftest import DATA_DIR, tor0_oracle
 from test_regular_sequence import random_problem
 
 
@@ -211,6 +211,26 @@ def test_homology_matches_naive_oracle_on_random_problems(budget):
         for _ in range(40):
             problem = parse_problem(random_problem(rng))
             assert_table_matches_naive_oracle(problem, 8)
+
+
+RP2_6 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+         (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+
+
+def test_tor_over_the_polynomial_ring_matches_hochster(budget):
+    # with B = I_m the forms are the variables, and Hochster's formula
+    # gives every Tor_p in degree j from the full subcomplexes' integral
+    # cohomology, computed with no bigtor code
+    complexes = [parse_problem(path.read_text()).complex for path in sorted(DATA_DIR.glob("*.tcx"))]
+    complexes.append(build_complex(6, RP2_6))
+    with budget(2):
+        for K in complexes:
+            S = SubgroupData(IntMatrix([[int(i == k) for k in range(K.m)] for i in range(K.m)], cols=K.m))
+            table = tor_table(K, S, 2 * K.m)
+            for (p, j), piece in table.table.items():
+                expected = oracles.hochster_tor(K.face_vertices(), K.m, p, j)
+                assert oracles.structure_pair(piece) == expected, (K.face_vertices(), p, j)
+        assert table.piece(3, 12) == ZModule(0, (2,))  # H~^2(RP^2) = Z/2
 
 
 def assert_presentations_match_table(problem, D):
