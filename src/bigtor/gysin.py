@@ -14,7 +14,10 @@ differentials, which changes no kernel or image.
 
 Both maps only copy or sign coordinates, so they are signed index maps
 that push sparse chains (a reduction's chain maps are index bookkeeping:
-Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Exactness of the
+Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Each, like the
+wedge lift and the chase's pull-back, sends subset blocks to subset
+blocks (KoszulComplex.block_map, the one owner of the chain layout), and
+the connecting map multiplies by KoszulComplex.times.  Exactness of the
 short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
 the generic snake-chase lift builds tau_* as a matrix, for an echelon
@@ -47,7 +50,7 @@ from .intlinalg import (
 )
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
-from .stanley_reisner import LinearForm, _require_even, mult_matrix
+from .stanley_reisner import LinearForm, _require_even
 
 
 class LESNode(NamedTuple):
@@ -100,8 +103,9 @@ class GysinData:
 
     split is the 0-based row of B-tilde taken as u_{n+1}; the remaining
     rows, in order, are the base forms.  The instance owns its caches:
-    index maps and induced maps are each computed once, and its two
-    Koszul complexes memoize their presentations.
+    tau*, tau_* and the induced maps are each computed once, and its two
+    Koszul complexes memoize their presentations; the wedge and the
+    section serve one chase each and are built per call.
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
@@ -115,8 +119,6 @@ class GysinData:
             split = n_ext - 1
         if type(split) is not int or not 0 <= split < n_ext:
             raise InputError(f"split row {split!r} is not an integer in 0..{n_ext - 1}")
-        self.K = K
-        self.S_ext = S_ext
         self.D = D
         self.split = split
         self.n = n_ext - 1
@@ -135,28 +137,28 @@ class GysinData:
     def tau_star(self, p: int, j: int) -> IndexMap:
         """Inclusion C_{p,j} -> C~_{p,j}: each subset avoiding n+1 keeps
         its block of monomial coordinates."""
-        target = {}
-        if self.base.chain_dim(p, j):
-            block = len(self.base.coefficient_basis(p, j))
-            ext_index = {S: k for k, S in enumerate(self.ext.subsets(p))}
-            target = {si * block + t: ext_index[S] * block + t
-                      for si, S in enumerate(self.base.subsets(p)) for t in range(block)}
+        target = self.base.block_map(p, j, self.ext, p, lambda S: S)
         return IndexMap(target, 1, self.ext.chain_dim(p, j))
 
     @_memoized
     def tau_lower(self, p: int, j: int) -> IndexMap:
         """Signed xi_{n+1} component C~_{p,j} -> C_{p-1,j-2}: the block of
         S + (n+1,) goes to the block of S with sign (-1)^(p-1)."""
-        target = {}
-        dim = self.base.chain_dim(p - 1, j - 2)
-        if dim and self.ext.chain_dim(p, j):
-            block = dim // len(self.base.subsets(p - 1))
-            base_index = {S: k for k, S in enumerate(self.base.subsets(p - 1))}
-            top = self.n + 1
-            target = {si * block + t: base_index[S[:-1]] * block + t
-                      for si, S in enumerate(self.ext.subsets(p)) if S[-1] == top
-                      for t in range(block)}
-        return IndexMap(target, -1 if (p - 1) % 2 else 1, dim)
+        top = self.n + 1
+        target = self.ext.block_map(p, j, self.base, p - 1, lambda S: S[:-1] if top in S else None)
+        return IndexMap(target, -1 if (p - 1) % 2 else 1, self.base.chain_dim(p - 1, j - 2))
+
+    def wedge(self, p: int, j: int) -> IndexMap:
+        """C_{p,j} -> C~_{p+1,j+2}, tau_* at (p+1, j+2) inverted on its
+        index set: the block of S goes to the block of S + (n+1,)."""
+        target = self.base.block_map(p, j, self.ext, p + 1, lambda S: S + (self.n + 1,))
+        return IndexMap(target, self.tau_lower(p + 1, j + 2).sign, self.ext.chain_dim(p + 1, j + 2))
+
+    def section(self, p: int, j: int) -> IndexMap:
+        """C~_{p,j} -> C_{p,j}, tau* inverted on its image: the block of
+        each subset avoiding n+1 keeps its coordinates, the rest go to 0."""
+        target = self.ext.block_map(p, j, self.base, p, lambda S: None if self.n + 1 in S else S)
+        return IndexMap(target, self.tau_star(p, j).sign, self.base.chain_dim(p, j))
 
     def _verify_chain_level(self):
         """SES exactness by index bookkeeping and the (anti)commutation
@@ -204,7 +206,7 @@ class GysinData:
         target generator coordinates; chain_map takes and returns sparse
         vectors (dicts index -> entry)."""
         cols = []
-        for cycle in src.kernel_lattice().basis:
+        for cycle in src.cycles.basis:
             x = tgt.coordinates(chain_map(cycle))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
@@ -229,42 +231,28 @@ class GysinData:
         tgt = self.base.homology(p, j + 2)
         if p < 0 or j < 0 or not src.generator_count:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        # block diagonal over the exterior subsets, one block per subset
-        block = mult_matrix(self.K, self.split_form, j - 2 * p)
-        block_columns = block.sparse_columns()
-
-        def multiply(vec):
-            out = {}
-            for c, x in vec.items():
-                s, k = divmod(c, block.cols)
-                for r, v in block_columns[k].items():
-                    r += s * block.rows
-                    out[r] = out.get(r, 0) + x * v
-            return out
-
-        return self.induced(multiply, src, tgt)
+        return self.induced(self.base.times(self.split_form, p, j), src, tgt)
 
     def delta_by_chase(self, p: int, j: int, wedge_lift: bool = False) -> IntMatrix:
         """The same connecting map via the snake-lemma chase.
 
         Lifts each generator through tau_* (see _lifts), applies the
-        extended differential, and pulls back through tau*.
+        extended differential, and pulls back through tau*'s section.
         """
         src = self.base.homology(p, j)
         tgt = self.base.homology(p, j + 2)
         if j < 0 or not src.generator_count:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        inc = self.tau_star(p, j + 2)
-        xi = self.tau_lower(p, j + 2).target  # the xi_{n+1} indices below
+        section = self.section(p, j + 2)
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
         cols = []
         for w in self._lifts(p, j, wedge_lift):
             y = {}
             for e, x in w.items():
                 _add_multiple(y, x, d_ext[e])
-            if any(x for r, x in y.items() if r in xi):
+            if not y.keys() <= section.target.keys():
                 raise InternalCheckError("chased boundary left the included subcomplex")
-            coords = tgt.coordinates({k: inc.sign * y[t] for k, t in inc.target.items() if t in y})
+            coords = tgt.coordinates(section.push(y))
             if coords is None:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)
@@ -273,26 +261,22 @@ class GysinData:
     def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
         """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
 
-        With wedge_lift, (-1)^p times the xi_{n+1}-wedge: tau_* there
-        (sign (-1)^p) inverted on its index set.  Otherwise the solver's
-        preimage plus tau*(e), e basis chain 0 of the base group at
+        With wedge_lift, the generators' wedges (see wedge).  Otherwise the
+        solver's preimage plus tau*(e), e basis chain 0 of the base group at
         (p+1, j+2) (nothing when that group is zero): tau_* kills tau*(e),
         and d tau*(e) = tau*(de) pulls back to a boundary, so the chased
         class does not change while the lift differs from the wedge lift
         wherever that chain group is nonzero.
         """
-        src = self.base.homology(p, j)
-        kernel = src.kernel_lattice().basis
+        kernel = self.base.homology(p, j).cycles.basis
         proj = self.tau_lower(p + 1, j + 2)
-        dim = self.ext.chain_dim(p + 1, j + 2)
         if wedge_lift:
-            wedge = IndexMap({k: e for e, k in proj.target.items()}, proj.sign, dim)
-            lifts = [wedge.push(vec) for vec in kernel]
+            lifts = [self.wedge(p, j).push(vec) for vec in kernel]
         else:
             rows = [{} for _ in range(proj.dim)]
             for e, k in proj.target.items():
                 rows[k][e] = proj.sign
-            solver = SnfSolver(IntMatrix(rows, cols=dim))
+            solver = SnfSolver(IntMatrix(rows, cols=self.ext.chain_dim(p + 1, j + 2)))
             lifts = [solver.solve(vec) for vec in kernel]
             if None in lifts:
                 raise InternalCheckError("projection failed to lift a cycle")
@@ -361,9 +345,9 @@ def verify_exactness(G: GysinData) -> GysinReport:
 
 
 def connecting_map_check(G: GysinData) -> dict:
-    """Compare the three routes to the connecting map at every cell:
-    multiplication by the split form, a generic snake chase, and the
-    wedge-lift chase.  Any disagreement modulo boundaries is a bug."""
+    """Compare the generic snake chase and the wedge-lift chase with
+    multiplication by the split form at every cell, modulo boundaries
+    (so the two chases agree too); any disagreement is a bug."""
     results = {}
     for j in range(0, G.D - 1, 2):
         for p in range(G.n + 1):
@@ -371,12 +355,9 @@ def connecting_map_check(G: GysinData) -> dict:
             mult = G.delta_induced(p, j)
             chase = G.delta_by_chase(p, j, wedge_lift=False)
             wedge = G.delta_by_chase(p, j, wedge_lift=True)
-            for a, b, names in (
-                (mult, chase, "multiplication vs chase"),
-                (mult, wedge, "multiplication vs wedge lift"),
-                (chase, wedge, "chase vs wedge lift"),
-            ):
-                for diff, column in zip(a.sparse_columns(), b.sparse_columns()):
+            for other, names in ((chase, "multiplication vs chase"),
+                                 (wedge, "multiplication vs wedge lift")):
+                for diff, column in zip(mult.sparse_columns(), other.sparse_columns()):
                     _add_multiple(diff, -1, column)
                     if diff and not tgt.class_is_zero(diff):
                         raise InternalCheckError(

@@ -770,56 +770,40 @@ class Quotient(NamedTuple):
         return {g: x for g, x in v.items() if x}
 
 
-class HomologyPresentation:
+class HomologyPresentation(NamedTuple):
     """ker(d_out)/im(d_in) as Z^k modulo the column span of relations.
 
-    C_p is divided by the boundaries first (a Quotient by the columns of
-    d_in), so every chain is congruent to one on the surviving
-    coordinates, and such a chain is a cycle exactly when d_out kills
-    it.  The k generators are the Hermite-reduced kernel basis of d_out
-    on those coordinates, kept with C_p indices in kernel_lattice(), and
-    relations holds the quotient's residual boundaries in that basis.
+    C_p is divided by the boundaries first (boundaries, a Quotient by the
+    columns of d_in), so every chain is congruent to one on the surviving
+    coordinates, and such a chain is a cycle exactly when d_out kills it.
+    The k generators are the Hermite-reduced basis of cycles, the kernel
+    of d_out on those coordinates with C_p indices; callers must not add
+    to it.  relations holds the residual boundaries in that basis,
+    structure their cokernel and relation_lattice their span.
     homology_presentation verifies the result: every column of d_in must
     have class 0.
     """
 
-    __slots__ = ("relations", "structure", "_boundaries", "_cycles", "_relation_lattice")
-
-    def __init__(self, boundaries: Quotient, cycles: Lattice, columns: list):
-        """boundaries is C_p modulo the columns of d_in, cycles has the
-        generators as its basis and columns lists the residual boundaries
-        as sparse dicts basis index -> entry."""
-        relations = IntMatrix._of(len(columns), cycles.rank, columns).transpose()
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "structure", cokernel_structure(relations))
-        object.__setattr__(self, "_boundaries", boundaries)
-        object.__setattr__(self, "_cycles", cycles)
-        object.__setattr__(self, "_relation_lattice", Lattice(cycles.rank, columns))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomologyPresentation is immutable")
+    boundaries: Quotient
+    cycles: Lattice
+    relations: IntMatrix
+    structure: ZModule
+    relation_lattice: Lattice
 
     @property
     def generator_count(self) -> int:
-        return self._cycles.rank
-
-    def kernel_lattice(self) -> Lattice:
-        """The generators' span, with the generators as its Hermite-reduced
-        basis: its coordinates() are generator coordinates.  The one
-        lattice the presentation was built with; callers must not add
-        to it."""
-        return self._cycles
+        return self.cycles.rank
 
     def coordinates(self, cycle: dict):
         """Generator coordinates of an ambient cycle (dicts), or None if it is not a cycle."""
         if not isinstance(cycle, dict):
             raise InputError(f"cycle {cycle!r} is not a dict index -> entry")
-        return self._cycles.coordinates(self._boundaries.project(cycle))
+        return self.cycles.coordinates(self.boundaries.project(cycle))
 
     def class_is_zero(self, coords) -> bool:
         """Whether the class with the given generator coordinates, a
         sequence or a sparse dict index -> entry, is 0."""
-        return coords in self._relation_lattice
+        return coords in self.relation_lattice
 
 
 def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresentation:
@@ -843,7 +827,9 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     columns = [cycles.coordinates(row) for row in boundaries.relations]
     if None in columns:
         raise InternalCheckError("a boundary escaped the kernel lattice")
-    pres = HomologyPresentation(boundaries, cycles, columns)
+    relations = IntMatrix._of(len(columns), cycles.rank, columns).transpose()
+    pres = HomologyPresentation(boundaries, cycles, relations, cokernel_structure(relations),
+                                Lattice(cycles.rank, columns))
     for column in image:
         coords = pres.coordinates(column)
         if coords is None or not pres.class_is_zero(coords):

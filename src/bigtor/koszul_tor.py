@@ -144,6 +144,40 @@ class KoszulComplex:
                 out.append(row)
         return IntMatrix._of(rows, cols, out)
 
+    def block_map(self, p: int, j: int, other: "KoszulComplex", q: int, image) -> dict:
+        """Dict source index -> target index from C_{p,j} into other's
+        C_{q,j-2(p-q)}: each monomial in the block of subset S goes to the
+        same monomial in the block of image(S), or nowhere when image(S) is
+        None.  Empty, with no subset enumerated, if either group is zero."""
+        if not self.chain_dim(p, j) or not other.chain_dim(q, j - 2 * (p - q)):
+            return {}
+        block = len(self.coefficient_basis(p, j))
+        index = {T: k for k, T in enumerate(other.subsets(q))}
+        out = {}
+        for s, S in enumerate(self.subsets(p)):
+            T = image(S)
+            if T is not None:
+                t0 = index[T] * block
+                out.update((s * block + k, t0 + k) for k in range(block))
+        return out
+
+    def times(self, u: LinearForm, p: int, j: int):
+        """Multiplication by u as a chain map C_{p,j} -> C_{p,j+2}, block
+        diagonal over the subsets: a function of sparse vectors."""
+        block = mult_matrix(self.K, u, j - 2 * p)
+        columns = block.sparse_columns()
+
+        def multiply(vec: dict) -> dict:
+            out = {}
+            for c, x in vec.items():
+                s, k = divmod(c, block.cols)
+                for r, v in columns[k].items():
+                    r += s * block.rows
+                    out[r] = out.get(r, 0) + x * v
+            return out
+
+        return multiply
+
     @_memoized
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))

@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, _dense, kernel_lattice
+from .intlinalg import IntMatrix, _add_multiple, _dense, kernel_lattice
 from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
@@ -386,31 +386,13 @@ class AnnihilatorWitness(NamedTuple):
         return self.as_u_polynomial().render(var="u")
 
 
-def _u_monomials(n: int, half_degree: int) -> list:
-    """Exponent tuples over n variables summing to half_degree, in
-    graded-lex order with u1 largest."""
-    out = []
-
-    def recurse(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            recurse(prefix + (e,), remaining - e, slots - 1)
-
-    if n == 0:
-        return [()] if half_degree == 0 else []
-    recurse((), half_degree, n)
-    return out
-
-
 def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: int):
     """Homogeneous annihilators of f inside Z[u_1, ..., u_n], degree by
     degree up to internal degree E.
 
     Returns one AnnihilatorWitness per kernel basis vector of the maps
-    g -> reduce(g * f); an empty list means no annihilator exists in
-    degrees <= E.
+    g -> g * f, whose columns u^a f come from the multiplication matrices;
+    an empty list means no annihilator exists in degrees <= E.
     """
     _require_even(E)
     if S.m != K.m:
@@ -421,28 +403,26 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
     deg_f = f_red.homogeneous_degree()
     if deg_f is None:
         raise InputError("annihilator search needs a homogeneous element")
-    row_polys = [LinearForm(S.row_coefficients(i)).as_polynomial() for i in range(S.n)]
+    forms = [LinearForm(S.row_coefficients(i)) for i in range(S.n)]
+    index = {mono: i for i, mono in enumerate(monomial_basis(K, deg_f))}
+    exponents = [(0,) * S.n]
+    products = [{index[mono]: c for mono, c in f_red.terms.items()}]  # u^a f, a in exponents
     witnesses = []
     for e in range(2, E + 1, 2):
-        u_monos = _u_monomials(S.n, e // 2)
-        if not u_monos:
-            continue
-        target = monomial_basis(K, deg_f + e)
-        index = {mono: i for i, mono in enumerate(target)}
-        columns = []
-        for exp in u_monos:
-            g = Polynomial.constant(K.m, 1)
-            for i, power in enumerate(exp):
-                for _ in range(power):
-                    g = reduce(K, g * row_polys[i])
-            columns.append({index[mono]: c for mono, c in reduce(K, g * f_red).terms.items()})
-        matrix = IntMatrix.from_columns(columns, rows=len(target))
-        for vec in kernel_lattice(matrix).basis:
-            witnesses.append(
-                AnnihilatorWitness(
-                    degree=e,
-                    u_exponents=tuple(u_monos),
-                    coefficients=_dense(vec, matrix.cols),
-                )
-            )
+        # descending tuples are graded-lex order with u1 largest; u^a f is
+        # u_i (u^(a - e_i) f), i the first index with a_i > 0
+        previous = dict(zip(exponents, products))
+        exponents = sorted({a[:i] + (a[i] + 1,) + a[i + 1:] for a in exponents for i in range(S.n)},
+                           reverse=True)
+        columns = [mult_matrix(K, u, deg_f + e - 2).sparse_columns() for u in forms]
+        products = []
+        for a in exponents:
+            i = next(i for i, x in enumerate(a) if x)
+            product = {}
+            for c, x in previous[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
+                _add_multiple(product, x, columns[i][c])
+            products.append(product)
+        matrix = IntMatrix.from_columns(products, rows=len(monomial_basis(K, deg_f + e)))
+        witnesses += [AnnihilatorWitness(e, tuple(exponents), _dense(vec, matrix.cols))
+                      for vec in kernel_lattice(matrix).basis]
     return witnesses

@@ -279,6 +279,51 @@ def euler_characteristic(maximal, n, j):
     )
 
 
+def face_ring_product(faces, f, g):
+    """f * g in the face ring with the given faces (frozensets of 1-based
+    vertices, as downward_closure gives them), for polynomials as dicts
+    exponent tuple -> coefficient: the product term by term, with every
+    monomial whose support is not a face dropped."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            e = tuple(s + t for s, t in zip(a, b))
+            out[e] = out.get(e, 0) + x * y
+    return {e: x for e, x in out.items()
+            if x and frozenset(v + 1 for v, k in enumerate(e) if k) in faces}
+
+
+def u_multiples(faces, forms, f, half_degree):
+    """u^a f in the face ring, u_i the linear form with coefficient list
+    forms[i], for every exponent vector a with |a| <= half_degree, as a
+    dict a -> polynomial; each is some u_i times an earlier one."""
+    m = len(forms[0])
+    linear = [{tuple(int(k == v) for k in range(m)): c for v, c in enumerate(u) if c}
+              for u in forms]
+    out = {(0,) * len(forms): dict(f)}
+    frontier = list(out)
+    for _ in range(half_degree):
+        grown = []
+        for a in frontier:
+            for i, u in enumerate(linear):
+                b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                if b not in out:
+                    out[b] = face_ring_product(faces, out[a], u)
+                    grown.append(b)
+        frontier = grown
+    return out
+
+
+def annihilator_kernel_rank(multiples, half_degree):
+    """Rank of the kernel of g -> g f on the polynomials g of degree
+    half_degree in the forms, from u_multiples: the number of u^a of that
+    degree minus the rank over Q of the columns u^a f."""
+    columns = [column for a, column in multiples.items() if sum(a) == half_degree]
+    monomials = sorted({e for column in columns for e in column})
+    return len(columns) - rational_rank([[column.get(e, 0) for column in columns]
+                                         for e in monomials])
+
+
 def structure_pair(module):
     """(rank, torsion list) of a bigtor ZModule, for comparisons."""
     return module.rank, list(module.torsion)

@@ -6,11 +6,14 @@ command lines are every command on every tests/data input at the default
 D = 12, with the polynomials, elements, forms and vertices of one seeded
 round of the corpus-commands benchmark workload, and `gysin --split k`
 for every valid k on the same inputs, since the gysin benchmark workload
-runs every split row.  The last five entries run `tor`, `check-bigcm` and
+runs every split row.  The next five entries run `tor`, `check-bigcm` and
 `gysin --split 1|2|3` on perfbench/inputs/octahedron_orbifold.tcx, where
 unit relations make up most of a presentation (Tor_1 at j = 8 has 48
 kernel generators, of which 2 survive the prune), so they pin the
-witness and node bytes where the prune does the most work.
+witness and node bytes where the prune does the most work.  The last two
+run `annihilate` with elements that have annihilators: "x1 + x2" on
+ann_square (35 witnesses) and "x1*x4" on fuzz_p078 (56 witnesses), so
+more than one entry pins the witness bytes.
 """
 
 import json

@@ -16,7 +16,7 @@ from bigtor.gysin import (
 from bigtor.intlinalg import IntMatrix
 from bigtor.koszul_tor import KoszulComplex, tor_table
 from bigtor.simplicial import SubgroupData, build_complex
-from bigtor.stanley_reisner import monomial_basis
+from bigtor.stanley_reisner import monomial_basis, mult_matrix
 
 import oracles
 from conftest import DATA_DIR
@@ -176,6 +176,37 @@ def test_index_maps_match_the_dense_maps(corpus):
             ) == _dense_tau_lower(G, p, j)
 
 
+def _pushed(index_map, dim):
+    """An index map as a matrix: the images of the dim source basis vectors."""
+    return IntMatrix.from_columns([index_map.push({k: 1}) for k in range(dim)], index_map.dim)
+
+
+def test_wedge_section_and_times_match_the_dense_maps(corpus, budget):
+    # tau_* undoes the wedge, the section undoes tau*, and times is one
+    # multiplication block per subset down the diagonal
+    with budget(2):
+        for problem in corpus.values():
+            for split in range(problem.B.n):
+                G = GysinData(problem.complex, problem.B, 8, split=split)
+                for j in range(0, 9, 2):
+                    for p in range(G.n + 1):
+                        dim = G.base.chain_dim(p, j)
+                        wedge = _pushed(G.wedge(p, j), dim)
+                        assert _dense_tau_lower(G, p + 1, j + 2).mul(wedge) == identity(dim)
+                        section = _pushed(G.section(p, j), G.ext.chain_dim(p, j))
+                        assert section.mul(_dense_tau_star(G, p, j)) == identity(dim)
+                        if j + 2 > G.D or not dim:
+                            continue
+                        times = G.base.times(G.split_form, p, j)
+                        block = mult_matrix(problem.complex, G.split_form, j - 2 * p).to_lists()
+                        dense = [[0] * dim for _ in range(G.base.chain_dim(p, j + 2))]
+                        for s in range(len(G.base.subsets(p))):
+                            for r, row in enumerate(block):
+                                dense[s * len(block) + r][s * len(row):(s + 1) * len(row)] = row
+                        assert IntMatrix.from_columns([times({k: 1}) for k in range(dim)],
+                                                      len(dense)) == IntMatrix(dense, cols=dim)
+
+
 def _at(p0, j0, change):
     """Wrap an index-map method so that its map at (p0, j0) is changed."""
     def patch(original):
@@ -258,6 +289,32 @@ def test_broken_prune_exits_two(broken_prune, capsys):
     code = cli.main(["gysin", "--input", str(DATA_DIR / "cp1cp1.tcx"), "--max-degree", "8", "--json"])
     assert code == 2
     assert "has a nonzero class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["cp1cp1", "ann_square"])
+@pytest.mark.parametrize("zeroed, names", [
+    (False, "multiplication vs chase"),
+    (True, "multiplication vs wedge lift"),
+], ids=["chase", "wedge-lift"])
+def test_zeroed_connecting_route_exits_two(corpus, monkeypatch, capsys, name, zeroed, names):
+    # the first cell where multiplication by the split form is nonzero
+    # modulo boundaries is where a zeroed route must be caught
+    problem = corpus[name]
+    G = GysinData(problem.complex, problem.B, 8)
+    p, j = next((p, j) for j in range(0, 7, 2) for p in range(G.n + 1)
+                if any(not G.base.homology(p, j + 2).class_is_zero(column)
+                       for column in G.delta_induced(p, j).sparse_columns()))
+    original = GysinData.delta_by_chase
+
+    def delta_by_chase(self, q, i, wedge_lift=False):
+        delta = original(self, q, i, wedge_lift)
+        return IntMatrix.zeros(delta.rows, delta.cols) if wedge_lift == zeroed else delta
+
+    monkeypatch.setattr(GysinData, "delta_by_chase", delta_by_chase)
+    code = cli.main(["gysin", "--input", str(DATA_DIR / f"{name}.tcx"), "--max-degree", "8", "--json"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"internal error: connecting map routes disagree ({names}) at (p={p}, j={j})\n")
 
 
 def test_gysin_data_is_freed(corpus):

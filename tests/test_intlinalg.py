@@ -400,8 +400,8 @@ def presentation_of(R):
     generators are the unit vectors at the coordinates that survive the
     division by the columns, in increasing order."""
     pres = homology_presentation(IntMatrix.zeros(0, R.rows), R)
-    survivors = [min(v) for v in pres.kernel_lattice().basis]
-    assert pres.kernel_lattice().basis == [{g: 1} for g in survivors]
+    survivors = [min(v) for v in pres.cycles.basis]
+    assert pres.cycles.basis == [{g: 1} for g in survivors]
     assert survivors == sorted(set(survivors))
     return pres
 
@@ -421,7 +421,7 @@ def test_pruned_presentation_random():
         else:
             assert pres.generator_count == k
         assert pres.relations.rows == pres.generator_count
-        for f, vec in enumerate(pres.kernel_lattice().basis):
+        for f, vec in enumerate(pres.cycles.basis):
             assert pres.coordinates(vec) == {f: 1}
         for column in R.sparse_columns():
             assert pres.class_is_zero(pres.coordinates(column))

@@ -244,7 +244,7 @@ def assert_presentations_match_table(problem, D):
             rank, torsion = oracles.homology_structure(rows, d_in.to_lists(), kc.chain_dim(p, j))
             assert pres.structure == table.piece(p, j), (p, j)
             assert (pres.structure.rank, list(pres.structure.torsion)) == (rank, torsion), (p, j)
-            for generator in pres.kernel_lattice().basis:
+            for generator in pres.cycles.basis:
                 assert all(sum(row[c] * x for c, x in generator.items()) == 0 for row in rows)
             for column in d_in.sparse_columns():
                 assert pres.class_is_zero(pres.coordinates(column)), (p, j)

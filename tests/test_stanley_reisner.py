@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from bigtor.cli import parse_problem
 from bigtor.errors import InputError
 from bigtor.intlinalg import IntMatrix, ZModule
 from bigtor.koszul_tor import tor_table
@@ -21,6 +23,7 @@ from bigtor.stanley_reisner import (
 
 import oracles
 from conftest import tor0_oracle
+from test_regular_sequence import random_problem
 
 SQUARE = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
@@ -243,3 +246,51 @@ def test_annihilator_search_input_errors():
         annihilator_search(SQUARE, S, parse_polynomial("x1*x3", 4), 4)  # zero class
     with pytest.raises(InputError):
         annihilator_search(SQUARE, S, parse_polynomial("x1 + x1*x2", 4), 4)
+
+
+def random_annihilator_case(rng):
+    """(problem, f): a problem of random_problem (m <= 5, n <= 3) and a
+    homogeneous f of internal degree 2 or 4 made of one to three
+    monomials on one random face, so that f is nonzero in Z[K]."""
+    while True:
+        problem = parse_problem(random_problem(rng))
+        K, degree, terms = problem.complex, rng.randint(1, 2), {}
+        face = rng.choice(K.face_vertices())
+        face = rng.sample(face, rng.randint(1, len(face)))
+        for _ in range(rng.randint(1, 3)):
+            exp = [0] * K.m
+            for _ in range(degree):
+                exp[rng.choice(face) - 1] += 1
+            terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        f = Polynomial(K.m, terms)
+        if not f.is_zero():
+            return problem, f
+
+
+def test_annihilator_search_matches_the_face_ring_oracle(budget):
+    # 50 seeded cases where the oracle finds an annihilator of degree <= 8
+    # and 50 where it finds none (about one random case in five has one):
+    # per degree, as many witnesses as the oracle's kernel of g -> g f
+    # has rank, and each witness times f is 0 in the oracle's face ring
+    rng = random.Random(26)
+    outcomes = Counter()
+    with budget(2):
+        while min(outcomes[True], outcomes[False]) < 50:
+            problem, f = random_annihilator_case(rng)
+            K, S = problem.complex, problem.B
+            faces = oracles.downward_closure(K.face_vertices())
+            multiples = oracles.u_multiples(faces, [S.row_coefficients(i) for i in range(S.n)],
+                                            f.terms, 4)
+            ranks = {e: oracles.annihilator_kernel_rank(multiples, e // 2) for e in range(2, 9, 2)}
+            if outcomes[any(ranks.values())] == 50:
+                continue
+            witnesses = annihilator_search(K, S, f, 8)
+            for e, rank in ranks.items():
+                assert sum(w.degree == e for w in witnesses) == rank, e
+            for w in witnesses:
+                product = Counter()
+                for a, c in zip(w.u_exponents, w.coefficients):
+                    for mono, x in multiples[a].items():
+                        product[mono] += c * x
+                assert not any(product.values()), w
+            outcomes[bool(witnesses)] += 1
