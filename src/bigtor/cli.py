@@ -249,9 +249,9 @@ def _cmd_tor(spec: ProblemSpec, rational: bool):
 
 def _witness_json(w) -> dict:
     return {
-        "p": w.index.p,
-        "j": w.index.j,
-        "q": w.index.q,
+        "p": w.p,
+        "j": w.j,
+        "q": w.j - w.p,
         "cycle": [
             {"xi": i, "coefficient": poly.render()} for i, poly in w.components
         ],
@@ -286,7 +286,7 @@ def _cmd_check_bigcm(spec: ProblemSpec):
             raise InternalCheckError("bigcm FAILS but no Tor_1 witness found")
         result["witness"] = _witness_json(w)
         text = [
-            f"big Cohen-Macaulay: FAILS: witness at (p=1, j={w.index.j}): "
+            f"big Cohen-Macaulay: FAILS: witness at (p=1, j={w.j}): "
             + w.explanation
         ]
         rw = regular.witness
@@ -384,8 +384,9 @@ def _cmd_gkm(spec: ProblemSpec, polynomial: str):
     p = parse_polynomial(polynomial, spec.complex.m)
     t = phi_restrictions(spec.complex, S, p)
     check = gkm_check(spec.complex, S, t)
+    entries = [entry.render("u") for entry in t]
     result = {
-        "tuple": [entry.render("u") for entry in t.entries],
+        "tuple": entries,
         "gkm_condition": {
             "ok": check.ok,
             "failing_edges": [
@@ -393,7 +394,7 @@ def _cmd_gkm(spec: ProblemSpec, polynomial: str):
             ],
         },
     }
-    lines = [f"Phi({p.render()}) = {t.render()}"]
+    lines = [f"Phi({p.render()}) = ({', '.join(entries)})"]
     lines.append(f"GKM divisibility: {'ok' if check.ok else 'violated'}")
     for v, w, alpha in check.failing_edges:
         lines.append(f"  edge v{v}-v{w}: {alpha} does not divide the difference")

@@ -29,11 +29,9 @@ from .stanley_reisner import (
 
 
 class VertexData(NamedTuple):
-    """One maximal face with its column submatrix and inverse rows."""
+    """One maximal face with the rows of its column submatrix's inverse."""
 
     face: tuple  # vertices i_1 < ... < i_n
-    submatrix: IntMatrix
-    det: int
     alpha_rows: tuple  # rows of B_v^{-1}, tuples of Fraction
 
     def restriction_of(self, i: int, n: int) -> Polynomial:
@@ -42,33 +40,6 @@ class VertexData(NamedTuple):
             return Polynomial.zero(n)
         row = self.alpha_rows[self.face.index(i)]
         return Polynomial(n, {tuple(int(k == r) for k in range(n)): c for r, c in enumerate(row)})
-
-
-class GKMTuple:
-    """One polynomial in the u's per maximal face, in input order."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GKMTuple is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def componentwise_mul(self, other: "GKMTuple") -> "GKMTuple":
-        return GKMTuple(tuple(a * b for a, b in zip(self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def render(self) -> str:
-        return "(" + ", ".join(e.render("u") for e in self.entries) + ")"
 
 
 def _cofactor(M: IntMatrix, r: int, c: int) -> int:
@@ -114,7 +85,7 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
         inverse = tuple(
             tuple(Fraction(_cofactor(sub, c, r), d) for c in range(n)) for r in range(n)
         )
-        out.append(VertexData(face=face, submatrix=sub, det=d, alpha_rows=inverse))
+        out.append(VertexData(face=face, alpha_rows=inverse))
     data = tuple(out)
     for r in range(n):
         expected = Polynomial.variable(n, r + 1)
@@ -131,8 +102,9 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
     return data
 
 
-def phi_restrictions(K: SimplicialComplex, S: SubgroupData, p: Polynomial) -> GKMTuple:
-    """The tuple of restrictions of p, one entry per maximal face."""
+def phi_restrictions(K: SimplicialComplex, S: SubgroupData, p: Polynomial) -> tuple:
+    """The restrictions of p, one Polynomial in the u's per maximal face,
+    in input face order."""
     if p.nvars != K.m:
         raise InputError(f"polynomial in {p.nvars} variables against a complex on [{K.m}]")
     data = vertex_data(K, S)
@@ -147,17 +119,16 @@ def phi_restrictions(K: SimplicialComplex, S: SubgroupData, p: Polynomial) -> GK
                     factor = factor * v.restriction_of(i, n) ** e
             total = total + factor
         entries.append(total)
-    return GKMTuple(tuple(entries))
+    return tuple(entries)
 
 
 class Edge(NamedTuple):
-    """Pair of maximal faces sharing all but one vertex; the forms are
-    the dropped variable's restriction seen from each side."""
+    """Pair of maximal faces sharing all but one vertex; the edge form is
+    the restriction at v of the variable of v's vertex outside w."""
 
     v_index: int  # 1-based, input face order
     w_index: int
     alpha_from_v: Polynomial
-    alpha_from_w: Polynomial
 
 
 @_memoized
@@ -170,15 +141,7 @@ def edge_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
         if len(shared) != n - 1:
             continue
         (k_v,) = set(va.face) - shared
-        (k_w,) = set(vb.face) - shared
-        out.append(
-            Edge(
-                v_index=a + 1,
-                w_index=b + 1,
-                alpha_from_v=va.restriction_of(k_v, n),
-                alpha_from_w=vb.restriction_of(k_w, n),
-            )
-        )
+        out.append(Edge(v_index=a + 1, w_index=b + 1, alpha_from_v=va.restriction_of(k_v, n)))
     return tuple(out)
 
 
@@ -187,7 +150,7 @@ class GKMCheckReport(NamedTuple):
     failing_edges: tuple  # (v_index, w_index, alpha text)
 
 
-def gkm_check(K: SimplicialComplex, S: SubgroupData, t: GKMTuple) -> GKMCheckReport:
+def gkm_check(K: SimplicialComplex, S: SubgroupData, t: tuple) -> GKMCheckReport:
     """Whether each difference across an edge is divisible by the edge
     form."""
     data = vertex_data(K, S)
@@ -290,11 +253,8 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
         raise InternalCheckError("certificate form has support on its own vertex")
     product = g_form.as_polynomial() * cert.f
     direct_zero = reduce(K, product).is_zero()
-    tuple_zero = (
-        phi_restrictions(K, S, g_form.as_polynomial())
-        .componentwise_mul(phi_restrictions(K, S, cert.f))
-        .is_zero()
-    )
+    tuple_zero = all((a * b).is_zero() for a, b in zip(
+        phi_restrictions(K, S, g_form.as_polynomial()), phi_restrictions(K, S, cert.f)))
     if direct_zero != tuple_zero:
         raise InternalCheckError(
             "restriction-tuple and direct-reduction verifications disagree"

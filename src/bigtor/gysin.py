@@ -50,7 +50,7 @@ from .intlinalg import (
 )
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
-from .stanley_reisner import LinearForm, _require_even
+from .stanley_reisner import _require_even, forms_of
 
 
 class LESNode(NamedTuple):
@@ -122,12 +122,11 @@ class GysinData:
         self.D = D
         self.split = split
         self.n = n_ext - 1
-        base_rows = [list(S_ext.B.row(r)) for r in range(n_ext) if r != split]
-        self.S_base = SubgroupData(IntMatrix(base_rows, cols=S_ext.m))
-        self.split_form = LinearForm(S_ext.row_coefficients(split))
-        base_forms = [LinearForm(tuple(row)) for row in base_rows]
+        forms = forms_of(S_ext)
+        self.split_form = forms[split]
+        base_forms = forms[:split] + forms[split + 1:]
         self.base = KoszulComplex(K, base_forms)
-        self.ext = KoszulComplex(K, base_forms + [self.split_form])
+        self.ext = KoszulComplex(K, base_forms + (self.split_form,))
         self._cache = {}  # (method name, *args) -> result, see _memoized
         self._verify_chain_level()
 

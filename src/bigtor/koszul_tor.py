@@ -15,6 +15,9 @@ Systems, 2006, ch. 2); one homology_structures pass over a degree's
 differentials gives its Tor.  K memoizes the multiplication matrices for
 every Koszul complex and scan on it, and a KoszulComplex its subsets,
 differentials and presentations until it is freed; nothing caches one.
+The Tor tables read each differential once, each from a complex dropped
+after use, so one degree's matrices are freed before the next degree's
+are assembled.
 
 Alongside the Tor tables the module houses the verdict layer (big
 Cohen-Macaulayness, odd vanishing, freeness diagnostics, depth) and a
@@ -48,6 +51,7 @@ from .stanley_reisner import (
     LinearForm,
     Polynomial,
     _require_even,
+    forms_of,
     hilbert_coefficient,
     monomial_basis,
     mult_matrix,
@@ -57,24 +61,12 @@ HOLDS_UP_TO = "HOLDS_UP_TO"
 FAILS = "FAILS"
 
 
-class KoszulIndex(NamedTuple):
-    """Position (p, j) in the bigraded complex; q = j - p is the
-    cohomological degree."""
-
-    p: int
-    j: int
-
-    @property
-    def q(self) -> int:
-        return self.j - self.p
-
-
 class KoszulCycle(NamedTuple):
     """A chain at (p, j) in the kernel of the outgoing differential,
     split into one polynomial coefficient per exterior generator."""
 
-    index: KoszulIndex
-    coordinates: dict  # basis index -> nonzero entry
+    p: int
+    j: int
     components: tuple  # pairs (i, Polynomial): the coefficient of xi_i
     explanation: str
 
@@ -161,6 +153,17 @@ class KoszulComplex:
                 out.update((s * block + k, t0 + k) for k in range(block))
         return out
 
+    def by_subset(self, p: int, j: int, chain: dict) -> dict:
+        """A chain at (p, j), dict basis index -> entry, as a dict subset ->
+        {monomial: coefficient} over the subsets it touches."""
+        monomials = self.coefficient_basis(p, j)
+        subsets = self.subsets(p)
+        out = {}
+        for c, x in chain.items():
+            s, k = divmod(c, len(monomials))
+            out.setdefault(subsets[s], {})[monomials[k]] = x
+        return out
+
     def times(self, u: LinearForm, p: int, j: int):
         """Multiplication by u as a chain map C_{p,j} -> C_{p,j+2}, block
         diagonal over the subsets: a function of sparse vectors."""
@@ -181,14 +184,6 @@ class KoszulComplex:
     @_memoized
     def homology(self, p: int, j: int) -> HomologyPresentation:
         return homology_presentation(self.differential(p, j), self.differential(p + 1, j))
-
-
-def _forms_of(S: SubgroupData) -> tuple:
-    return tuple(LinearForm(S.row_coefficients(i)) for i in range(S.n))
-
-
-def _complex_for(K: SimplicialComplex, S: SubgroupData) -> KoszulComplex:
-    return KoszulComplex(K, _forms_of(S))
 
 
 class BigradedTor(NamedTuple):
@@ -222,9 +217,11 @@ def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     _require_even(D, "degree bound")
     if K.m != S.m:
         raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
-    complex_ = _complex_for(K, S)
-    # C_p vanishes in degree j once 2p > j, so Tor_p does too
-    columns = {j: homology_structures(complex_.differential(p, j)
+    forms = forms_of(S)
+    # C_p vanishes in degree j once 2p > j, so Tor_p does too; each map
+    # comes from a complex that is dropped at once, so nothing keeps it
+    # once its degree is eliminated
+    columns = {j: homology_structures(KoszulComplex(K, forms).differential(p, j)
                                       for p in range(1, max(1, min(S.n, j // 2)) + 1))
                for j in range(0, D + 1, 2)}
     table = {(p, j): groups[p] if p < len(groups) else ZModule(0)
@@ -245,7 +242,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     j = next((j for j in degrees if not table.piece(1, j).is_zero()), None)
     if j is None:
         return None
-    complex_ = _complex_for(K, S)
+    complex_ = KoszulComplex(K, forms_of(S))
     pres = complex_.homology(1, j)
     d = complex_.differential(1, j)
     chosen = next((vec for vec in kernel_lattice(d).basis
@@ -254,12 +251,8 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
         raise InternalCheckError("nonzero homology but every generator died")
     if not d.mul(IntMatrix.from_columns([chosen], d.cols)).is_zero():
         raise InternalCheckError("selected witness is not a cycle")
-    monomials = complex_.coefficient_basis(1, j)
-    parts = {}  # xi index -> the coefficient's terms
-    for c, x in chosen.items():
-        idx, t = divmod(c, len(monomials))
-        parts.setdefault(idx + 1, {})[monomials[t]] = x
-    components = [(i, Polynomial(K.m, parts[i])) for i in sorted(parts)]
+    parts = complex_.by_subset(1, j, chosen)
+    components = [(i, Polynomial(K.m, parts[(i,)])) for (i,) in sorted(parts)]
     relation = " + ".join(
         f"({complex_.forms[i - 1].render()})*({poly.render()})" for i, poly in components
     )
@@ -268,12 +261,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
         + f"; the coefficients satisfy {relation} = 0 in Z[K], "
         "yet the cycle is not a boundary"
     )
-    return KoszulCycle(
-        index=KoszulIndex(p=1, j=j),
-        coordinates=dict(chosen),
-        components=tuple(components),
-        explanation=explanation,
-    )
+    return KoszulCycle(p=1, j=j, components=tuple(components), explanation=explanation)
 
 
 class Verdict(NamedTuple):
@@ -448,7 +436,7 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     search names the annihilated class, and it must find one.
     """
     _require_even(D, "degree bound")
-    forms = _forms_of(S)
+    forms = forms_of(S)
     failure = next(((stage, j) for stage, j, injective in _quotient_scan(K, forms, D)
                     if not injective), None)
     if failure is None:
@@ -491,9 +479,11 @@ def rational_tor_ranks(K: SimplicialComplex, S: SubgroupData, D: int) -> dict:
     """Tor ranks over Q by fraction-exact elimination, bypassing Smith
     normal form entirely; keyed by (p, j)."""
     _require_even(D, "degree bound")
-    complex_ = _complex_for(K, S)
+    forms = forms_of(S)
     degrees = range(0, D + 1, 2)
-    matrix_ranks = {(p, j): rational_rank(complex_.differential(p, j))
+    # as in tor_table, each map comes from a complex dropped after its rank
+    matrix_ranks = {(p, j): rational_rank(KoszulComplex(K, forms).differential(p, j))
                     for p in range(S.n + 2) for j in degrees}
-    return {(p, j): complex_.chain_dim(p, j) - matrix_ranks[(p, j)] - matrix_ranks[(p + 1, j)]
+    dims = KoszulComplex(K, forms)
+    return {(p, j): dims.chain_dim(p, j) - matrix_ranks[(p, j)] - matrix_ranks[(p + 1, j)]
             for p in range(S.n + 1) for j in degrees}

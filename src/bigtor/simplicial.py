@@ -105,12 +105,6 @@ class SimplicialComplex:
         """Maximal faces as sorted vertex tuples, in stored order."""
         return [_to_vertices(f) for f in self.maximal_faces]
 
-    def contains_mask(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self.maximal_faces) or mask == 0
-
-    def __contains__(self, vertices) -> bool:
-        return is_face(self, vertices)
-
 
 def build_complex(m: int, maximal_faces) -> SimplicialComplex:
     """Normalize input faces into an antichain of maximal faces.
@@ -133,12 +127,6 @@ def build_complex(m: int, maximal_faces) -> SimplicialComplex:
             continue
         masks = [kept for kept in masks if kept & mask != kept] + [mask]
     return SimplicialComplex(m=m, maximal_faces=tuple(masks))
-
-
-def is_face(K: SimplicialComplex, sigma) -> bool:
-    """True iff sigma is contained in some maximal face (so the empty
-    set is always a face)."""
-    return K.contains_mask(_to_mask(sigma, K.m))
 
 
 @_memoized
@@ -194,9 +182,6 @@ class SubgroupData:
 
     def __repr__(self):
         return f"SubgroupData(B={self.B!r})"
-
-    def row_coefficients(self, i: int) -> tuple:
-        return self.B.row(i)
 
 
 class LocalFreenessReport(NamedTuple):

@@ -1,7 +1,8 @@
 """Graded arithmetic in the face ring Z[K].
 
 Monomials carry the topological grading deg x_i = 2, so every internal
-degree in sight is even.  The module provides monomial bases per
+degree in sight is even.  The module provides linear forms (forms_of
+reads the subring's generators off the rows of B), monomial bases per
 degree, reduction modulo the face ideal, multiplication matrices for
 linear forms, the closed Hilbert formula, and the homogeneous
 annihilator search.  Bases and multiplication matrices are memoized on
@@ -62,6 +63,11 @@ class LinearForm:
 
     def render(self) -> str:
         return self.as_polynomial().render()
+
+
+def forms_of(S: SubgroupData) -> tuple:
+    """The forms u_1, ..., u_n that the rows of B define, in row order."""
+    return tuple(LinearForm(S.B.row(i)) for i in range(S.n))
 
 
 def _monomial_key(exponents: tuple):
@@ -403,7 +409,7 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
     deg_f = f_red.homogeneous_degree()
     if deg_f is None:
         raise InputError("annihilator search needs a homogeneous element")
-    forms = [LinearForm(S.row_coefficients(i)) for i in range(S.n)]
+    forms = forms_of(S)
     index = {mono: i for i, mono in enumerate(monomial_basis(K, deg_f))}
     exponents = [(0,) * S.n]
     products = [{index[mono]: c for mono, c in f_red.terms.items()}]  # u^a f, a in exponents

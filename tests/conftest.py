@@ -6,7 +6,7 @@ import pytest
 
 from bigtor.cli import parse_problem
 from bigtor.intlinalg import Quotient
-from bigtor.stanley_reisner import LinearForm, monomial_basis, mult_matrix
+from bigtor.stanley_reisner import forms_of, monomial_basis, mult_matrix
 
 import oracles
 
@@ -34,7 +34,7 @@ def tor0_oracle(K, S, j):
     form, which shares no code with the elimination engine."""
     rows = [[] for _ in monomial_basis(K, j)]
     for i in range(S.n if j >= 2 else 0):
-        block = mult_matrix(K, LinearForm(S.row_coefficients(i)), j - 2).to_lists()
+        block = mult_matrix(K, forms_of(S)[i], j - 2).to_lists()
         for row, part in zip(rows, block):
             row.extend(part)
     return oracles.cokernel_invariants(rows, len(rows))

@@ -12,12 +12,12 @@ from fractions import Fraction
 import pytest
 
 import bigtor
-from bigtor import cli
+from bigtor import cli, koszul_tor
 from bigtor.errors import InputError
 from bigtor.intlinalg import ZModule
 from bigtor.koszul_tor import KoszulComplex, regular_sequence_check, tor1_witness, tor_table
 from bigtor.simplicial import build_complex
-from bigtor.stanley_reisner import LinearForm, monomial_basis, mult_matrix
+from bigtor.stanley_reisner import forms_of, monomial_basis, mult_matrix
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -64,9 +64,48 @@ def test_check_bigcm_builds_each_matrix_once(capsys):
     assert mult_matrix.cache_info().misses - mult.misses == 18
 
 
+def test_tor_table_frees_each_degree_before_the_next(corpus, monkeypatch):
+    # every differential comes from a complex dropped after use, so while
+    # degree j is eliminated no live complex holds a map of another degree
+    problem = corpus["prod1212"]
+    K, S = problem.complex, problem.B
+    expected = tor_table(K, S, 10)
+    made = []  # weak references to every complex tor_table creates
+    seen = []  # the degrees of the maps held while each map was read
+
+    class Watched(KoszulComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    def held():
+        gc.collect()
+        alive = [c for c in (ref() for ref in made) if c is not None]
+        return {key[2] for c in alive for key in c._cache if key[0] == "differential"}
+
+    def watched(maps, eliminate=koszul_tor.homology_structures):
+        j = 2 * len(seen)
+        seen.append(set())
+
+        def each():
+            for d in maps:
+                seen[-1] |= held()
+                yield d
+
+        result = eliminate(each())
+        assert held() <= {j}, (j, seen)
+        return result
+
+    monkeypatch.setattr(koszul_tor, "KoszulComplex", Watched)
+    monkeypatch.setattr(koszul_tor, "homology_structures", watched)
+    assert tor_table(K, S, 10) == expected
+    assert len(seen) == 6 and made
+    assert all(degrees <= {2 * k} for k, degrees in enumerate(seen)), seen
+
+
 def _koszul(problem):
     S = problem.B
-    return KoszulComplex(problem.complex, [LinearForm(S.row_coefficients(i)) for i in range(S.n)])
+    return KoszulComplex(problem.complex, forms_of(S))
 
 
 # (call, the int arguments that fill the memo, equal arguments of another type)
@@ -91,7 +130,7 @@ def test_memo_hit_refuses_what_a_miss_refuses(corpus, call, good, bad):
     # 1, so a hit skipped the type check a miss would have made
     problem = corpus["wps12"]
     K = problem.complex
-    u = LinearForm(problem.B.row_coefficients(0))
+    u = forms_of(problem.B)[0]
 
     def run(owner, args):
         if isinstance(call, str):

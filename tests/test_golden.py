@@ -1,4 +1,5 @@
-"""Byte-for-byte regression test of every command's --json output.
+"""Byte-for-byte regression test of every command's --json output, and
+of the text output where a record's rendering lives in the CLI.
 
 `data/golden.json` holds one entry per command line: its arguments, with
 `--input` relative to the repository root, and the exact stdout.  The
@@ -10,10 +11,14 @@ runs every split row.  The next five entries run `tor`, `check-bigcm` and
 `gysin --split 1|2|3` on perfbench/inputs/octahedron_orbifold.tcx, where
 unit relations make up most of a presentation (Tor_1 at j = 8 has 48
 kernel generators, of which 2 survive the prune), so they pin the
-witness and node bytes where the prune does the most work.  The last two
+witness and node bytes where the prune does the most work.  The next two
 run `annihilate` with elements that have annihilators: "x1 + x2" on
 ann_square (35 witnesses) and "x1*x4" on fuzz_p078 (56 witnesses), so
-more than one entry pins the witness bytes.
+more than one entry pins the witness bytes.  The entries after those
+have no --json and pin text bytes: `gkm` on cp1cp1 with two polynomials
+(the CLI renders the restriction tuple), `check-bigcm` on the orbifold
+octahedron and prod1212 (both print a FAILS witness), and `find-torsion`
+on cp1cp1 at each of its four vertices.  Their ids end in "text".
 """
 
 import json
@@ -30,8 +35,9 @@ GOLDEN = json.loads((DATA_DIR / "golden.json").read_text())
 
 def case_id(case):
     command, _, path, *rest = case["argv"]
+    mode = [] if "--json" in rest else ["text"]
     rest = [a for a in rest if a not in ("--max-degree", "12", "--json")]
-    return " ".join([command, path.rsplit("/", 1)[-1], *rest])
+    return " ".join([command, path.rsplit("/", 1)[-1], *rest, *mode])
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case_id(c) for c in GOLDEN])

@@ -36,10 +36,11 @@ from bigtor.koszul_tor import (
     tor_table,
     verdicts,
 )
-from bigtor.stanley_reisner import LinearForm
+from bigtor.stanley_reisner import forms_of
 
 import oracles
 from conftest import load_problem
+from test_gysin import base_subgroup
 
 BUDGET_S = 2.0
 MAX_LATTICE_BITS = 64
@@ -97,7 +98,7 @@ def test_growth_case_matches_rank_oracles(name):
     D, expected = CASES[name]
     problem = load_problem(name)
     S = problem.B
-    kc = KoszulComplex(problem.complex, [LinearForm(S.row_coefficients(i)) for i in range(S.n)])
+    kc = KoszulComplex(problem.complex, forms_of(S))
     for j in range(0, D + 1, 2):
         ranks = [oracles.rational_rank(kc.differential(p, j).to_lists()) for p in range(S.n + 2)]
         for p in range(S.n + 1):
@@ -147,7 +148,7 @@ def test_gysin_growth_case_finishes(name, split, budget, monkeypatch):
     assert 0 < bits[0] <= MAX_LATTICE_BITS, bits[0]
     assert report.all_pass
     assert connecting and all(connecting.values())
-    ext, base = tor_table(K, S_ext, G.D), tor_table(K, G.S_base, G.D)
+    ext, base = tor_table(K, S_ext, G.D), tor_table(K, base_subgroup(S_ext, G.split), G.D)
     for node in report.nodes:
         if node.j < 0:
             continue

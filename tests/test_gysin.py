@@ -30,6 +30,12 @@ def identity(n):
     return IntMatrix([[int(i == k) for k in range(n)] for i in range(n)], cols=n)
 
 
+def base_subgroup(S_ext, split):
+    """B-tilde without its 0-based split row: the base forms' subring."""
+    rows = [list(S_ext.B.row(r)) for r in range(S_ext.n) if r != split]
+    return SubgroupData(IntMatrix(rows, cols=S_ext.m))
+
+
 def test_two_point_connecting_map_by_hand():
     # base ring has no forms, so Tor_0 is Z[K] itself and the connecting
     # map is literally multiplication by u1 = 2x1 - x2 on monomials
@@ -105,7 +111,7 @@ def test_node_groups_match_tor_tables(corpus):
     K, S_ext = problem.complex, problem.B
     G = GysinData(K, S_ext, 8)
     report = verify_exactness(G)
-    ext, base = tor_table(K, S_ext, G.D), tor_table(K, G.S_base, G.D)
+    ext, base = tor_table(K, S_ext, G.D), tor_table(K, base_subgroup(S_ext, G.split), G.D)
     for node in report.nodes:
         if node.term == "tor_ext" and 0 <= node.p <= S_ext.n and node.j >= 0:
             assert node.group == ext.piece(node.p, node.j), (node.p, node.j)
@@ -418,9 +424,10 @@ def test_seeded_gysin_problem(index, budget):
         # lift) agree modulo boundaries, or connecting_map_check raises
         assert connecting and all(connecting.values()), split
         ext, base = _Oracle(G.ext), _Oracle(G.base)
-        tables = {S_ext: tor_table(K, S_ext, G.D), G.S_base: tor_table(K, G.S_base, G.D)}
+        S_base = base_subgroup(S_ext, split)
+        tables = {S_ext: tor_table(K, S_ext, G.D), S_base: tor_table(K, S_base, G.D)}
         for node in report.nodes:
-            oracle, S = (ext, S_ext) if node.term == "tor_ext" else (base, G.S_base)
+            oracle, S = (ext, S_ext) if node.term == "tor_ext" else (base, S_base)
             assert oracles.structure_pair(node.group) == oracle.group(node.p, node.j), (split, node)
             if node.j >= 0 and 0 <= node.p <= S.n:
                 assert node.group == tables[S].piece(node.p, node.j), (split, node)

@@ -28,8 +28,8 @@ from bigtor.koszul_tor import (
 )
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import (
-    LinearForm,
     Polynomial,
+    forms_of,
     hilbert_coefficient,
     monomial_basis,
     reduce,
@@ -38,10 +38,6 @@ from bigtor.stanley_reisner import (
 import oracles
 from conftest import DATA_DIR, tor0_oracle
 from test_regular_sequence import random_problem
-
-
-def forms_of(S):
-    return [LinearForm(S.row_coefficients(i)) for i in range(S.n)]
 
 
 def koszul_of(problem):
@@ -296,8 +292,8 @@ def test_prod1212_pinned_values(corpus):
     assert table.piece(0, 4).torsion == (2, 2)
     witness = tor1_witness(K, S, table)
     assert witness is not None
-    assert witness.index.p == 1
-    assert witness.index.j == 8
+    assert witness.p == 1
+    assert witness.j == 8
     parts = {i: poly.render() for i, poly in witness.components}
     assert parts == {1: "x2^2*x3", 2: "x2*x3^2"}
     assert "(x1 - 2x3)*(x2^2*x3) + (2x2 - x4)*(x2*x3^2) = 0" in witness.explanation

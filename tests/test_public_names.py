@@ -1,11 +1,16 @@
 """Every public name in bigtor has a user inside the package or in the
-benchmark harness.
+benchmark harness, and every field of a public record is read there.
 
 A public top-level function or class, or a public method, that no other
 part of src/bigtor refers to and that perfbench does not call (child.py)
 or hook (layers.METHODS) serves tests alone, and the command line never
 runs it.  Uses are matched by name over the syntax trees, so a method
 counts as used when any attribute of that name is read.
+
+The fields are those of public NamedTuples and the public attributes a
+public class sets in __init__.  A field is read when src/bigtor,
+perfbench/child.py or perfbench/layers.py loads an attribute of its name;
+one that is only ever set is computed for nobody.
 """
 
 import ast
@@ -66,3 +71,46 @@ def unused_public_names():
 
 def test_every_public_name_has_a_user_outside_the_tests():
     assert unused_public_names() == []
+
+
+def _fields(tree):
+    """(class name, field) for the fields of public NamedTuples and the
+    public attributes public classes set in __init__, by assignment to
+    self or by object.__setattr__(self, "name", ...)."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        names = []
+        if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+            names += [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+        for init in node.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for sub in ast.walk(init):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    names.append(sub.attr)
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "__setattr__" and len(sub.args) == 3
+                        and isinstance(sub.args[1], ast.Constant)):
+                    names.append(sub.args[1].value)
+        yield from ((node.name, name) for name in dict.fromkeys(names) if not name.startswith("_"))
+
+
+def _attributes_loaded(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields():
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    loaded = set()
+    for tree in trees + [ast.parse((PERFBENCH / name).read_text()) for name in ("child.py", "layers.py")]:
+        loaded |= _attributes_loaded(tree)
+    return [f"{path.stem}.{cls}.{field}" for path, tree in zip(paths, trees)
+            for cls, field in _fields(tree) if field not in loaded]
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    assert unread_fields() == []

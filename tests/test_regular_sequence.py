@@ -13,11 +13,10 @@ from bigtor.errors import InternalCheckError
 from bigtor.koszul_tor import (
     RegularityWitness,
     _annihilated_class,
-    _forms_of,
     _quotient_scan,
     regular_sequence_check,
 )
-from bigtor.stanley_reisner import Polynomial, monomial_basis
+from bigtor.stanley_reisner import Polynomial, forms_of, monomial_basis
 
 import oracles
 from conftest import DATA_DIR
@@ -45,7 +44,7 @@ def random_problem(rng):
 
 
 def assert_scan_matches_full_space_search(K, S, D):
-    forms = _forms_of(S)
+    forms = forms_of(S)
     expected = None
     for stage, j, injective in _quotient_scan(K, forms, D):
         v = _annihilated_class(K, forms, stage, j)

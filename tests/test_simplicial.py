@@ -9,8 +9,8 @@ from bigtor.simplicial import (
     check_connected_kernel,
     check_local_freeness,
     face_count_by_size,
-    is_face,
 )
+from bigtor.stanley_reisner import LinearForm, forms_of
 
 import oracles
 
@@ -41,15 +41,20 @@ def test_build_complex_rejects_bad_vertices():
         build_complex(2, [(True, 2)])
 
 
+def mask(*vertices):
+    return sum(1 << (v - 1) for v in vertices)
+
+
 def test_face_membership():
     K = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert is_face(K, ())
-    assert is_face(K, (2,))
-    assert is_face(K, (1, 2))
-    assert not is_face(K, (1, 3))
-    assert not is_face(K, (1, 2, 3))
-    assert (2, 3) in K
-    assert (2, 4) not in K
+    faces = all_faces(K)
+    assert mask() in faces
+    assert mask(2) in faces
+    assert mask(1, 2) in faces
+    assert mask(1, 3) not in faces
+    assert mask(1, 2, 3) not in faces
+    assert mask(2, 3) in faces
+    assert mask(2, 4) not in faces
 
 
 def test_all_faces_matches_downward_closure():
@@ -66,15 +71,15 @@ def test_all_faces_matches_downward_closure():
 def test_ghost_vertices_are_not_faces():
     # vertices 2 and 3 appear in no face, so the singletons are nonfaces
     K = build_complex(5, [(1, 4), (4, 5), (1, 5)])
-    assert not is_face(K, (2,))
-    assert not is_face(K, (3,))
+    assert mask(2) not in all_faces(K)
+    assert mask(3) not in all_faces(K)
 
 
 def test_subgroup_data_validation():
     S = SubgroupData(IntMatrix([[2, -1]]))
     assert S.n == 1
     assert S.m == 2
-    assert S.row_coefficients(0) == (2, -1)
+    assert forms_of(S) == (LinearForm((2, -1)),)
     with pytest.raises(InputError, match="linearly dependent"):
         SubgroupData(IntMatrix([[1, 2], [2, 4]]))  # rank-deficient rows
     with pytest.raises(InputError, match="no more rows than columns"):

@@ -13,6 +13,7 @@ from bigtor.stanley_reisner import (
     LinearForm,
     Polynomial,
     annihilator_search,
+    forms_of,
     hilbert_coefficient,
     monomial_basis,
     mult_matrix,
@@ -279,7 +280,7 @@ def test_annihilator_search_matches_the_face_ring_oracle(budget):
             problem, f = random_annihilator_case(rng)
             K, S = problem.complex, problem.B
             faces = oracles.downward_closure(K.face_vertices())
-            multiples = oracles.u_multiples(faces, [S.row_coefficients(i) for i in range(S.n)],
+            multiples = oracles.u_multiples(faces, [u.coeffs for u in forms_of(S)],
                                             f.terms, 4)
             ranks = {e: oracles.annihilator_kernel_rank(multiples, e // 2) for e in range(2, 9, 2)}
             if outcomes[any(ranks.values())] == 50:
