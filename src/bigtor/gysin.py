@@ -14,9 +14,9 @@ differentials, which changes no kernel or image.
 
 Both maps only copy or sign coordinates, so they are signed index maps
 that push sparse chains (a reduction's chain maps are index bookkeeping:
-Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).  Each, like the
-wedge lift and the chase's pull-back, sends subset blocks to subset
-blocks (KoszulComplex.block_map, the one owner of the chain layout), and
+Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006), built by
+KoszulComplex.block_map, the one owner of the chain layout.  The wedge
+lift and the chase's section are their inverses (IndexMap.inverse), and
 the connecting map multiplies by KoszulComplex.times.  Exactness of the
 short sequence is then a statement about index sets, and the chain-map
 identities are checked column by column on sparse differentials.  Only
@@ -46,7 +46,7 @@ from .intlinalg import (
     _add_multiple,
     _scaled,
     cokernel_structure,
-    kernel_lattice,
+    preimage,
 )
 from .koszul_tor import KoszulComplex
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
@@ -97,6 +97,10 @@ class IndexMap(NamedTuple):
                 out[t] = out.get(t, 0) + self.sign * x
         return {t: x for t, x in out.items() if x}
 
+    def inverse(self, dim: int) -> "IndexMap":
+        """The map back on a one-to-one map's image, into dim coordinates."""
+        return IndexMap({t: k for k, t in self.target.items()}, self.sign, dim)
+
 
 class GysinData:
     """Chain-level data for the sequence, verified on construction.
@@ -104,8 +108,7 @@ class GysinData:
     split is the 0-based row of B-tilde taken as u_{n+1}; the remaining
     rows, in order, are the base forms.  The instance owns its caches:
     tau*, tau_* and the induced maps are each computed once, and its two
-    Koszul complexes memoize their presentations; the wedge and the
-    section serve one chase each and are built per call.
+    Koszul complexes memoize their presentations.
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
@@ -146,18 +149,6 @@ class GysinData:
         top = self.n + 1
         target = self.ext.block_map(p, j, self.base, p - 1, lambda S: S[:-1] if top in S else None)
         return IndexMap(target, -1 if (p - 1) % 2 else 1, self.base.chain_dim(p - 1, j - 2))
-
-    def wedge(self, p: int, j: int) -> IndexMap:
-        """C_{p,j} -> C~_{p+1,j+2}, tau_* at (p+1, j+2) inverted on its
-        index set: the block of S goes to the block of S + (n+1,)."""
-        target = self.base.block_map(p, j, self.ext, p + 1, lambda S: S + (self.n + 1,))
-        return IndexMap(target, self.tau_lower(p + 1, j + 2).sign, self.ext.chain_dim(p + 1, j + 2))
-
-    def section(self, p: int, j: int) -> IndexMap:
-        """C~_{p,j} -> C_{p,j}, tau* inverted on its image: the block of
-        each subset avoiding n+1 keeps its coordinates, the rest go to 0."""
-        target = self.ext.block_map(p, j, self.base, p, lambda S: None if self.n + 1 in S else S)
-        return IndexMap(target, self.tau_star(p, j).sign, self.base.chain_dim(p, j))
 
     def _verify_chain_level(self):
         """SES exactness by index bookkeeping and the (anti)commutation
@@ -242,7 +233,7 @@ class GysinData:
         tgt = self.base.homology(p, j + 2)
         if j < 0 or not src.generator_count:
             return IntMatrix.zeros(tgt.generator_count, 0)
-        section = self.section(p, j + 2)
+        section = self.tau_star(p, j + 2).inverse(self.base.chain_dim(p, j + 2))
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
         cols = []
         for w in self._lifts(p, j, wedge_lift):
@@ -260,8 +251,9 @@ class GysinData:
     def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
         """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
 
-        With wedge_lift, the generators' wedges (see wedge).  Otherwise the
-        solver's preimage plus tau*(e), e basis chain 0 of the base group at
+        With wedge_lift, the generators' wedges, tau_*'s inverse: the
+        block of S goes to the block of S + (n+1,).  Otherwise the solver's
+        preimage plus tau*(e), e basis chain 0 of the base group at
         (p+1, j+2) (nothing when that group is zero): tau_* kills tau*(e),
         and d tau*(e) = tau*(de) pulls back to a boundary, so the chased
         class does not change while the lift differs from the wedge lift
@@ -270,7 +262,7 @@ class GysinData:
         kernel = self.base.homology(p, j).cycles.basis
         proj = self.tau_lower(p + 1, j + 2)
         if wedge_lift:
-            lifts = [self.wedge(p, j).push(vec) for vec in kernel]
+            lifts = list(map(proj.inverse(self.ext.chain_dim(p + 1, j + 2)).push, kernel))
         else:
             rows = [{} for _ in range(proj.dim)]
             for e, k in proj.target.items():
@@ -286,20 +278,20 @@ class GysinData:
         return lifts
 
 
-def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: IntMatrix, rel3: IntMatrix):
+def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: list, rel3: list):
     """Image of f and kernel of g inside the middle homology group, as
-    coordinate lattices containing the relation lattice."""
+    coordinate lattices containing the relation lattice.  The kernel takes
+    the raw residual boundaries rel3: from their span's echelon basis its
+    entries reached 686 bits on data/hermite_growth.tcx with split 3, not 43."""
     k2 = f.rows
-    image = Lattice(k2, f.sparse_columns() + rel2.sparse_columns())
-    stacked = g.hstack(rel3.scaled(-1))
-    preimage = [{c: x for c, x in v.items() if c < k2} for v in kernel_lattice(stacked).basis]
-    kernel = Lattice(k2, preimage + rel2.sparse_columns())
+    image = Lattice(k2, f.sparse_columns() + rel2)
+    kernel = Lattice(k2, preimage(g.sparse_columns(), rel3, g.rows) + rel2)
     return image, kernel
 
 
-def _quotient_structure(sub: Lattice, rel2: IntMatrix) -> ZModule:
+def _quotient_structure(sub: Lattice, rel2: list) -> ZModule:
     """Structure of sub modulo the relation lattice."""
-    cols = [sub.coordinates(column) for column in rel2.sparse_columns()]
+    cols = [sub.coordinates(column) for column in rel2]
     if None in cols:
         raise InternalCheckError("relation escaped a subgroup that must contain it")
     return cokernel_structure(IntMatrix.from_columns(cols, rows=sub.rank))

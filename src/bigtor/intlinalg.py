@@ -4,8 +4,8 @@ One vector format runs through the module: a dict, column -> nonzero
 entry.  IntMatrix is a shape plus one such dict per row; it holds the
 Koszul differentials and multiplication maps from assembly to the
 engine, which reads its rows as fresh dicts (sparse_rows), and the small
-matrices (B, relations, induced maps), which callers may also read
-through dense accessors.
+matrices (B, induced maps), which callers may also read through dense
+accessors.
 
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
@@ -15,26 +15,27 @@ identity on the pivots plus a small residual.  The residual's invariant
 factors come from Hermite forms on Lattice, of its rows, then of the
 transposed basis, and so on until the matrix is diagonal (Kannan and
 Bachem, SIAM J. Comput. 8, 1979).  homology_structures reads a chain
-complex's homology, cokernels included, off one such pass per map, and
-kernels are lifted back through the logged pivot rows.
+complex's homology, cokernels included, off one such pass per map;
+kernels are lifted back through the logged pivot rows, and preimage,
+{x : A x in the span of R}, is the kernel of [A | R] cut to x.
 
 A homology subquotient ker/im is presented as a finitely generated
 abelian group on the chain group divided by the boundaries first: the
-cycles among the surviving coordinates, modulo the residual boundaries,
-verified as it is built.  Quotient is the one owner of the engine's
-pivot log: it divides by the boundaries of a presentation and by the
-forms of the regular-sequence scan alike.
+cycles among the surviving coordinates, modulo the residual boundaries
+as a list of columns, verified as it is built.  Quotient is the one
+owner of the engine's pivot log: it divides by the boundaries of a
+presentation and by the forms of the regular-sequence scan alike.
 
 Lattice is the one echelon form, on the same dict rows, with its pivots
 found by bisection: it serves kernels, presentations, solves, invariant
 factors and determinants.  It size-reduces every row it builds, so
 entries stay small, and SnfSolver solves A x = b on the echelon basis of
-the rows (column k of A, e_k).  Kernels, solves and coordinates are
-dicts; dense tuples appear only in IntMatrix.row and to_lists and in
-Lattice's dense-in, dense-out paths.  rational_rank is a separate sparse
-fraction-free elimination that shares no code with the engine, so the
-two can cross-check each other.  Everything runs on Python ints, and
-IntMatrix, ZModule and Lattice refuse any other entry.
+the rows (column k of A, e_k).  Kernels, preimages, solves and
+coordinates are dicts; dense tuples appear only in IntMatrix.row and
+to_lists and in Lattice's dense-in, dense-out paths.  rational_rank is
+a separate sparse fraction-free elimination that shares no code with
+the engine, so the two can cross-check each other.  Everything runs on
+Python ints, and IntMatrix, ZModule and Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ __all__ = [
     "Quotient",
     "Lattice",
     "kernel_lattice",
+    "preimage",
     "cokernel_structure",
     "homology_structures",
     "homology_presentation",
@@ -196,24 +198,6 @@ class IntMatrix:
                     acc[c] = acc.get(c, 0) + x * y
             out.append({c: x for c, x in acc.items() if x})
         return IntMatrix._of(self.rows, other.cols, out)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise InputError("row counts differ in hstack")
-        shift = self.cols
-        return IntMatrix._of(self.rows, self.cols + other.cols, [
-            {**a, **{shift + c: x for c, x in b.items()}}
-            for a, b in zip(self._entries, other._entries)
-        ])
-
-    def scaled(self, factor: int) -> "IntMatrix":
-        if type(factor) is not int:
-            raise InputError(f"scale factor {factor!r} is not an integer")
-        if not factor:
-            return IntMatrix.zeros(self.rows, self.cols)
-        return IntMatrix._of(self.rows, self.cols, [
-            {c: factor * x for c, x in row.items()} for row in self._entries
-        ])
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -436,6 +420,15 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
                     heapq.heappush(heap, -earlier)
         kernel.add(v)
     return kernel.hermite()
+
+
+def preimage(columns: list, relations: list, rows: int) -> list:
+    """{x : A x in the span of R}, so the sign of R does not matter, for A
+    and R lists of columns (dicts over rows coordinates): the Hermite basis
+    of ker [A | R] in basis order, each vector cut to its first len(columns)."""
+    stacked = columns + relations  # [A | R], built by bigtor itself, so unchecked
+    kernel = kernel_lattice(IntMatrix._of(len(stacked), rows, stacked).transpose())
+    return [{c: x for c, x in v.items() if c < len(columns)} for v in kernel.basis]
 
 
 def homology_structures(differentials) -> list:
@@ -771,22 +764,23 @@ class Quotient(NamedTuple):
 
 
 class HomologyPresentation(NamedTuple):
-    """ker(d_out)/im(d_in) as Z^k modulo the column span of relations.
+    """ker(d_out)/im(d_in) as Z^k modulo the span of relations.
 
     C_p is divided by the boundaries first (boundaries, a Quotient by the
     columns of d_in), so every chain is congruent to one on the surviving
     coordinates, and such a chain is a cycle exactly when d_out kills it.
     The k generators are the Hermite-reduced basis of cycles, the kernel
     of d_out on those coordinates with C_p indices; callers must not add
-    to it.  relations holds the residual boundaries in that basis,
-    structure their cokernel and relation_lattice their span.
+    to it.  relations lists the residual boundaries in that basis, as
+    columns callers must not change, structure their cokernel and
+    relation_lattice their span.
     homology_presentation verifies the result: every column of d_in must
     have class 0.
     """
 
     boundaries: Quotient
     cycles: Lattice
-    relations: IntMatrix
+    relations: list
     structure: ZModule
     relation_lattice: Lattice
 
@@ -827,9 +821,8 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     columns = [cycles.coordinates(row) for row in boundaries.relations]
     if None in columns:
         raise InternalCheckError("a boundary escaped the kernel lattice")
-    relations = IntMatrix._of(len(columns), cycles.rank, columns).transpose()
-    pres = HomologyPresentation(boundaries, cycles, relations, cokernel_structure(relations),
-                                Lattice(cycles.rank, columns))
+    structure = cokernel_structure(IntMatrix._of(len(columns), cycles.rank, columns).transpose())
+    pres = HomologyPresentation(boundaries, cycles, columns, structure, Lattice(cycles.rank, columns))
     for column in image:
         coords = pres.coordinates(column)
         if coords is None or not pres.class_is_zero(coords):

@@ -44,6 +44,7 @@ from .intlinalg import (
     homology_presentation,
     homology_structures,
     kernel_lattice,
+    preimage,
     rational_rank,
 )
 from .simplicial import SimplicialComplex, SubgroupData, _memoized
@@ -374,7 +375,7 @@ def _is_injective(here: Quotient, there: Quotient, phi: list,
     to there, given the ranks over Q of their relations.  Over Q,
     rank ker = rank here - (rank [phi | R] - rank R), R the relations of
     there.  At rank 0 the kernel is torsion, so a torsion-free here
-    passes; otherwise ker [phi | R], cut to here.free, must lie in here's
+    passes; otherwise the preimage of R under phi must lie in here's
     relation lattice."""
     image = there.matrix(phi + there.relations)
     if rational_rank(image) - there_rank < len(here.free) - here_rank:
@@ -383,8 +384,7 @@ def _is_injective(here: Quotient, there: Quotient, phi: list,
         return True
     index = {g: f for f, g in enumerate(here.free)}
     lattice = Lattice(len(phi), [{index[g]: x for g, x in r.items()} for r in here.relations])
-    return all({c: x for c, x in v.items() if c < len(phi)} in lattice
-               for v in kernel_lattice(image.transpose()).basis)
+    return all(v in lattice for v in preimage(phi, there.relations, image.cols))
 
 
 def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
@@ -414,17 +414,14 @@ def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
     u_stage v in (u_1, ..., u_{stage-1}) but v outside it, as a dict
     monomial index -> nonzero coefficient, or None."""
 
-    def ideal(d):  # -[u_1 | ... | u_{stage-1}] into degree d
-        block = IntMatrix.zeros(len(monomial_basis(K, d)), 0)
-        for u in forms[: stage - 1] if d else ():
-            block = block.hstack(mult_matrix(K, u, d - 2).scaled(-1))
-        return block
+    def ideal(d):  # the columns of [u_1 | ... | u_{stage-1}] into degree d
+        return [column for u in (forms[: stage - 1] if d else ())
+                for column in mult_matrix(K, u, d - 2).sparse_columns()]
 
     mult = mult_matrix(K, forms[stage - 1], j)
-    ideal_here = Lattice(mult.cols, ideal(j).sparse_columns())
-    cut = ({c: x for c, x in v.items() if c < mult.cols}
-           for v in kernel_lattice(mult.hstack(ideal(j + 2))).basis)
-    return next((v for v in cut if v not in ideal_here), None)
+    ideal_here = Lattice(mult.cols, ideal(j))
+    return next((v for v in preimage(mult.sparse_columns(), ideal(j + 2), mult.rows)
+                 if v not in ideal_here), None)
 
 
 def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> RegularSequenceReport:

@@ -182,6 +182,18 @@ def smith_with_transforms(rows, ncols):
     return u, a, v
 
 
+def in_column_span(G, x):
+    """Whether x is an integer combination of the columns of G (a list of
+    rows): with U G V = S the Smith normal form, G y = x has an integer
+    solution exactly when U x is divisible by each nonzero corner of S and
+    zero past the last one."""
+    ncols = len(G[0]) if G else 0
+    U, S, _ = smith_with_transforms(G, ncols)
+    ux = [sum(a * b for a, b in zip(row, x)) for row in U]
+    corners = [S[i][i] for i in range(min(len(S), ncols)) if S[i][i]]
+    return all(y % d == 0 for y, d in zip(ux, corners)) and not any(ux[len(corners):])
+
+
 def cokernel_invariants(rows, ambient):
     """(rank, torsion) of Z^ambient modulo the column span of the matrix."""
     torsion = [d for d in smith_diagonal(rows) if d > 1]

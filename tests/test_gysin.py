@@ -161,7 +161,8 @@ def test_chain_level_maps_commute_and_anticommute(corpus):
             assert inc_then_d == d_then_inc
             proj_then_d = _dense_tau_lower(G, p, j).mul(G.ext.differential(p + 1, j))
             d_then_proj = G.base.differential(p, j - 2).mul(_dense_tau_lower(G, p + 1, j))
-            assert proj_then_d == d_then_proj.scaled(-1)
+            negated = [[-x for x in row] for row in d_then_proj.to_lists()]
+            assert proj_then_d == IntMatrix(negated, cols=d_then_proj.cols)
             composite = _dense_tau_lower(G, p, j).mul(_dense_tau_star(G, p, j))
             assert composite.is_zero()
 
@@ -188,8 +189,9 @@ def _pushed(index_map, dim):
 
 
 def test_wedge_section_and_times_match_the_dense_maps(corpus, budget):
-    # tau_* undoes the wedge, the section undoes tau*, and times is one
-    # multiplication block per subset down the diagonal
+    # tau_* undoes the wedge, the section undoes tau*, each built as the
+    # other's IndexMap.inverse, and times is one multiplication block per
+    # subset down the diagonal
     with budget(2):
         for problem in corpus.values():
             for split in range(problem.B.n):
@@ -197,9 +199,10 @@ def test_wedge_section_and_times_match_the_dense_maps(corpus, budget):
                 for j in range(0, 9, 2):
                     for p in range(G.n + 1):
                         dim = G.base.chain_dim(p, j)
-                        wedge = _pushed(G.wedge(p, j), dim)
+                        wedge = G.tau_lower(p + 1, j + 2).inverse(G.ext.chain_dim(p + 1, j + 2))
+                        wedge = _pushed(wedge, dim)
                         assert _dense_tau_lower(G, p + 1, j + 2).mul(wedge) == identity(dim)
-                        section = _pushed(G.section(p, j), G.ext.chain_dim(p, j))
+                        section = _pushed(G.tau_star(p, j).inverse(dim), G.ext.chain_dim(p, j))
                         assert section.mul(_dense_tau_star(G, p, j)) == identity(dim)
                         if j + 2 > G.D or not dim:
                             continue

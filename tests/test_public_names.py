@@ -9,8 +9,9 @@ counts as used when any attribute of that name is read.
 
 The fields are those of public NamedTuples and the public attributes a
 public class sets in __init__.  A field is read when src/bigtor,
-perfbench/child.py or perfbench/layers.py loads an attribute of its name;
-one that is only ever set is computed for nobody.
+perfbench/child.py or perfbench/layers.py loads an attribute of its name
+as a value; calling a method of the same name does not count.  A field
+that is only ever set is computed for nobody.
 """
 
 import ast
@@ -98,8 +99,12 @@ def _fields(tree):
 
 
 def _attributes_loaded(tree):
+    """Attribute names loaded as values: the callee of a call, as in
+    pres.coordinates(...), reads a method of that name, not a field."""
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees}
 
 
 def unread_fields():
