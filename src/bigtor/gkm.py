@@ -6,20 +6,19 @@ restriction of x_i at the vertex v = {i_1 < ... < i_n} is the linear
 form (row r of B_v^{-1}) . (u_1, ..., u_n)^T when i = i_r, and zero
 when i lies outside the face.  B_v^{-1} comes from cofactors over
 intlinalg.det, and restrictions are stanley_reisner Polynomials in
-u_1..u_n.  Everything here is exact rational arithmetic: the
-coefficients are Fractions, integral exactly when |det B_v| = 1, a
-property of the input and not of the code path.
+u_1..u_n, exact over Q: the coefficients are Fractions, integral exactly
+when |det B_v| = 1, a property of the input and not of the code path.
+A torsion certificate is an integer kernel vector, from the engine.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NotGKMError
-from .intlinalg import IntMatrix, det, rational_rank
+from .intlinalg import IntMatrix, det, kernel_lattice, rational_rank
 from .simplicial import SimplicialComplex, SubgroupData, _column_submatrix, _memoized
 from .stanley_reisner import (
     LinearForm,
@@ -204,10 +203,12 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
     """A certificate that the face monomial of v is torsion over the
     subring extended by the extra form.
 
-    g is the cleared-denominator form (extra) - sum a_r u_r where the
-    a_r solve the restriction of the extra form at v; the certificate
-    is verified twice, once through the restriction tuples and once by
-    direct reduction in the face ring, and the two must agree.
+    g = lambda (extra) + sum c_r u_r vanishes on v's columns: (lambda, c)
+    spans the kernel of the stacked rows e_v, B_v, of rank 1 as B_v is
+    nonsingular, and its Hermite generator is primitive with lambda > 0
+    (lambda = 0 would force c = 0).  It is verified twice, through the
+    restriction tuples and by direct reduction in the face ring, and the
+    two must agree.
     """
     if extra.nvars != S.m:
         raise InputError(f"extra form has {extra.nvars} variables, expected {S.m}")
@@ -218,34 +219,22 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
         raise InputError(
             "extra form is dependent on the subring generators; no torsion certificate"
         )
-    data = vertex_data(K, S)
     face = tuple(sorted(v))
-    matching = next((vd for vd in data if vd.face == face), None)
-    if matching is None:
+    if not any(vd.face == face for vd in vertex_data(K, S)):
         raise InputError(f"{set(face) if face else set()} is not a maximal face")
-    n = S.n
-    e_v = [Fraction(extra.coeffs[i - 1]) for i in matching.face]
-    a = [
-        sum(e_v[r] * matching.alpha_rows[r][c] for r in range(n))
-        for c in range(n)
-    ]
-    denom = math.lcm(*(x.denominator for x in a)) if a else 1
-    lam = denom
-    u_coeffs = [-(x * lam) for x in a]
-    if any(x.denominator != 1 for x in u_coeffs):
-        raise InternalCheckError("denominator clearing failed")
-    u_ints = [int(x) for x in u_coeffs]
-    g = math.gcd(lam, *(abs(c) for c in u_ints))
-    lam //= g
-    u_ints = [c // g for c in u_ints]
-
+    kernel = kernel_lattice(IntMatrix(
+        [[extra.coeffs[i - 1]] + [S.B[(r, i - 1)] for r in range(S.n)] for i in face],
+        cols=S.n + 1))
+    if kernel.rank != 1:
+        raise InternalCheckError(f"certificate kernel has rank {kernel.rank}, not 1")
+    (vec,) = kernel.basis
     cert = TorsionCertificate(
         vertex=face,
         f=Polynomial.monomial(
             K.m, tuple(1 if i + 1 in face else 0 for i in range(K.m))
         ),
-        g_extra_coefficient=lam,
-        g_u_coefficients=tuple(u_ints),
+        g_extra_coefficient=vec.get(0, 0),
+        g_u_coefficients=tuple(vec.get(r, 0) for r in range(1, S.n + 1)),
         verified=False,
     )
     g_form = cert.g_as_form(S, extra)

@@ -28,9 +28,10 @@ A homology presentation (intlinalg.HomologyPresentation) is built on
 the chain group divided by its boundaries: its generators are cycles
 on the coordinates that survive, and its relations are the residual
 boundaries.  Induced maps run the chain maps on those generator cycles
-and take the image's coordinates in the target's generators; exactness
-at a node is an equality of two coordinate lattices over the residual
-relations.  The verification is exact integer arithmetic end to end.
+and keep, per source generator, the image's target generator
+coordinates as one sparse column; exactness at a node is an equality of
+two coordinate lattices over the residual relations.  The verification
+is exact integer arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -191,39 +192,39 @@ class GysinData:
 
     # --- homology and induced maps ---------------------------------------
 
-    def induced(self, chain_map, src, tgt) -> IntMatrix:
-        """Matrix of the induced map on homology, source generators to
-        target generator coordinates; chain_map takes and returns sparse
-        vectors (dicts index -> entry)."""
+    def induced(self, chain_map, src, tgt) -> list:
+        """The induced map on homology, one sparse column per source
+        generator holding its image's target generator coordinates, which
+        callers must not change; chain_map maps dicts index -> entry."""
         cols = []
         for cycle in src.cycles.basis:
             x = tgt.coordinates(chain_map(cycle))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
-        return IntMatrix.from_columns(cols, rows=tgt.generator_count)
+        return cols
 
     @_memoized
-    def tau_star_induced(self, p: int, j: int) -> IntMatrix:
+    def tau_star_induced(self, p: int, j: int) -> list:
         return self.induced(self.tau_star(p, j).push, self.base.homology(p, j),
                             self.ext.homology(p, j))
 
     @_memoized
-    def tau_lower_induced(self, p: int, j: int) -> IntMatrix:
+    def tau_lower_induced(self, p: int, j: int) -> list:
         return self.induced(self.tau_lower(p, j).push, self.ext.homology(p, j),
                             self.base.homology(p - 1, j - 2))
 
     @_memoized
-    def delta_induced(self, p: int, j: int) -> IntMatrix:
+    def delta_induced(self, p: int, j: int) -> list:
         """Connecting map H_p(C)_{j} -> H_p(C)_{j+2} as multiplication
         by the split form on representatives."""
         src = self.base.homology(p, j)
-        tgt = self.base.homology(p, j + 2)
         if p < 0 or j < 0 or not src.generator_count:
-            return IntMatrix.zeros(tgt.generator_count, 0)
-        return self.induced(self.base.times(self.split_form, p, j), src, tgt)
+            return []
+        return self.induced(self.base.times(self.split_form, p, j), src,
+                            self.base.homology(p, j + 2))
 
-    def delta_by_chase(self, p: int, j: int, wedge_lift: bool = False) -> IntMatrix:
+    def delta_by_chase(self, p: int, j: int, wedge_lift: bool = False) -> list:
         """The same connecting map via the snake-lemma chase.
 
         Lifts each generator through tau_* (see _lifts), applies the
@@ -232,7 +233,7 @@ class GysinData:
         src = self.base.homology(p, j)
         tgt = self.base.homology(p, j + 2)
         if j < 0 or not src.generator_count:
-            return IntMatrix.zeros(tgt.generator_count, 0)
+            return []
         section = self.tau_star(p, j + 2).inverse(self.base.chain_dim(p, j + 2))
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
         cols = []
@@ -246,7 +247,7 @@ class GysinData:
             if coords is None:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)
-        return IntMatrix.from_columns(cols, rows=tgt.generator_count)
+        return cols
 
     def _lifts(self, p: int, j: int, wedge_lift: bool) -> list:
         """Preimages under tau_* at (p+1, j+2) of the generators at (p, j).
@@ -278,14 +279,14 @@ class GysinData:
         return lifts
 
 
-def _subgroup_pair(f: IntMatrix, g: IntMatrix, rel2: list, rel3: list):
-    """Image of f and kernel of g inside the middle homology group, as
-    coordinate lattices containing the relation lattice.  The kernel takes
-    the raw residual boundaries rel3: from their span's echelon basis its
+def _subgroup_pair(f: list, g: list, middle, target):
+    """Image of f and kernel of g, column lists, in the middle group as
+    coordinate lattices containing its relations.  The kernel takes the
+    target's raw residual boundaries: from their span's echelon basis its
     entries reached 686 bits on data/hermite_growth.tcx with split 3, not 43."""
-    k2 = f.rows
-    image = Lattice(k2, f.sparse_columns() + rel2)
-    kernel = Lattice(k2, preimage(g.sparse_columns(), rel3, g.rows) + rel2)
+    k2 = middle.generator_count
+    image = Lattice(k2, f + middle.relations)
+    kernel = Lattice(k2, preimage(g, target.relations, target.generator_count) + middle.relations)
     return image, kernel
 
 
@@ -312,15 +313,14 @@ def verify_exactness(G: GysinData) -> GysinReport:
             pres_base = G.base.homology(p - 1, j)
             tau_lower = G.tau_lower_induced(p, j)
             delta = G.delta_induced(p - 1, j - 2)
-            # per node: its group, the incoming and outgoing maps, and the
-            # relations of the outgoing map's target
-            for term, node_p, node_j, pres, f, g, next_relations in (
-                ("tor_ext", p, j, pres_ext, G.tau_star_induced(p, j), tau_lower, pres_low.relations),
-                ("tor_base_lower", p - 1, j - 2, pres_low, tau_lower, delta, pres_base.relations),
+            # per node: its group, the incoming and outgoing maps, the outgoing map's target
+            for term, node_p, node_j, pres, f, g, target in (
+                ("tor_ext", p, j, pres_ext, G.tau_star_induced(p, j), tau_lower, pres_low),
+                ("tor_base_lower", p - 1, j - 2, pres_low, tau_lower, delta, pres_base),
                 ("tor_base", p - 1, j, pres_base, delta, G.tau_star_induced(p - 1, j),
-                 G.ext.homology(p - 1, j).relations),
+                 G.ext.homology(p - 1, j)),
             ):
-                image, kernel = _subgroup_pair(f, g, pres.relations, next_relations)
+                image, kernel = _subgroup_pair(f, g, pres, target)
                 nodes.append(
                     LESNode(
                         term=term,
@@ -348,8 +348,8 @@ def connecting_map_check(G: GysinData) -> dict:
             wedge = G.delta_by_chase(p, j, wedge_lift=True)
             for other, names in ((chase, "multiplication vs chase"),
                                  (wedge, "multiplication vs wedge lift")):
-                for diff, column in zip(mult.sparse_columns(), other.sparse_columns()):
-                    _add_multiple(diff, -1, column)
+                for column, other_column in zip(mult, other):
+                    diff = _add_multiple(dict(column), -1, other_column)
                     if diff and not tgt.class_is_zero(diff):
                         raise InternalCheckError(
                             f"connecting map routes disagree ({names}) at (p={p}, j={j})"

@@ -3,8 +3,8 @@
 One vector format runs through the module: a dict, column -> nonzero
 entry.  IntMatrix is a shape plus one such dict per row; it holds the
 Koszul differentials and multiplication maps from assembly to the
-engine, which reads its rows as fresh dicts (sparse_rows), and the small
-matrices (B, induced maps), which callers may also read through dense
+engine, which reads its rows as fresh dicts (sparse_rows), and small
+matrices such as B, which callers may also read through dense
 accessors.
 
 One sparse elimination engine answers every structure and kernel
@@ -30,12 +30,12 @@ Lattice is the one echelon form, on the same dict rows, with its pivots
 found by bisection: it serves kernels, presentations, solves, invariant
 factors and determinants.  It size-reduces every row it builds, so
 entries stay small, and SnfSolver solves A x = b on the echelon basis of
-the rows (column k of A, e_k).  Kernels, preimages, solves and
-coordinates are dicts; dense tuples appear only in IntMatrix.row and
-to_lists and in Lattice's dense-in, dense-out paths.  rational_rank is
-a separate sparse fraction-free elimination that shares no code with
-the engine, so the two can cross-check each other.  Everything runs on
-Python ints, and IntMatrix, ZModule and Lattice refuse any other entry.
+the rows (column k of A, e_k).  Lattice takes and returns dicts only, as
+do kernels, preimages and solves; dense tuples appear only in
+IntMatrix.row and to_lists and in Lattice.hnf_basis.  rational_rank is a
+separate sparse fraction-free elimination that shares no code with the
+engine, so the two can cross-check each other.  Everything runs on Python
+ints, and IntMatrix, ZModule and Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -467,8 +467,6 @@ def homology_structures(differentials) -> list:
 
 def cokernel_structure(A: IntMatrix) -> ZModule:
     """Structure of Z^rows / column span of A: H_0 of Z^rows <- Z^cols."""
-    if A.is_zero():
-        return ZModule(A.rows)
     return homology_structures([A])[0]
 
 
@@ -514,7 +512,7 @@ class SnfSolver:
     pairs the image of A with preimages: clearing (b, 0) left of column
     A.rows leaves (0, -x) with A x = b, or b is off the image.  The name
     is from the Smith-form solve this replaced; the benchmark's tracer
-    hooks SnfSolver.solve by name (ROADMAP item 2).
+    hooks SnfSolver.solve by name (ROADMAP item 6, after item 1(b)).
     """
 
     def __init__(self, A: IntMatrix):
@@ -548,7 +546,7 @@ class Lattice:
     entries grow without bound although input and result are small
     (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A Hermite-reduced
     basis added in pivot order is therefore kept as it is.  A vector
-    handed in is a sequence of n entries or a dict, converted once.
+    handed in is a dict, column -> entry, copied once.
 
     sign is the determinant (+-1) of the row operations so far, the vector
     being added counted last: xgcd steps [[x, y], [-b/g, a/g]] and
@@ -565,11 +563,9 @@ class Lattice:
             self.add(v)
 
     def _entry(self, vec) -> dict:
-        """A new dict of the nonzero entries of vec, each checked to be an int."""
+        """A new dict of the nonzero entries of the dict vec, checked to be ints."""
         if not isinstance(vec, dict):
-            vec = dict(enumerate(vec))
-            if len(vec) != self.n:
-                raise InputError(f"vector of width {len(vec)} in a lattice in Z^{self.n}")
+            raise InputError(f"vector {vec!r} is not a dict column -> entry")
         return {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
 
     def add(self, vec):
@@ -635,12 +631,10 @@ class Lattice:
         for v in vectors:
             self.add(v)
 
-    def coordinates(self, vec):
-        """Integer coordinates of vec in the basis, or None when vec is
-        not in the lattice: a tuple for a sequence, and a dict basis
-        position -> nonzero coordinate for a dict."""
-        coords = self._clear(self._entry(vec), math.inf)
-        return coords if coords is None or isinstance(vec, dict) else _dense(coords, len(self.basis))
+    def coordinates(self, vec: dict):
+        """Integer coordinates of vec in the basis, a dict basis position
+        -> nonzero coordinate, or None when vec is not in the lattice."""
+        return self._clear(self._entry(vec), math.inf)
 
     def _clear(self, v: dict, stop: int):
         """Clear v left of column stop, in place, from the left (a basis
@@ -794,9 +788,9 @@ class HomologyPresentation(NamedTuple):
             raise InputError(f"cycle {cycle!r} is not a dict index -> entry")
         return self.cycles.coordinates(self.boundaries.project(cycle))
 
-    def class_is_zero(self, coords) -> bool:
+    def class_is_zero(self, coords: dict) -> bool:
         """Whether the class with the given generator coordinates, a
-        sequence or a sparse dict index -> entry, is 0."""
+        sparse dict index -> entry, is 0."""
         return coords in self.relation_lattice
 
 

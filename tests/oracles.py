@@ -7,7 +7,7 @@ hide by infecting both sides of a comparison.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 
 def rational_rank(rows):
@@ -192,6 +192,22 @@ def in_column_span(G, x):
     ux = [sum(a * b for a, b in zip(row, x)) for row in U]
     corners = [S[i][i] for i in range(min(len(S), ncols)) if S[i][i]]
     return all(y % d == 0 for y, d in zip(ux, corners)) and not any(ux[len(corners):])
+
+
+def torsion_certificate(B_rows, extra, face):
+    """(lambda, c) with lambda * extra + sum_r c_r * (row r of B) zero on
+    the columns of face (1-based vertices, B_v nonsingular there), primitive
+    with lambda > 0.  a = e_v B_v^{-1} by Cramer's rule: a_r is det B_v with
+    row r replaced by e_v, over det B_v.  lambda is the lcm of a's
+    denominators and c = -lambda a, both divided by the gcd of all n + 1."""
+    B_v = [[row[i - 1] for i in face] for row in B_rows]
+    e_v = [extra[i - 1] for i in face]
+    d = det_fraction(B_v)
+    a = [Fraction(det_fraction(B_v[:r] + [e_v] + B_v[r + 1:]), d) for r in range(len(B_v))]
+    lam = lcm(*(x.denominator for x in a))
+    c = [int(-x * lam) for x in a]
+    g = gcd(lam, *c)
+    return lam // g, tuple(x // g for x in c)
 
 
 def cokernel_invariants(rows, ambient):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,8 @@ from bigtor.stanley_reisner import (
     parse_polynomial,
     reduce,
 )
+
+import oracles
 
 SQUARE = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 DELZANT = SubgroupData(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
@@ -174,6 +177,43 @@ def test_find_torsion_orbifold_clears_denominators():
     assert cert.g_text() == "2u3 - u2"
     assert cert.f.render() == "x1*x2"
     assert cert.verified
+
+
+def test_find_torsion_matches_the_cramer_oracle():
+    # the certificate is the Hermite generator of a rank-one kernel; it must
+    # be exactly the oracle's Cramer solution with its denominators cleared
+    # and its content divided out, sign and scale included
+    shapes = [
+        SQUARE,
+        build_complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+        build_complex(6, list(itertools.product((1, 4), (2, 5), (3, 6)))),  # octahedron
+    ]
+    rng = random.Random(2012)
+    cases = unimodular = vanishing = 0
+    while cases < 240:
+        K = rng.choice(shapes)
+        faces = K.face_vertices()
+        n = len(faces[0])
+        rows = [[rng.randint(-3, 3) for _ in range(K.m)] for _ in range(n)]
+        minors = [oracles.det_fraction([[row[i - 1] for i in face] for row in rows])
+                  for face in faces]
+        if 0 in minors:
+            continue
+        S = SubgroupData(IntMatrix(rows))
+        for face, minor in zip(faces, minors):
+            # about a third of the extra forms vanish on the face's columns
+            vanish = rng.randrange(3) == 0
+            extra = [0 if vanish and i + 1 in face else rng.randint(-3, 3) for i in range(K.m)]
+            if oracles.rational_rank(rows + [extra]) != n + 1:
+                continue
+            cert = find_torsion(K, S, LinearForm(tuple(extra)), face)
+            expected = oracles.torsion_certificate(rows, extra, face)
+            assert (cert.g_extra_coefficient, cert.g_u_coefficients) == expected, (rows, extra, face)
+            cases += 1
+            unimodular += abs(minor) == 1
+            vanishing += not any(extra[i - 1] for i in face)
+    # |det B_v| = 1, |det B_v| > 1 and extra forms vanishing on the face all occur
+    assert unimodular >= 10 and cases - unimodular >= 100 and vanishing >= 50, (unimodular, vanishing)
 
 
 def test_find_torsion_rejects_dependent_extra():

@@ -190,7 +190,7 @@ def test_kernel_basis_random():
         diag = [S[i][i] for i in range(min(A.rows, A.cols)) if S[i][i]]
         assert diag == oracles.smith_diagonal(m)
         rank = len(diag)
-        expected = Lattice(A.cols, [tuple(row[c] for row in V) for c in range(rank, A.cols)])
+        expected = Lattice(A.cols, [to_sparse(row[c] for row in V) for c in range(rank, A.cols)])
         assert dense_kernel(A) == expected.hnf_basis()
     no_units = IntMatrix([[2, 4, 6], [4, 8, 12], [0, 0, 0]])
     assert dense_kernel(no_units) == [(1, 1, -1), (0, 3, -2)]
@@ -209,7 +209,7 @@ def test_preimage_matches_the_span_oracle():
         got = preimage([to_sparse(col) for col in zip(*A)],
                        [to_sparse(col) for col in zip(*R)], r)
         basis = [to_dense(v, k) for v in got if v]
-        assert basis == Lattice(k, basis).hnf_basis(), (A, R)
+        assert basis == Lattice(k, got).hnf_basis(), (A, R)
         for x in basis:
             assert oracles.in_column_span(R, [sum(a * y for a, y in zip(row, x)) for row in A])
         stacked = [a + b for a, b in zip(A, R)]
@@ -259,7 +259,7 @@ def test_hermite_reduce_shape_and_span():
             tuple(rng.randint(-6, 6) for _ in range(width))
             for _ in range(rng.randint(0, 5))
         ]
-        reduced = Lattice(width, vectors).hnf_basis()
+        reduced = Lattice(width, map(to_sparse, vectors)).hnf_basis()
         pivots = []
         for row in reduced:
             lead = next(c for c in range(width) if row[c])
@@ -271,17 +271,17 @@ def test_hermite_reduce_shape_and_span():
                 assert 0 <= reduced[above][lead] < reduced[pos][lead]
         shuffled = list(vectors)
         rng.shuffle(shuffled)
-        assert Lattice(width, shuffled).hnf_basis() == reduced
+        assert Lattice(width, map(to_sparse, shuffled)).hnf_basis() == reduced
 
 
 def test_hermite_reduce_wrong_width():
     with pytest.raises(InputError):
-        Lattice(2, [(1, 2, 3)])
+        Lattice(2, [{0: 1, 1: 2, 2: 3}])
 
 
 def random_hermite_basis(rng, width, count):
     vectors = [tuple(rng.randint(-6, 6) for _ in range(width)) for _ in range(count)]
-    return Lattice(width, vectors).hnf_basis()
+    return Lattice(width, map(to_sparse, vectors)).hnf_basis()
 
 
 def combine(coeffs, basis, width):
@@ -307,7 +307,8 @@ def test_solver_round_trip():
         x = tuple(rng.randint(-5, 5) for _ in basis)
         b = combine(x, basis, width)
         solver = SnfSolver(IntMatrix.from_columns(basis, rows=width))
-        assert Lattice(width, basis).coordinates(b) == to_dense(solver.solve(to_sparse(b)), len(x)) == x
+        coords = Lattice(width, map(to_sparse, basis)).coordinates(to_sparse(b))
+        assert to_dense(coords, len(x)) == to_dense(solver.solve(to_sparse(b)), len(x)) == x
 
 
 def test_solver_reports_unsolvable():
@@ -329,7 +330,7 @@ def test_solver_reports_unsolvable():
             x[rng.randrange(len(x))] = 2 * rng.randint(-2, 2) + 1
             cases.append((doubled, combine(x, basis, width)))
         for rows, b in cases:
-            assert Lattice(width, rows).coordinates(b) is None
+            assert Lattice(width, map(to_sparse, rows)).coordinates(to_sparse(b)) is None
             assert SnfSolver(IntMatrix.from_columns(rows, rows=width)).solve(to_sparse(b)) is None
     # a right-hand side index outside [0, rows) or an entry that is not an int
     for b in ({1: 2}, {-1: 1}, {0.0: 1}, {True: 1}, {0: 1.5}):
@@ -337,24 +338,26 @@ def test_solver_reports_unsolvable():
             SnfSolver(IntMatrix([[1]])).solve(b)
 
 
-def test_lattice_takes_dense_or_dict_vectors():
-    # the basis is sparse rows with positive, strictly increasing pivots, and
-    # a vector may come as a dense sequence or a dict column -> entry
+def test_lattice_takes_dict_vectors_only():
+    # the basis is sparse rows with positive, strictly increasing pivots; a
+    # vector is a dict column -> entry, and a dense sequence is refused
     rng = random.Random(1979)
     for _ in range(60):
         n = rng.randint(1, 7)
         gens = [tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n))
                 for _ in range(rng.randint(0, 6))]
-        sparse = [{c: x for c, x in enumerate(v) if x} for v in gens]
-        dense_built, dict_built = Lattice(n, gens), Lattice(n, sparse)
-        assert dict_built.basis == dense_built.basis
-        assert dict_built.pivots == dense_built.pivots == [min(row) for row in dense_built.basis]
-        assert all(row[min(row)] > 0 and all(row.values()) for row in dense_built.basis)
-        assert sorted(set(dense_built.pivots)) == dense_built.pivots
-        assert dict_built.hnf_basis() == dense_built.hnf_basis()
+        sparse = [to_sparse(v) for v in gens]
+        L = Lattice(n, sparse)
+        assert L.pivots == [min(row) for row in L.basis]
+        assert all(row[min(row)] > 0 and all(row.values()) for row in L.basis)
+        assert sorted(set(L.pivots)) == L.pivots
+        rows = [to_dense(row, n) for row in L.basis]
         for v, d in zip(gens, sparse):
-            coords = dense_built.coordinates(v)
-            assert dense_built.coordinates(d) == {k: x for k, x in enumerate(coords) if x}
+            coords = L.coordinates(d)
+            assert all(coords.values()) and combine(to_dense(coords, L.rank), rows, n) == v
+            for refused in (lambda: L.coordinates(v), lambda: v in L, lambda: Lattice(n, [v])):
+                with pytest.raises(InputError, match="is not a dict"):
+                    refused()
         assert IntMatrix.from_columns(sparse, n) == IntMatrix.from_columns(gens, n)
     L = Lattice(3, [{0: 2}, {2: 1}])
     assert L.coordinates({0: 4, 2: -1}) == {0: 2, 1: -1}
@@ -365,16 +368,16 @@ def test_lattice_takes_dense_or_dict_vectors():
 
 
 def test_lattice_membership():
-    L = Lattice(2, [(2, 0), (0, 2)])
-    assert (2, -2) in L
-    assert (0, 0) in L
-    assert (1, 1) not in L
-    assert L.coordinates((2, -2)) == (1, -1)
-    assert L.coordinates((1, 1)) is None
+    L = Lattice(2, [{0: 2}, {1: 2}])
+    assert {0: 2, 1: -2} in L
+    assert {} in L
+    assert {0: 1, 1: 1} not in L
+    assert L.coordinates({0: 2, 1: -2}) == {0: 1, 1: -1}
+    assert L.coordinates({0: 1, 1: 1}) is None
     # a vector with an entry at a column between two pivots is outside
-    gap = Lattice(3, [(1, 0, 0), (0, 0, 1)])
-    assert gap.coordinates((2, 0, 3)) == (2, 3)
-    assert gap.coordinates((2, 1, 3)) is None
+    gap = Lattice(3, [{0: 1}, {2: 1}])
+    assert gap.coordinates({0: 2, 2: 3}) == {0: 2, 1: 3}
+    assert gap.coordinates({0: 2, 1: 1, 2: 3}) is None
     assert L.rank == 2
     assert not Lattice(3).hnf_basis()
 
@@ -387,23 +390,23 @@ def test_lattice_equality_is_generator_independent():
             tuple(rng.randint(-4, 4) for _ in range(n))
             for _ in range(rng.randint(1, 4))
         ]
-        L = Lattice(n, gens)
+        L = Lattice(n, map(to_sparse, gens))
         # same span written differently: shuffled order plus a row operation
         mixed = list(gens)
         rng.shuffle(mixed)
         if len(mixed) >= 2:
             mixed.append(tuple(a + 3 * b for a, b in zip(mixed[0], mixed[1])))
-        assert Lattice(n, mixed) == L
+        assert Lattice(n, map(to_sparse, mixed)) == L
         for vec in gens:
-            assert vec in L
-            assert tuple(-x for x in vec) in L
+            assert to_sparse(vec) in L
+            assert to_sparse(-x for x in vec) in L
         # a Hermite basis is kept as the basis, in order, and the
         # coordinates of every generator rebuild it
         hermite = L.hnf_basis()
-        H = Lattice(n, hermite)
-        assert H.basis == [{c: x for c, x in enumerate(row) if x} for row in hermite]
+        H = Lattice(n, map(to_sparse, hermite))
+        assert H.basis == [to_sparse(row) for row in hermite]
         for vec in gens:
-            assert combine(H.coordinates(vec), hermite, n) == vec
+            assert combine(to_dense(H.coordinates(to_sparse(vec)), len(hermite)), hermite, n) == vec
 
 
 def test_homology_presentation_known():
@@ -413,8 +416,8 @@ def test_homology_presentation_known():
     pres = homology_presentation(d_out, d_in)
     assert pres.structure == ZModule(0, (2,))
     assert pres.generator_count == 1
-    assert not pres.class_is_zero((1,))
-    assert pres.class_is_zero((2,))
+    assert not pres.class_is_zero({0: 1})
+    assert pres.class_is_zero({0: 2})
 
 
 def random_relations(rng, units):
@@ -781,9 +784,9 @@ def test_int_matrix_refuses_entries_that_are_not_ints(entry):
 def test_lattice_refuses_entries_that_are_not_ints(entry):
     # a float was kept as a pivot, and an integral float was a member
     with pytest.raises(InputError, match="is not an integer"):
-        Lattice(2, [(entry, 0), (0, 2)])
-    L = Lattice(2, [(1, 0)])
-    for vec in ((entry, 0), {0: entry}, {1: entry}):
+        Lattice(2, [{0: entry}, {1: 2}])
+    L = Lattice(2, [{0: 1}])
+    for vec in ({0: entry}, {1: entry}):
         with pytest.raises(InputError, match="is not an integer"):
             vec in L
         with pytest.raises(InputError, match="is not an integer"):

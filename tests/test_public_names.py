@@ -12,6 +12,9 @@ public class sets in __init__.  A field is read when src/bigtor,
 perfbench/child.py or perfbench/layers.py loads an attribute of its name
 as a value; calling a method of the same name does not count.  A field
 that is only ever set is computed for nobody.
+
+Every name a src/bigtor module imports is read in that module: an import
+left behind by deleted code is a dependency nobody uses.
 """
 
 import ast
@@ -119,3 +122,24 @@ def unread_fields():
 
 def test_every_record_field_is_read_outside_the_tests():
     assert unread_fields() == []
+
+
+def unused_imports():
+    """module.name for each name a src/bigtor module imports, at any depth,
+    and never loads as a Name; __future__ features are not names."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in loaded]
+    return unused
+
+
+def test_every_import_is_read_in_its_module():
+    assert unused_imports() == []
