@@ -18,8 +18,6 @@ consistency check or any other exception.
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
 from typing import NamedTuple
@@ -157,7 +155,7 @@ def parse_problem(text: str) -> ProblemSpec:
                         line_no,
                         f"matrix row has {len(row)} entries, expected m = {m}",
                     )
-                rows.append(row)
+                rows.append({c: x for c, x in enumerate(row) if x})
         try:
             subgroup = SubgroupData(IntMatrix(rows, cols=m))
         except InputError as exc:
@@ -188,6 +186,8 @@ def _verdict_json(v) -> dict:
 
 
 def emit_json(command: str, input_path: str, max_degree: int, result: dict) -> str:
+    import json
+
     payload = {
         "command": command,
         "input": input_path,
@@ -200,8 +200,23 @@ def emit_json(command: str, input_path: str, max_degree: int, result: dict) -> s
 # --- command implementations ----------------------------------------------
 
 
+def _checked_table(spec: ProblemSpec):
+    """The integer Tor table up to spec's degree bound, once its
+    alternating rank sums match the Hilbert series in every degree: a
+    check that shares no code with the elimination."""
+    from .koszul_tor import euler_discrepancies, tor_table
+
+    S = spec.require_B()
+    table = tor_table(spec.complex, S, spec.max_degree)
+    bad = euler_discrepancies(spec.complex, S, table)
+    if bad:
+        raise InternalCheckError("Tor ranks miss the Euler characteristic at " + ", ".join(
+            f"j={j} (alternating sum {lhs}, Hilbert series {rhs})" for j, lhs, rhs in bad))
+    return table
+
+
 def _cmd_tor(spec: ProblemSpec, rational: bool):
-    from .koszul_tor import rational_tor_ranks, tor_table
+    from .koszul_tor import rational_tor_ranks
 
     S = spec.require_B()
     D = spec.max_degree
@@ -222,7 +237,7 @@ def _cmd_tor(spec: ProblemSpec, rational: bool):
             lines.append("  all pieces are zero")
         return result, "\n".join(lines)
 
-    table = tor_table(spec.complex, S, D)
+    table = _checked_table(spec)
     entries = [
         {"p": p, "j": j, "q": j - p, "rank": z.rank, "torsion": list(z.torsion)}
         for p, j, z in table.entries()
@@ -260,11 +275,11 @@ def _witness_json(w) -> dict:
 
 
 def _cmd_check_bigcm(spec: ProblemSpec):
-    from .koszul_tor import regular_sequence_check, tor1_witness, tor_table, verdicts
+    from .koszul_tor import regular_sequence_check, tor1_witness, verdicts
 
     S = spec.require_B()
     D = spec.max_degree
-    table = tor_table(spec.complex, S, D)
+    table = _checked_table(spec)
     verdict = verdicts(table).bigcm
     regular = regular_sequence_check(spec.complex, S, D)
     if verdict.holds() != regular.regular:
@@ -301,11 +316,9 @@ def _cmd_check_bigcm(spec: ProblemSpec):
 
 
 def _cmd_check_free(spec: ProblemSpec):
-    from .koszul_tor import depth_estimate, tor_table, verdicts
+    from .koszul_tor import depth_estimate, verdicts
 
-    S = spec.require_B()
-    D = spec.max_degree
-    table = tor_table(spec.complex, S, D)
+    table = _checked_table(spec)
     report = verdicts(table)
     depth = depth_estimate(table)
     result = {
@@ -505,13 +518,6 @@ def _cmd_gysin(spec: ProblemSpec, split: int | None):
 # --- argument handling ----------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports problems as input errors (exit 1)."""
-
-    def error(self, message):
-        raise InputError(message)
-
-
 # command -> (handler, help text, its own arguments as (flag, options) pairs)
 _COMMANDS = {
     "tor": (_cmd_tor, "bigraded Tor table", [
@@ -540,7 +546,15 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports problems as input errors (exit 1)."""
+
+        def error(self, message):
+            raise InputError(message)
+
     parser = _Parser(prog="bigtor", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, own) in _COMMANDS.items():

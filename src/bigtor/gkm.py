@@ -23,6 +23,7 @@ from .simplicial import SimplicialComplex, SubgroupData, _column_submatrix, _mem
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
+    forms_of,
     reduce,
 )
 
@@ -43,7 +44,8 @@ class VertexData(NamedTuple):
 
 def _cofactor(M: IntMatrix, r: int, c: int) -> int:
     """(-1)^(r+c) times the minor of M without row r and column c."""
-    minor = [row[:c] + row[c + 1:] for i, row in enumerate(M.to_lists()) if i != r]
+    minor = [{k - (k > c): x for k, x in row.items() if k != c}
+             for i, row in enumerate(M.sparse_rows()) if i != r]
     return (-1) ** (r + c) * det(IntMatrix(minor, cols=M.cols - 1))
 
 
@@ -86,12 +88,12 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
         )
         out.append(VertexData(face=face, alpha_rows=inverse))
     data = tuple(out)
-    for r in range(n):
+    for r, u in enumerate(forms_of(S)):
         expected = Polynomial.variable(n, r + 1)
         for v in data:
             image = Polynomial.zero(n)
             for i in v.face:
-                c = S.B[(r, i - 1)]
+                c = u.coeffs[i - 1]
                 if c:
                     image = image + c * v.restriction_of(i, n)
             if image != expected:
@@ -191,12 +193,10 @@ class TorsionCertificate(NamedTuple):
         return " ".join(pieces)
 
     def g_as_form(self, S: SubgroupData, extra: LinearForm) -> LinearForm:
-        coeffs = [self.g_extra_coefficient * c for c in extra.coeffs]
-        for r, cr in enumerate(self.g_u_coefficients):
-            if cr:
-                for i in range(S.m):
-                    coeffs[i] += cr * S.B[(r, i)]
-        return LinearForm(tuple(coeffs))
+        weights = (self.g_extra_coefficient, *self.g_u_coefficients)
+        forms = (extra, *forms_of(S))
+        return LinearForm(tuple(sum(w * u.coeffs[i] for w, u in zip(weights, forms))
+                                for i in range(S.m)))
 
 
 def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) -> TorsionCertificate:
@@ -212,9 +212,9 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
     """
     if extra.nvars != S.m:
         raise InputError(f"extra form has {extra.nvars} variables, expected {S.m}")
-    stacked = IntMatrix(
-        [list(S.B.row(r)) for r in range(S.n)] + [list(extra.coeffs)], cols=S.m
-    )
+    # the rows extra, u_1, ..., u_n, in the order of (lambda, c)
+    stacked = IntMatrix([{i: c for i, c in enumerate(u.coeffs) if c}
+                         for u in (extra, *forms_of(S))], cols=S.m)
     if rational_rank(stacked) != S.n + 1:
         raise InputError(
             "extra form is dependent on the subring generators; no torsion certificate"
@@ -222,9 +222,7 @@ def find_torsion(K: SimplicialComplex, S: SubgroupData, extra: LinearForm, v) ->
     face = tuple(sorted(v))
     if not any(vd.face == face for vd in vertex_data(K, S)):
         raise InputError(f"{set(face) if face else set()} is not a maximal face")
-    kernel = kernel_lattice(IntMatrix(
-        [[extra.coeffs[i - 1]] + [S.B[(r, i - 1)] for r in range(S.n)] for i in face],
-        cols=S.n + 1))
+    kernel = kernel_lattice(_column_submatrix(stacked, face).transpose())
     if kernel.rank != 1:
         raise InternalCheckError(f"certificate kernel has rank {kernel.rank}, not 1")
     (vec,) = kernel.basis

@@ -1,11 +1,10 @@
 """Exact integer linear algebra on sparse rows.
 
 One vector format runs through the module: a dict, column -> nonzero
-entry.  IntMatrix is a shape plus one such dict per row; it holds the
-Koszul differentials and multiplication maps from assembly to the
-engine, which reads its rows as fresh dicts (sparse_rows), and small
-matrices such as B, which callers may also read through dense
-accessors.
+entry.  IntMatrix is a shape plus one such dict per row, and it is built
+from such rows only; it holds the Koszul differentials and
+multiplication maps from assembly to the engine, which reads its rows as
+fresh dicts (sparse_rows), and small matrices such as B.
 
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
@@ -32,10 +31,10 @@ factors and determinants.  It size-reduces every row it builds, so
 entries stay small, and SnfSolver solves A x = b on the echelon basis of
 the rows (column k of A, e_k).  Lattice takes and returns dicts only, as
 do kernels, preimages and solves; dense tuples appear only in
-IntMatrix.row and to_lists and in Lattice.hnf_basis.  rational_rank is a
-separate sparse fraction-free elimination that shares no code with the
-engine, so the two can cross-check each other.  Everything runs on Python
-ints, and IntMatrix, ZModule and Lattice refuse any other entry.
+IntMatrix.to_lists and Lattice.hnf_basis.  rational_rank is a separate
+sparse fraction-free elimination that shares no code with the engine,
+so the two can cross-check each other.  Everything runs on Python ints,
+and IntMatrix, ZModule and Lattice refuse any other entry.
 """
 from __future__ import annotations
 
@@ -64,15 +63,6 @@ __all__ = [
 ]
 
 
-def _index(i, n: int, what: str) -> int:
-    """i, once it is checked to be an int (not a bool) in [0, n)."""
-    if type(i) is not int:
-        raise InputError(f"{what} index {i!r} is not an integer")
-    if not 0 <= i < n:
-        raise IndexError(f"{what} {i} out of range 0..{n - 1}")
-    return i
-
-
 def _dimension(n, what: str) -> int:
     """n, once it is checked to be an int (not a bool) >= 0."""
     if type(n) is not int or n < 0:
@@ -84,54 +74,50 @@ def _not_int(x):
     raise InputError(f"entry {x!r} is not an integer")
 
 
-def _dict_row(values) -> dict:
-    """The nonzero entries of a dense row, column -> entry, once every
-    entry is checked to be an int."""
-    return {c: x for c, x in enumerate(values) if (x if type(x) is int else _not_int(x))}
+class _Immutable:
+    """Base of the value types whose slots are set once: __setstate__
+    restores them for copy and pickle past the refusing __setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
-class IntMatrix:
+class IntMatrix(_Immutable):
     """Immutable matrix of arbitrary-precision integers: a shape plus one
     dict per row, column -> nonzero entry.
 
     No zero is stored, so equal matrices have equal rows, and the engine
     reads the rows as they are (sparse_rows): a Koszul differential is
     never densified.  The shape is kept explicitly so that 0 x n and
-    n x 0 matrices stay distinguishable.  The constructor takes each row
-    as a dense sequence or as such a dict; dict rows need cols.  Entries
-    must be ints (type int exactly: no bool, float or Fraction), dense
-    rows must have equal lengths, and a dict row may store no zero and
-    no column outside [0, cols); a shape is a nonnegative int.  The dense
-    accessors (row, to_lists, indexing) fill in the zeros.
+    n x 0 matrices stay distinguishable.  The constructor takes the rows
+    as such dicts and the column count; entries must be ints (type int
+    exactly: no bool, float or Fraction), a row may store no zero and no
+    column outside [0, cols), and cols is a nonnegative int.  to_lists is
+    the one dense view, with the zeros filled in.
     """
 
     __slots__ = ("rows", "cols", "_entries")
 
-    def __init__(self, entries, cols: int | None = None):
+    def __init__(self, entries, cols: int):
+        cols = _dimension(cols, "column count")
         data = []
-        width = cols if cols is None else _dimension(cols, "column count")
         for row in entries:
             if not isinstance(row, dict):
-                row = tuple(row)
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise InputError(f"declared {cols} columns, a row has {len(row)}"
-                                     if cols is not None else "ragged rows in matrix literal")
-                data.append(_dict_row(row))
-                continue
-            if cols is None:
-                raise InputError("dict rows need an explicit column count")
+                raise InputError(f"row {row!r} is not a dict column -> entry")
             for c, x in row.items():
                 if type(c) is not int or not 0 <= c < cols:
                     raise InputError(f"column {c!r} is not an integer in [0, {cols})")
                 if not (x if type(x) is int else _not_int(x)):
                     raise InputError(f"stored zero in column {c}")
             data.append(dict(row))
-        if width is None:
-            raise InputError("matrix with no rows needs an explicit column count")
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", tuple(data))
 
     @classmethod
@@ -144,9 +130,6 @@ class IntMatrix:
         object.__setattr__(matrix, "_entries", tuple(entries))
         return matrix
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
@@ -154,15 +137,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
-        """The matrix with the given columns, dense or dict like rows."""
+        """The matrix with the given columns, dicts row -> nonzero entry."""
         return cls(columns, rows).transpose()
-
-    def __getitem__(self, key):
-        r, c = key
-        return self._entries[_index(r, self.rows, "row")].get(_index(c, self.cols, "column"), 0)
-
-    def row(self, r: int) -> tuple:
-        return _dense(self._entries[_index(r, self.rows, "row")], self.cols)
 
     def sparse_rows(self) -> list:
         """A shallow copy of the stored rows, free for the caller to
@@ -178,7 +154,7 @@ class IntMatrix:
         return out
 
     def to_lists(self) -> list:
-        """Nested-list form; round-trips exactly through the constructor."""
+        """Nested-list form, zeros filled in."""
         return [list(_dense(row, self.cols)) for row in self._entries]
 
     def transpose(self) -> "IntMatrix":
@@ -219,7 +195,7 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-class ZModule:
+class ZModule(_Immutable):
     """Finitely generated abelian group Z^rank + Z/d1 + ... with d1 | d2 | ...
 
     Invariant factors are stored in ascending divisibility order and
@@ -244,9 +220,6 @@ class ZModule:
                 raise InputError(f"invariant factors {a}, {b} break the divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZModule is immutable")
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,7 +17,7 @@ import functools
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, cokernel_structure, det, rational_rank
+from .intlinalg import IntMatrix, _Immutable, cokernel_structure, det, rational_rank
 
 MAX_VERTICES = 64
 
@@ -76,7 +76,7 @@ def _to_vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Immutable):
     """Complex on [m] stored by its maximal faces (bitsets, input order,
     an inclusion antichain).  Equal complexes compare and hash alike; each
     instance owns its own memo, whose entries never refer back to it."""
@@ -87,9 +87,6 @@ class SimplicialComplex:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "maximal_faces", maximal_faces)
         object.__setattr__(self, "_cache", {})  # (function name, *args) -> result
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -153,7 +150,7 @@ def face_count_by_size(K: SimplicialComplex) -> tuple:
     return tuple(counts)
 
 
-class SubgroupData:
+class SubgroupData(_Immutable):
     """An n x m integer matrix B of full row rank over Q.
 
     Row i is the coefficient vector of the linear form u_i = sum_j
@@ -170,9 +167,6 @@ class SubgroupData:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "n", B.rows)
         object.__setattr__(self, "m", B.cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupData is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubgroupData) and self.B == other.B
@@ -195,7 +189,9 @@ class LocalFreenessReport(NamedTuple):
 
 
 def _column_submatrix(B: IntMatrix, vertices) -> IntMatrix:
-    return IntMatrix([[B[r, v - 1] for v in vertices] for r in range(B.rows)], cols=len(vertices))
+    """The columns of B at the given vertices (1-based), in that order."""
+    return IntMatrix([{k: row[v - 1] for k, v in enumerate(vertices) if v - 1 in row}
+                      for row in B.sparse_rows()], cols=len(vertices))
 
 
 def check_local_freeness(K: SimplicialComplex, S: SubgroupData) -> LocalFreenessReport:

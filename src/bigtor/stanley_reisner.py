@@ -18,11 +18,11 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, _add_multiple, _dense, kernel_lattice
+from .intlinalg import IntMatrix, _Immutable, _add_multiple, _dense, kernel_lattice
 from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
 
 
-class LinearForm:
+class LinearForm(_Immutable):
     """Integer linear form sum_j c_j x_j, of internal degree 2."""
 
     __slots__ = ("coeffs",)
@@ -32,9 +32,6 @@ class LinearForm:
         if not all(type(c) is int for c in coeffs):
             raise InputError(f"linear form coefficients must be integers, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearForm is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -67,7 +64,7 @@ class LinearForm:
 
 def forms_of(S: SubgroupData) -> tuple:
     """The forms u_1, ..., u_n that the rows of B define, in row order."""
-    return tuple(LinearForm(S.B.row(i)) for i in range(S.n))
+    return tuple(LinearForm(_dense(row, S.m)) for row in S.B.sparse_rows())
 
 
 def _monomial_key(exponents: tuple):
@@ -81,7 +78,7 @@ def _is_fraction(c) -> bool:
     return isinstance(c, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Polynomial with exact rational coefficients in m variables: ints,
     or Fractions where gkm's restrictions need them.
 
@@ -105,9 +102,6 @@ class Polynomial:
                 clean[exp] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":

@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from bigtor.cli import parse_problem
-from bigtor.intlinalg import Quotient
+from bigtor.intlinalg import IntMatrix, Quotient
 from bigtor.stanley_reisner import forms_of, monomial_basis, mult_matrix
 
 import oracles
@@ -21,6 +21,17 @@ CORPUS_NAMES = [
     "cut_k2",
     "ann_square",
 ]
+
+
+def from_lists(rows, cols=None):
+    """The IntMatrix of dense rows, the inverse of IntMatrix.to_lists;
+    cols defaults to the length of the first row.  Only int zeros are
+    dropped, so the constructor still refuses any other entry."""
+    rows = [list(row) for row in rows]
+    cols = len(rows[0]) if cols is None else cols
+    assert all(len(row) == cols for row in rows), rows
+    return IntMatrix([{c: x for c, x in enumerate(row) if type(x) is not int or x}
+                      for row in rows], cols)
 
 
 def load_problem(name):

@@ -34,7 +34,7 @@ from bigtor.stanley_reisner import (
 )
 
 import oracles
-from conftest import CORPUS_NAMES, load_problem, tor0_oracle
+from conftest import CORPUS_NAMES, from_lists, load_problem, tor0_oracle
 
 RESULTS = []
 
@@ -129,8 +129,8 @@ def test_orbifold_product_fails_with_cross_checked_witness():
     coords = poly_coords(K, f, 6)
     ideal_6 = Lattice(len(coords), mult_matrix(K, u1, 4).sparse_columns())
     assert {c: x for c, x in enumerate(coords) if x} not in ideal_6
-    column = IntMatrix.from_columns([coords], len(coords))
-    image = mult_matrix(K, u2, 6).mul(column).transpose().row(0)
+    column = IntMatrix.from_columns([{c: x for c, x in enumerate(coords) if x}], len(coords))
+    image = mult_matrix(K, u2, 6).mul(column).transpose().to_lists()[0]
     ideal_8 = Lattice(len(image), mult_matrix(K, u1, 6).sparse_columns())
     assert {c: x for c, x in enumerate(image) if x} in ideal_8
 
@@ -232,16 +232,16 @@ def test_vanishing_equivalences():
 @criterion(10, "local freeness and connectedness checks give the advertised verdicts")
 def test_freeness_and_connectedness_criteria():
     two_points = build_complex(2, [(1,), (2,)])
-    assert check_local_freeness(two_points, SubgroupData(IntMatrix([[2, -1]]))).status == "PASS"
+    assert check_local_freeness(two_points, SubgroupData(from_lists([[2, -1]]))).status == "PASS"
 
     square = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    orbifold = SubgroupData(IntMatrix([[1, 0, -2, 0], [0, 2, 0, -1]]))
+    orbifold = SubgroupData(from_lists([[1, 0, -2, 0], [0, 2, 0, -1]]))
     assert check_local_freeness(square, orbifold).status == "PASS"
 
-    deficient = SubgroupData(IntMatrix([[1, 0, -1, 0], [1, 0, -1, 1]]))
+    deficient = SubgroupData(from_lists([[1, 0, -1, 0], [1, 0, -1, 1]]))
     report = check_local_freeness(square, deficient)
     assert report.status == "FAIL"
     assert (2, 3) in report.failing_faces
 
     assert check_connected_kernel(orbifold)
-    assert not check_connected_kernel(SubgroupData(IntMatrix([[2, 4]])))
+    assert not check_connected_kernel(SubgroupData(from_lists([[2, 4]])))

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import bigtor
-from bigtor import cli
+from bigtor import cli, koszul_tor
 from bigtor.errors import InternalCheckError
+from bigtor.intlinalg import ZModule
 
 from conftest import DATA_DIR
 
@@ -288,7 +289,8 @@ MAIN = "from bigtor import cli; cli.main({!r})"
 @pytest.mark.parametrize(
     "code, absent, present",
     [
-        ("import bigtor.cli", ("dataclasses", "fractions", "bigtor.koszul_tor", "bigtor.gysin", "bigtor.gkm"), ()),
+        ("import bigtor.cli", ("dataclasses", "fractions", "argparse", "gettext", "json",
+                               "bigtor.koszul_tor", "bigtor.gysin", "bigtor.gkm"), ()),
         (MAIN.format(["hilbert", "--input", path_of("cp1cp1")]), ("fractions", "bigtor.koszul_tor", "bigtor.gysin"), ()),
         (MAIN.format(["tor", "--input", path_of("cp1cp1")]), ("fractions", "bigtor.gysin"), ("bigtor.koszul_tor",)),
         ("; ".join("import " + name for name in MODULES), ("dataclasses",), MODULES),
@@ -390,10 +392,28 @@ def test_face_determinants_match_the_oracle(capsys):
         faces = json.loads(capsys.readouterr().out)["result"]["face_determinants"]
         B = cli.parse_problem(source.read_text()).require_B().B
         for entry in faces:
-            columns = [[B[r, v - 1] for v in entry["face"]] for r in range(B.rows)]
+            columns = [[row[v - 1] for v in entry["face"]] for row in B.to_lists()]
             assert entry["det"] == oracles.det_fraction(columns), (source.name, entry)
             signs.add((entry["det"] > 0) - (entry["det"] < 0))
     assert {-1, 1} <= signs
+
+
+@pytest.mark.parametrize("command", ["tor", "check-free", "check-bigcm"])
+def test_euler_gate_refuses_a_table_that_lost_a_rank(command, monkeypatch, capsys):
+    # the Euler characteristic of each degree comes from the Hilbert
+    # series, so a rank lost in elimination is a bug (exit 2) naming j
+    original = koszul_tor.tor_table
+
+    def lossy(K, S, D):
+        table = original(K, S, D)
+        assert table.piece(0, 2) == ZModule(2)
+        return table._replace(table={**table.table, (0, 2): ZModule(1)})
+
+    monkeypatch.setattr(koszul_tor, "tor_table", lossy)
+    assert cli.main([command, "--input", path_of("cp1cp1"), "--max-degree", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error: Tor ranks miss the Euler characteristic at j=2 " in err, err
+    assert "j=0" not in err and "j=4" not in err, err
 
 
 # every command's own arguments on the command line, and the keywords its

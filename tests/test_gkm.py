@@ -14,7 +14,7 @@ from bigtor.gkm import (
     phi_restrictions,
     vertex_data,
 )
-from bigtor.intlinalg import IntMatrix, det, rational_rank
+from bigtor.intlinalg import det, rational_rank
 from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import (
     LinearForm,
@@ -26,14 +26,15 @@ from bigtor.stanley_reisner import (
 )
 
 import oracles
+from conftest import from_lists
 
 SQUARE = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-DELZANT = SubgroupData(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
-ORBIFOLD = SubgroupData(IntMatrix([[1, 0, -2, 0], [0, 2, 0, -1]]))
+DELZANT = SubgroupData(from_lists([[1, 0, -1, 0], [0, 1, 0, -1]]))
+ORBIFOLD = SubgroupData(from_lists([[1, 0, -2, 0], [0, 2, 0, -1]]))
 
 
 def identity(n):
-    return IntMatrix([[int(i == k) for k in range(n)] for i in range(n)], cols=n)
+    return from_lists([[int(i == k) for k in range(n)] for i in range(n)], cols=n)
 
 
 U3 = LinearForm((0, 1, 1, -1))
@@ -92,7 +93,7 @@ def test_phi_is_multiplicative():
 
 def column_det(S, face):
     """det B_v, from the columns of B at the face's vertices."""
-    return det(IntMatrix([[S.B[r, i - 1] for i in face] for r in range(S.n)], cols=len(face)))
+    return det(from_lists([[row[i - 1] for i in face] for row in S.B.to_lists()], cols=len(face)))
 
 
 def alpha_from_w(K, S, edge):
@@ -199,7 +200,7 @@ def test_find_torsion_matches_the_cramer_oracle():
                   for face in faces]
         if 0 in minors:
             continue
-        S = SubgroupData(IntMatrix(rows))
+        S = SubgroupData(from_lists(rows))
         for face, minor in zip(faces, minors):
             # about a third of the extra forms vanish on the face's columns
             vanish = rng.randrange(3) == 0
@@ -228,14 +229,14 @@ def test_find_torsion_rejects_non_face_vertex():
 
 
 def test_singular_vertex_submatrix_is_not_gkm():
-    bad = SubgroupData(IntMatrix([[1, 2, -1, 0], [2, 4, 0, -1]]))
+    bad = SubgroupData(from_lists([[1, 2, -1, 0], [2, 4, 0, -1]]))
     with pytest.raises(NotGKMError):
         vertex_data(SQUARE, bad)
 
 
 def test_non_pure_complex_is_not_gkm():
     K = build_complex(3, [(1, 2), (3,)])
-    S = SubgroupData(IntMatrix([[1, 1, 1], [0, 1, 2]]))
+    S = SubgroupData(from_lists([[1, 1, 1], [0, 1, 2]]))
     with pytest.raises(NotGKMError):
         vertex_data(K, S)
 
@@ -250,7 +251,7 @@ def test_phi_matrix_injective_in_smooth_case():
                         for exp in entry.terms})
         rows = [[Fraction(t[v].terms.get(exp, 0)) for t in images] for v, exp in cells]
         denom = math.lcm(*(x.denominator for row in rows for x in row))
-        M = IntMatrix([[int(x * denom) for x in row] for row in rows], cols=len(images))
+        M = from_lists([[int(x * denom) for x in row] for row in rows], cols=len(images))
         assert rational_rank(M) == hilbert_coefficient(SQUARE, j)
 
 
@@ -292,7 +293,7 @@ def test_alpha_rows_are_inverse_to_random_submatrices():
         K = build_complex(n, [tuple(range(1, n + 1))])
         found = 0
         while found < 5:
-            B = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            B = from_lists([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             if det(B) == 0:
                 continue
             found += 1
@@ -301,8 +302,9 @@ def test_alpha_rows_are_inverse_to_random_submatrices():
             assert column_det(S, v.face) == det(B)
             # B^{-1} is the adjugate over det B
             assert all((x * det(B)).denominator == 1 for row in v.alpha_rows for x in row)
+            dense = B.to_lists()
             product = [
-                [sum(v.alpha_rows[r][k] * B[k, c] for k in range(n)) for c in range(n)]
+                [sum(v.alpha_rows[r][k] * dense[k][c] for k in range(n)) for c in range(n)]
                 for r in range(n)
             ]
             assert product == identity(n).to_lists()

@@ -19,9 +19,21 @@ have no --json and pin text bytes: `gkm` on cp1cp1 with two polynomials
 (the CLI renders the restriction tuple), `check-bigcm` on the orbifold
 octahedron and prod1212 (both print a FAILS witness), and `find-torsion`
 on cp1cp1 at each of its four vertices.  Their ids end in "text".
+
+`data/golden_digests.json` pins the bytes of a wider sweep: every
+command, in text and with --json, at D = 6, on every input of tests/data
+and perfbench/inputs, with `gysin` and `gysin --split k` for every row
+k, `gkm x1`, `annihilate --element x1` and `find-torsion` for every form
+and maximal face.  Each command line maps to the sha256 digest of its
+exit code, stdout and stderr.  A change that alters those bytes on
+purpose rewrites the file with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 
 import pytest
 
@@ -31,6 +43,8 @@ from conftest import DATA_DIR
 
 ROOT = DATA_DIR.parent.parent
 GOLDEN = json.loads((DATA_DIR / "golden.json").read_text())
+DIGESTS = DATA_DIR / "golden_digests.json"
+SWEEP_INPUTS = sorted(DATA_DIR.glob("*.tcx")) + sorted((ROOT / "perfbench" / "inputs").glob("*.tcx"))
 
 
 def case_id(case):
@@ -45,3 +59,46 @@ def test_json_output_matches_golden(case, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert cli.main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+def sweep_command_lines():
+    """Each command line of the sweep, --input relative to the root."""
+    lines = []
+    for path in SWEEP_INPUTS:
+        spec = cli.parse_problem(path.read_text())
+        commands = [["tor"], ["tor", "--rational"], ["check-bigcm"], ["check-free"],
+                    ["check-local-free"], ["check-connected"], ["hilbert"], ["gkm", "x1"],
+                    ["annihilate", "--element", "x1"], ["gysin"]]
+        commands += [["gysin", "--split", str(k)] for k in range(1, spec.B.n + 1)]
+        commands += [["find-torsion", "--extra", name, "--vertex", "{%s}" % " ".join(map(str, face))]
+                     for name, _ in spec.extra_forms for face in spec.complex.face_vertices()]
+        for command, *own in commands:
+            argv = [command, "--input", path.relative_to(ROOT).as_posix(), "--max-degree", "6", *own]
+            lines += [argv, argv + ["--json"]]
+    return lines
+
+
+def sweep_digests() -> dict:
+    """Command line -> sha256 of [exit code, stdout, stderr] as JSON, run
+    in this process from the root."""
+    digests = {}
+    for argv in sweep_command_lines():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        record = json.dumps([code, out.getvalue(), err.getvalue()])
+        digests[" ".join(argv)] = hashlib.sha256(record.encode()).hexdigest()
+    return digests
+
+
+def test_every_command_sweep_matches_digests(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = json.loads(DIGESTS.read_text())
+    got = sweep_digests()
+    assert sorted(got) == sorted(expected)
+    assert [line for line in got if got[line] != expected[line]] == []
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    DIGESTS.write_text(json.dumps(sweep_digests(), indent=1, sort_keys=True) + "\n")

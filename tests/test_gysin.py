@@ -19,20 +19,20 @@ from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis, mult_matrix
 
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, from_lists
 from test_regular_sequence import random_problem
 
 TWO_POINTS = build_complex(2, [(1,), (2,)])
-W12 = SubgroupData(IntMatrix([[2, -1]]))
+W12 = SubgroupData(from_lists([[2, -1]]))
 
 
 def identity(n):
-    return IntMatrix([[int(i == k) for k in range(n)] for i in range(n)], cols=n)
+    return IntMatrix([{i: 1} for i in range(n)], cols=n)
 
 
 def base_subgroup(S_ext, split):
     """B-tilde without its 0-based split row: the base forms' subring."""
-    rows = [list(S_ext.B.row(r)) for r in range(S_ext.n) if r != split]
+    rows = [row for r, row in enumerate(S_ext.B.sparse_rows()) if r != split]
     return SubgroupData(IntMatrix(rows, cols=S_ext.m))
 
 
@@ -82,7 +82,7 @@ def cross4_orb():
     B = [[0] * 8 for _ in range(4)]
     for i, (a, b) in enumerate(zip((1, 2, 1, 2), (1, 2, 3, 4))):
         B[i][i], B[i][i + 4] = a, -b
-    return build_complex(8, facets), SubgroupData(IntMatrix(B, cols=8))
+    return build_complex(8, facets), SubgroupData(from_lists(B, cols=8))
 
 
 def test_generic_lift_shifts_the_wedge_lift_by_one_basis_chain(corpus, budget):
@@ -131,7 +131,7 @@ def _dense_tau_star(G, p, j):
             r0 = ext_subsets.index(S) * block
             for t in range(block):
                 out[r0 + t][si * block + t] = 1
-    return IntMatrix(out, cols=cols)
+    return from_lists(out, cols=cols)
 
 
 def _dense_tau_lower(G, p, j):
@@ -148,7 +148,7 @@ def _dense_tau_lower(G, p, j):
                 r0 = base_subsets.index(S[:-1]) * block
                 for t in range(block):
                     out[r0 + t][si * block + t] = (-1) ** (p - 1)
-    return IntMatrix(out, cols=cols)
+    return from_lists(out, cols=cols)
 
 
 def test_chain_level_maps_commute_and_anticommute(corpus):
@@ -162,7 +162,7 @@ def test_chain_level_maps_commute_and_anticommute(corpus):
             proj_then_d = _dense_tau_lower(G, p, j).mul(G.ext.differential(p + 1, j))
             d_then_proj = G.base.differential(p, j - 2).mul(_dense_tau_lower(G, p + 1, j))
             negated = [[-x for x in row] for row in d_then_proj.to_lists()]
-            assert proj_then_d == IntMatrix(negated, cols=d_then_proj.cols)
+            assert proj_then_d == from_lists(negated, cols=d_then_proj.cols)
             composite = _dense_tau_lower(G, p, j).mul(_dense_tau_star(G, p, j))
             assert composite.is_zero()
 
@@ -213,7 +213,7 @@ def test_wedge_section_and_times_match_the_dense_maps(corpus, budget):
                             for r, row in enumerate(block):
                                 dense[s * len(block) + r][s * len(row):(s + 1) * len(row)] = row
                         assert IntMatrix.from_columns([times({k: 1}) for k in range(dim)],
-                                                      len(dense)) == IntMatrix(dense, cols=dim)
+                                                      len(dense)) == from_lists(dense, cols=dim)
 
 
 def _at(p0, j0, change):
@@ -362,7 +362,7 @@ def test_row_basis_change_leaves_verdicts_alone(corpus):
     B = problem.B.B.to_lists()
     B[1] = [b + 2 * a for a, b in zip(B[0], B[1])]
     changed = verify_exactness(
-        GysinData(problem.complex, SubgroupData(IntMatrix(B)), 8)
+        GysinData(problem.complex, SubgroupData(from_lists(B)), 8)
     )
     summarize = lambda r: [(n.term, n.p, n.j, n.group) for n in r.nodes]
     assert summarize(base) == summarize(changed)

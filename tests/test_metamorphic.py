@@ -13,11 +13,10 @@ import random
 import pytest
 
 from bigtor.cli import parse_problem
-from bigtor.intlinalg import IntMatrix
 from bigtor.koszul_tor import tor_table
 from bigtor.simplicial import SubgroupData, build_complex
 
-from conftest import CORPUS_NAMES, load_problem
+from conftest import CORPUS_NAMES, from_lists, load_problem
 
 D = 8
 BUDGET_S = 5.0
@@ -41,10 +40,10 @@ def relabelled(K, S, perm):
     """Vertex v becomes perm[v - 1]; column v of B moves along with it."""
     faces = [tuple(perm[v - 1] for v in face) for face in K.face_vertices()]
     rows = [[0] * K.m for _ in range(S.n)]
-    for r in range(S.n):
+    for r, row in enumerate(S.B.to_lists()):
         for v in range(K.m):
-            rows[r][perm[v] - 1] = S.B[r, v]
-    return build_complex(K.m, faces), SubgroupData(IntMatrix(rows, cols=K.m))
+            rows[r][perm[v] - 1] = row[v]
+    return build_complex(K.m, faces), SubgroupData(from_lists(rows, cols=K.m))
 
 
 def random_unimodular(rng, n):
@@ -58,7 +57,7 @@ def random_unimodular(rng, n):
             U[a], U[b] = U[b], U[a]
         else:
             U[a] = [-x for x in U[a]]
-    return IntMatrix(U, cols=n)
+    return from_lists(U, cols=n)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -90,5 +89,5 @@ def test_ghost_vertex_leaves_table_unchanged(name, budget):
     with budget(BUDGET_S):
         K, S = problem_of(name)
         K2 = build_complex(K.m + 1, K.face_vertices())
-        S2 = SubgroupData(IntMatrix([list(S.B.row(r)) + [0] for r in range(S.n)], cols=K.m + 1))
+        S2 = SubgroupData(from_lists([row + [0] for row in S.B.to_lists()], cols=K.m + 1))
         assert tor_table(K2, S2, D).table == tor_table(K, S, D).table

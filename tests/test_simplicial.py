@@ -1,7 +1,6 @@
 import pytest
 
 from bigtor.errors import InputError
-from bigtor.intlinalg import IntMatrix
 from bigtor.simplicial import (
     SubgroupData,
     all_faces,
@@ -13,6 +12,7 @@ from bigtor.simplicial import (
 from bigtor.stanley_reisner import LinearForm, forms_of
 
 import oracles
+from conftest import from_lists
 
 
 def test_build_complex_absorbs_contained_faces():
@@ -76,21 +76,21 @@ def test_ghost_vertices_are_not_faces():
 
 
 def test_subgroup_data_validation():
-    S = SubgroupData(IntMatrix([[2, -1]]))
+    S = SubgroupData(from_lists([[2, -1]]))
     assert S.n == 1
     assert S.m == 2
     assert forms_of(S) == (LinearForm((2, -1)),)
     with pytest.raises(InputError, match="linearly dependent"):
-        SubgroupData(IntMatrix([[1, 2], [2, 4]]))  # rank-deficient rows
+        SubgroupData(from_lists([[1, 2], [2, 4]]))  # rank-deficient rows
     with pytest.raises(InputError, match="no more rows than columns"):
-        SubgroupData(IntMatrix([[1, 0], [0, 1], [1, 1]]))  # n > m
+        SubgroupData(from_lists([[1, 0], [0, 1], [1, 1]]))  # n > m
 
 
 def test_subgroup_data_value_semantics():
-    S = SubgroupData(IntMatrix([[1, 0, -2], [0, 2, -1]]))
-    same = SubgroupData(IntMatrix([[1, 0, -2], [0, 2, -1]]))
+    S = SubgroupData(from_lists([[1, 0, -2], [0, 2, -1]]))
+    same = SubgroupData(from_lists([[1, 0, -2], [0, 2, -1]]))
     assert S == same and hash(S) == hash(same)
-    assert S != SubgroupData(IntMatrix([[1, 0, -2], [0, 2, 1]]))
+    assert S != SubgroupData(from_lists([[1, 0, -2], [0, 2, 1]]))
     assert S != S.B
     with pytest.raises(AttributeError):
         S.n = 3
@@ -98,13 +98,13 @@ def test_subgroup_data_value_semantics():
 
 def test_local_freeness_pass_cases():
     K = build_complex(2, [(1,), (2,)])
-    report = check_local_freeness(K, SubgroupData(IntMatrix([[2, -1]])))
+    report = check_local_freeness(K, SubgroupData(from_lists([[2, -1]])))
     assert report.status == "PASS"
     assert report.face_dets == (((1,), 2), ((2,), -1))
 
     square = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     report = check_local_freeness(
-        square, SubgroupData(IntMatrix([[1, 0, -2, 0], [0, 2, 0, -1]]))
+        square, SubgroupData(from_lists([[1, 0, -2, 0], [0, 2, 0, -1]]))
     )
     assert report.status == "PASS"
     assert [d for _, d in report.face_dets] == [2, 4, 2, -1]
@@ -113,7 +113,7 @@ def test_local_freeness_pass_cases():
 def test_local_freeness_fail_case():
     square = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     report = check_local_freeness(
-        square, SubgroupData(IntMatrix([[1, 0, -1, 0], [1, 0, -1, 1]]))
+        square, SubgroupData(from_lists([[1, 0, -1, 0], [1, 0, -1, 1]]))
     )
     assert report.status == "FAIL"
     assert (2, 3) in report.failing_faces
@@ -121,12 +121,12 @@ def test_local_freeness_fail_case():
 
 def test_local_freeness_not_applicable_on_mixed_dimensions():
     K = build_complex(3, [(1, 2), (3,)])
-    report = check_local_freeness(K, SubgroupData(IntMatrix([[1, 1, 1], [0, 1, 2]])))
+    report = check_local_freeness(K, SubgroupData(from_lists([[1, 1, 1], [0, 1, 2]])))
     assert report.status == "NOT_APPLICABLE"
     assert report.reason
 
 
 def test_connected_kernel():
-    assert check_connected_kernel(SubgroupData(IntMatrix([[1, 0, -2, 0], [0, 2, 0, -1]])))
-    assert not check_connected_kernel(SubgroupData(IntMatrix([[2, 4]])))
-    assert check_connected_kernel(SubgroupData(IntMatrix([[2, -1]])))
+    assert check_connected_kernel(SubgroupData(from_lists([[1, 0, -2, 0], [0, 2, 0, -1]])))
+    assert not check_connected_kernel(SubgroupData(from_lists([[2, 4]])))
+    assert check_connected_kernel(SubgroupData(from_lists([[2, -1]])))
