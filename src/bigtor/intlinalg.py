@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
@@ -75,10 +76,34 @@ def _not_int(x):
 
 
 class _Immutable:
-    """Base of the value types whose slots are set once: __setstate__
-    restores them for copy and pickle past the refusing __setattr__."""
+    """Base of the value types, whose slots are set once.
+
+    A value is its public slots (the names not starting with "_"), in slot
+    order: two values are equal when they have the same type and equal
+    _key(), hash as their _key() and print as Type(field=value, ...).
+    _key defaults to an attrgetter of the public slots, built once per
+    class, so it is called on the class (an attrgetter does not bind); a
+    type whose data sits in a private or unhashable slot defines its own.
+    __setattr__ refuses assignment, and __setstate__ restores the slots
+    for copy and pickle past it."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._public = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_key" not in vars(cls):
+            cls._key = operator.attrgetter(*cls._public)
+
+    def __eq__(self, other) -> bool:
+        key = type(self)._key
+        return type(other) is type(self) and key(self) == key(other)
+
+    def __hash__(self):
+        return hash(type(self)._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -178,16 +203,8 @@ class IntMatrix(_Immutable):
     def is_zero(self) -> bool:
         return not any(self._entries)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._entries)))
+    def _key(self):
+        return self.rows, self.cols, tuple(frozenset(row.items()) for row in self._entries)
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -220,19 +237,6 @@ class ZModule(_Immutable):
                 raise InputError(f"invariant factors {a}, {b} break the divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tors)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZModule)
-            and self.rank == other.rank
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.torsion))
-
-    def __repr__(self):
-        return f"ZModule(rank={self.rank}, torsion={self.torsion})"
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -543,8 +547,8 @@ class Lattice:
 
     def add(self, vec):
         v = self._entry(vec)
-        if v and (min(v) < 0 or max(v) >= self.n):
-            raise InputError(f"a column lies outside [0, {self.n}) in Lattice.add")
+        if v and ([*map(type, v)].count(int) < len(v) or min(v) < 0 or max(v) >= self.n):
+            raise InputError(f"a column is not an integer in [0, {self.n}) in Lattice.add")
         basis, pivots = self.basis, self.pivots
         while v:
             lead = min(v)

@@ -8,7 +8,8 @@ non-face.
 
 A SimplicialComplex owns the memo (_memoized) of what derives from it
 alone: faces here, monomial bases and multiplication maps in
-stanley_reisner, GKM vertex and edge data in gkm.  No module caches.
+stanley_reisner, GKM vertex and edge data in gkm.  No module caches,
+and a copy or pickle of a complex starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _to_vertices(mask: int) -> tuple:
 class SimplicialComplex(_Immutable):
     """Complex on [m] stored by its maximal faces (bitsets, input order,
     an inclusion antichain).  Equal complexes compare and hash alike; each
-    instance owns its own memo, whose entries never refer back to it."""
+    instance owns its own memo, whose entries never refer back to it, and
+    a copy or pickle is rebuilt from m and the faces alone."""
 
     __slots__ = ("m", "maximal_faces", "_cache", "__weakref__")
 
@@ -88,15 +90,8 @@ class SimplicialComplex(_Immutable):
         object.__setattr__(self, "maximal_faces", maximal_faces)
         object.__setattr__(self, "_cache", {})  # (function name, *args) -> result
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SimplicialComplex)
-                and (self.m, self.maximal_faces) == (other.m, other.maximal_faces))
-
-    def __hash__(self):
-        return hash((self.m, self.maximal_faces))
-
-    def __repr__(self):
-        return f"SimplicialComplex(m={self.m}, maximal_faces={self.maximal_faces})"
+    def __reduce__(self):
+        return SimplicialComplex, (self.m, self.maximal_faces)
 
     def face_vertices(self) -> list:
         """Maximal faces as sorted vertex tuples, in stored order."""
@@ -167,15 +162,6 @@ class SubgroupData(_Immutable):
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "n", B.rows)
         object.__setattr__(self, "m", B.cols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubgroupData) and self.B == other.B
-
-    def __hash__(self):
-        return hash(self.B)
-
-    def __repr__(self):
-        return f"SubgroupData(B={self.B!r})"
 
 
 class LocalFreenessReport(NamedTuple):

@@ -33,15 +33,6 @@ class LinearForm(_Immutable):
             raise InputError(f"linear form coefficients must be integers, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"LinearForm(coeffs={self.coeffs})"
-
     @property
     def nvars(self) -> int:
         return len(self.coeffs)
@@ -181,15 +172,8 @@ class Polynomial(_Immutable):
             out = out + Polynomial(self.nvars, {rest: c}) * replacement ** exp[index - 1]
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(self.sorted_terms())))
+    def _key(self):
+        return self.nvars, frozenset(self.terms.items())
 
     def render(self, var: str = "x") -> str:
         """Canonical text form, e.g. "2x1^2 - x2*x3"."""

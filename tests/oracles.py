@@ -352,6 +352,73 @@ def annihilator_kernel_rank(multiples, half_degree):
                                          for e in monomials])
 
 
+def prime_factors(n):
+    """The primes dividing the positive integer n, by trial division."""
+    primes, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    return primes | {n} if n > 1 else primes
+
+
+def h_vector(maximal):
+    """h_0, ..., h_d of the complex with the given facets, d = dim + 1, from
+    its f-vector (f_{-1} = 1 counts the empty face):
+    h_k = sum over i <= k of (-1)^(k-i) C(d-i, k-i) f_{i-1}."""
+    faces = downward_closure(maximal)
+    d = max(map(len, faces))
+    f = [sum(len(face) == i for face in faces) for i in range(d + 1)]
+    return [sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
+            for k in range(d + 1)]
+
+
+def reisner_primes(maximal):
+    """The primes l over which the pure complex with the given facets fails
+    Reisner's criterion, or None when it fails over Q (and so over every
+    F_l).  Over a field k the criterion holds when H~_i(lk F; k) = 0 for
+    every face F and every i < dim lk F (Reisner, Adv. Math. 21, 1976).
+    By universal coefficients, H~_i(X; F_l) has dimension rank H~^i(X; Z)
+    plus the number of invariant factors of H~^i and H~^(i+1) that l
+    divides, so the primes are those dividing the torsion of H~^q(lk F; Z)
+    for q <= dim lk F, when every rank below the top is 0."""
+    faces = downward_closure(maximal)
+    dim = max(map(len, faces)) - 1
+    primes = set()
+    for F in faces:
+        link = {G - F for G in faces if F <= G}
+        top = dim - len(F)  # dim lk F, K being pure
+        for q in range(top + 1):
+            rank, torsion = reduced_cohomology(link, frozenset().union(*link), q)
+            if rank and q < top:
+                return None
+            primes.update(*map(prime_factors, torsion))
+    return primes
+
+
+def allowed_torsion_primes(maximal, B_rows):
+    """The primes that may divide an invariant factor of Tor of Z[K] over
+    Z[u_1..u_n], u_i the forms of the rows of B, when every facet of K has
+    n vertices and every facet minor of B is nonzero; None when any may.
+
+    If l divides no facet minor, u is a linear system of parameters over
+    F_l (Stanley, Combinatorics and Commutative Algebra, 2nd ed., III.2);
+    if K is also Cohen-Macaulay over F_l, u is regular on F_l[K], and as
+    Z[K] is a free Z-module, multiplication by l is onto Tor_{p>=1} and
+    one to one on Tor_0.  So l divides a facet minor or is a Reisner
+    prime, and every prime may occur when K fails the criterion over Q."""
+    reisner = reisner_primes(maximal)
+    if reisner is None:
+        return None
+    return reisner.union(*(prime_factors(abs(d)) for d in facet_minors(maximal, B_rows)))
+
+
+def facet_minors(maximal, B_rows):
+    """det of the columns of B at each facet (1-based vertex tuples)."""
+    return [det_fraction([[row[v - 1] for v in face] for row in B_rows]) for face in maximal]
+
+
 def structure_pair(module):
     """(rank, torsion list) of a bigtor ZModule, for comparisons."""
     return module.rank, list(module.torsion)

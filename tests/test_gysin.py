@@ -1,5 +1,4 @@
 import gc
-import itertools
 import random
 import weakref
 
@@ -19,7 +18,7 @@ from bigtor.simplicial import SubgroupData, build_complex
 from bigtor.stanley_reisner import monomial_basis, mult_matrix
 
 import oracles
-from conftest import DATA_DIR, from_lists
+from conftest import DATA_DIR, cross4, from_lists
 from test_regular_sequence import random_problem
 
 TWO_POINTS = build_complex(2, [(1,), (2,)])
@@ -75,13 +74,8 @@ def test_generic_lift_differs_from_wedge_lift(corpus):
 
 
 def cross4_orb():
-    """Boundary of the 4-dimensional cross-polytope (vertices i and i + 4
-    antipodal, 16 facets) with B = [diag(1, 2, 1, 2) | -diag(1, 2, 3, 4)]."""
-    facets = [tuple(i + 4 * pick for i, pick in zip(range(1, 5), picks))
-              for picks in itertools.product((0, 1), repeat=4)]
-    B = [[0] * 8 for _ in range(4)]
-    for i, (a, b) in enumerate(zip((1, 2, 1, 2), (1, 2, 3, 4))):
-        B[i][i], B[i][i + 4] = a, -b
+    """The cross-polytope boundary with B = [diag(1, 2, 1, 2) | -diag(1, 2, 3, 4)]."""
+    facets, B = cross4((1, 2, 1, 2), (1, 2, 3, 4))
     return build_complex(8, facets), SubgroupData(from_lists(B, cols=8))
 
 

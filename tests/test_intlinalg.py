@@ -125,7 +125,8 @@ def test_immutable_values_copy_deepcopy_and_pickle():
     # each type refuses assignment, yet copy, deepcopy and pickle restore
     # its slots; a process pool pickles what it sends to a worker
     K = build_complex(3, [(1, 2), (2, 3)])
-    all_faces(K)  # a filled memo travels with its complex
+    fresh = len(pickle.dumps(K))
+    all_faces(K)  # a filled memo stays behind: every twin starts empty
     S = SubgroupData(IntMatrix([{0: 1, 2: -1}, {1: 2}], 3))
     values = [S.B, ZModule(1, (2, 4)), K, S, LinearForm((1, 0, -2)),
               Polynomial(2, {(1, 0): Fraction(1, 2), (0, 2): 3})]
@@ -136,7 +137,23 @@ def test_immutable_values_copy_deepcopy_and_pickle():
             assert repr(twin) == repr(value)
             with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
                 setattr(twin, type(value).__slots__[0], None)
+            if value is K:
+                assert twin._cache == {} and twin._cache is not K._cache
+    assert K._cache and len(pickle.dumps(K)) == fresh
     assert all_faces(pickle.loads(pickle.dumps(K))) == all_faces(K)
+
+
+def test_value_types_compare_by_type_and_key():
+    # equality needs the same type, so values with equal slots differ
+    # across types; a Polynomial's key is its terms as a set, so an
+    # integral Fraction coefficient equals and hashes as the int
+    assert ZModule(2) != LinearForm((2,)) and LinearForm((2,)) != (2,)
+    half = Polynomial(1, {(1,): Fraction(2)})
+    assert half == Polynomial(1, {(1,): 2}) and hash(half) == hash(Polynomial(1, {(1,): 2}))
+    assert IntMatrix.zeros(0, 2) != IntMatrix.zeros(2, 0)
+    assert repr(SubgroupData(IntMatrix([{0: 1}, {1: 2}], 2))) == (
+        "SubgroupData(B=IntMatrix([[1, 0], [0, 2]]), n=2, m=2)")
+    assert repr(ZModule(1, (2,))) == "ZModule(rank=1, torsion=(2,))"
 
 
 def test_cokernel_structure_matches_oracle_on_random_residuals():
@@ -801,6 +818,17 @@ def test_lattice_refuses_entries_that_are_not_ints(entry):
         with pytest.raises(InputError, match="is not an integer"):
             vec in L
         with pytest.raises(InputError, match="is not an integer"):
+            L.add(vec)
+    assert L.basis == [{0: 1}]
+
+
+@pytest.mark.parametrize("key", [1.5, 1.0, True, False, "a", Fraction(1)],
+                         ids=["float", "integral-float", "true", "false", "str", "fraction"])
+def test_lattice_add_refuses_columns_that_are_not_ints(key):
+    # a float or a bool was stored as a pivot, and a str raised TypeError
+    L = Lattice(2, [{0: 1}])
+    for vec in ({key: 2}, {key: 2, 1: 1}):
+        with pytest.raises(InputError, match=r"is not an integer in \[0, 2\)"):
             L.add(vec)
     assert L.basis == [{0: 1}]
 

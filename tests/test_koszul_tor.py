@@ -36,7 +36,7 @@ from bigtor.stanley_reisner import (
 )
 
 import oracles
-from conftest import DATA_DIR, from_lists, tor0_oracle
+from conftest import DATA_DIR, cross4, from_lists, tor0_oracle
 from test_regular_sequence import random_problem
 
 
@@ -229,6 +229,77 @@ def test_tor_over_the_polynomial_ring_matches_hochster(budget):
                 expected = oracles.hochster_tor(K.face_vertices(), K.m, p, j)
                 assert oracles.structure_pair(piece) == expected, (K.face_vertices(), p, j)
         assert table.piece(3, 12) == ZModule(0, (2,))  # H~^2(RP^2) = Z/2
+
+
+def stacked_polytope(rng, n, m):
+    """Boundary of a stacked n-polytope on m vertices: the boundary of the
+    n-simplex, then m - n - 1 times a new vertex stacked on a random
+    facet, which it replaces by the cone over the facet's boundary."""
+    facets = list(itertools.combinations(range(1, n + 2), n))
+    for v in range(n + 2, m + 1):
+        top = facets.pop(rng.randrange(len(facets)))
+        facets += [tuple(sorted(set(top) - {w} | {v})) for w in top]
+    return facets
+
+
+def bipyramid(k):
+    """Boundary of the bipyramid over a k-gon: apexes k + 1 and k + 2."""
+    return [(i, i % k + 1, apex) for apex in (k + 1, k + 2) for i in range(1, k + 1)]
+
+
+def with_nonzero_minors(rng, facets, m, n):
+    """B, n x m with entries in [-3, 3], drawn until every facet minor is
+    nonzero."""
+    while True:
+        B = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        if all(oracles.facet_minors(facets, B)):
+            return B
+
+
+def local_freeness_inputs():
+    """(facets, m, B rows, D) for the corpus, the three cross-polytope
+    inputs and seeded bipyramids, stacked polytopes and RP^2_6."""
+    inputs = []
+    for path in sorted(DATA_DIR.glob("*.tcx")) + sorted(
+            (DATA_DIR.parent.parent / "perfbench" / "inputs").glob("*.tcx")):
+        problem = parse_problem(path.read_text())
+        inputs.append((problem.complex.face_vertices(), problem.complex.m, problem.B.B.to_lists(), 12))
+    for first, second in (((1,) * 4, (1,) * 4), ((1, 2, 1, 2), (1, 2, 3, 4)), ((2, 1, 1, 2), (3, 2, 1, 1))):
+        facets, B = cross4(first, second)
+        inputs.append((facets, 8, B, 8))
+    rng = random.Random(1976)
+    seeded = [bipyramid(k) for k in (3, 4, 5, 6)] + [RP2_6] * 2
+    seeded += [stacked_polytope(rng, n, m) for n, m in ((3, 6), (3, 8), (4, 7), (4, 8))]
+    for facets in seeded:
+        m, n = max(map(max, facets)), len(facets[0])
+        inputs.append((facets, m, with_nonzero_minors(rng, facets, m, n), 2 * n + 2))
+    # odd facet minors, and yet 2-torsion: RP^2 is not Cohen-Macaulay over F_2
+    inputs.append((RP2_6, 6, [[1, 1, -2, -2, 0, -1], [0, 2, -1, 1, 0, 1], [1, 0, 0, 1, -1, -2]], 6))
+    return inputs
+
+
+def test_torsion_primes_and_ranks_follow_local_freeness(budget):
+    # on every input whose facets all have n vertices and whose facet
+    # minors are all nonzero: each torsion prime divides a facet minor or
+    # is a prime where K fails Reisner's criterion, and, K being
+    # Cohen-Macaulay over Q, Tor sits in p = 0 with rank h_k at j = 2k
+    checked = 0
+    with budget(3):
+        for facets, m, B, D in local_freeness_inputs():
+            if any(len(face) != len(B) for face in facets) or not all(oracles.facet_minors(facets, B)):
+                continue
+            allowed = oracles.allowed_torsion_primes(facets, B)
+            if allowed is None:  # not Cohen-Macaulay over Q: any prime may occur
+                continue
+            h = oracles.h_vector(facets)
+            table = tor_table(build_complex(m, facets), SubgroupData(from_lists(B, cols=m)), D)
+            for (p, j), piece in table.table.items():
+                assert set().union(*map(oracles.prime_factors, piece.torsion)) <= allowed, (facets, B, p, j)
+                assert piece.rank == (h[j // 2] if p == 0 and j // 2 < len(h) else 0), (facets, B, p, j)
+            checked += 1
+    # 12 of the 17 corpus files, the 3 cross-polytopes and the 11 seeded inputs
+    assert checked == 26
+    assert oracles.reisner_primes(RP2_6) == {2} and oracles.h_vector(RP2_6) == [1, 3, 6, 0]
 
 
 def assert_presentations_match_table(problem, D):

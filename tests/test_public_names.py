@@ -15,6 +15,9 @@ that is only ever set is computed for nobody.
 
 Every name a src/bigtor module imports is read in that module: an import
 left behind by deleted code is a dependency nobody uses.
+
+No value type (a subclass of intlinalg._Immutable) defines __eq__ or
+__hash__: the base owns equality and hashing, over each type's _key.
 """
 
 import ast
@@ -143,3 +146,21 @@ def unused_imports():
 
 def test_every_import_is_read_in_its_module():
     assert unused_imports() == []
+
+
+def own_equality():
+    """module.Class.method for each __eq__ or __hash__ that a class
+    derived from _Immutable in src/bigtor defines itself."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "_Immutable" for base in node.bases):
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__eq__", "__hash__")]
+    return found
+
+
+def test_value_types_take_equality_and_hashing_from_the_base():
+    assert own_equality() == []
