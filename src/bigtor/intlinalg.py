@@ -27,14 +27,15 @@ presentation and by the forms of the regular-sequence scan alike.
 
 Lattice is the one echelon form, on the same dict rows, with its pivots
 found by bisection: it serves kernels, presentations, solves, invariant
-factors and determinants.  It size-reduces every row it builds, so
-entries stay small, and SnfSolver solves A x = b on the echelon basis of
-the rows (column k of A, e_k).  Lattice takes and returns dicts only, as
-do kernels, preimages and solves; dense tuples appear only in
-IntMatrix.to_lists and Lattice.hnf_basis.  rational_rank is a separate
-sparse fraction-free elimination that shares no code with the engine,
-so the two can cross-check each other.  Everything runs on Python ints,
-and IntMatrix, ZModule and Lattice refuse any other entry.
+factors and determinants.  One size-reducing loop does its inserts,
+Hermite form, membership, coordinates and solves, so entries stay small:
+a vector is a member when its reduction leaves zero, and SnfSolver
+solves A x = b by reducing on the rows (column k of A, e_k).  Lattice,
+kernels, preimages and solves take and return dicts; dense tuples appear
+only in IntMatrix.to_lists and Lattice.hnf_basis.  rational_rank is a
+separate sparse fraction-free elimination that shares no code with the
+engine, so the two can cross-check each other.  Everything runs on
+Python ints, and IntMatrix, ZModule and Lattice refuse anything else.
 """
 from __future__ import annotations
 
@@ -486,10 +487,11 @@ class SnfSolver:
     """Solves A x = b for integer x, factoring A once.
 
     The rows (column k of A, e_k) span a lattice whose echelon basis
-    pairs the image of A with preimages: clearing (b, 0) left of column
+    pairs the image of A with preimages: reducing (b, 0) left of column
     A.rows leaves (0, -x) with A x = b, or b is off the image.  The name
     is from the Smith-form solve this replaced; the benchmark's tracer
-    hooks SnfSolver.solve by name (ROADMAP item 6, after item 1(b)).
+    hooks SnfSolver.solve by name.  ROADMAP item 6 (after item 1(b))
+    retires it, and with it the window bound stop of Lattice._reduce.
     """
 
     def __init__(self, A: IntMatrix):
@@ -504,11 +506,10 @@ class SnfSolver:
         and x are dicts index -> entry, and x holds no zero."""
         m = self.A.rows
         v = self._lattice._entry(b)
-        if any(type(r) is not int or not 0 <= r < m for r in v):
+        if v and (min(v) < 0 or max(v) >= m):
             raise InputError(f"a right-hand side index lies outside [0, {m})")
-        if self._lattice._clear(v, m) is None:
-            return None
-        return {k - m: -x for k, x in v.items() if k >= m and x}
+        self._lattice._reduce(v, -1, m)
+        return None if v and min(v) < m else {k - m: -x for k, x in v.items()}
 
 
 class Lattice:
@@ -516,14 +517,16 @@ class Lattice:
 
     Each basis row is a sparse dict, column -> nonzero entry, with a
     positive pivot (its smallest column); pivots lists them strictly
-    increasing, and the row at a column is found by bisecting it.  Every
-    row a step inserts or combines, and the vector still being inserted,
-    is size-reduced against the rows with later pivots, so its entries in
-    those pivot columns lie in [0, pivot); unreduced xgcd steps let
-    entries grow without bound although input and result are small
-    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A Hermite-reduced
-    basis added in pivot order is therefore kept as it is.  A vector
-    handed in is a dict, column -> entry, copied once.
+    increasing, and the row at a column is found by bisecting it.  One
+    loop, _reduce, serves inserts, Hermite form, membership, coordinates
+    and solves.  Each row a step inserts or combines, and the vector
+    being inserted, is size-reduced against the rows with later pivots
+    into [0, pivot) in those pivot columns: unreduced xgcd steps let
+    entries grow without bound (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).  A Hermite-reduced basis added in pivot order is kept as it
+    is.  A vector is a member exactly when reducing it leaves zero, and
+    the multiples taken off are its coordinates (Cohen, GTM 138, 2.4).
+    A vector handed in is a dict, int column -> int entry, copied once.
 
     sign is the determinant (+-1) of the row operations so far, the vector
     being added counted last: xgcd steps [[x, y], [-b/g, a/g]] and
@@ -543,11 +546,14 @@ class Lattice:
         """A new dict of the nonzero entries of the dict vec, checked to be ints."""
         if not isinstance(vec, dict):
             raise InputError(f"vector {vec!r} is not a dict column -> entry")
-        return {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
+        v = {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
+        if [*map(type, v)].count(int) < len(v):
+            raise InputError(f"a column is not an integer in [0, {self.n})")
+        return v
 
     def add(self, vec):
         v = self._entry(vec)
-        if v and ([*map(type, v)].count(int) < len(v) or min(v) < 0 or max(v) >= self.n):
+        if v and (min(v) < 0 or max(v) >= self.n):
             raise InputError(f"a column is not an integer in [0, {self.n}) in Lattice.add")
         basis, pivots = self.basis, self.pivots
         while v:
@@ -559,7 +565,8 @@ class Lattice:
                     self.sign = -self.sign
                 if (len(pivots) - pos) & 1:  # v moves from the end to pos
                     self.sign = -self.sign
-                basis.insert(pos, self._reduce(v, lead))
+                self._reduce(v, lead)
+                basis.insert(pos, v)
                 pivots.insert(pos, lead)
                 return
             row = basis[pos]
@@ -568,19 +575,21 @@ class Lattice:
                 _add_multiple(v, -(b // a), row)
             else:
                 g, x, y = _xgcd(a, b)
-                basis[pos] = self._reduce(_add_multiple(_scaled(row, x), y, v), lead)
+                basis[pos] = _add_multiple(_scaled(row, x), y, v)
+                self._reduce(basis[pos], lead)
                 v = _add_multiple(_scaled(row, -(b // g)), a // g, v)
             self._reduce(v, lead)
 
-    def _reduce(self, v: dict, after: int) -> dict:
-        """v, in place, with its entries in the pivot columns right of
-        after reduced into [0, pivot).  Columns are taken in increasing
-        order, and a row is zero left of its pivot, so a reduction never
-        disturbs an earlier one."""
+    def _reduce(self, v: dict, after: int, stop=math.inf) -> dict:
+        """Reduce v, in place: its entry in each pivot column c with
+        after < c < stop goes into [0, pivot), c increasing (a row is zero
+        left of its pivot, so no step disturbs an earlier one).  Returns
+        the multiples of basis rows taken off, {position: nonzero entry}."""
         basis, pivots = self.basis, self.pivots
-        last = pivots[-1] if pivots else after
-        heap = [c for c in v if after < c <= last]
+        stop = min(stop, pivots[-1] + 1 if pivots else 0)
+        heap = [c for c in v if after < c < stop]
         heapq.heapify(heap)
+        coords = {}
         pos = 0
         while heap:
             c = heapq.heappop(heap)
@@ -591,6 +600,7 @@ class Lattice:
             row = basis[pos]
             q = x // row[c]
             if q:
+                coords[pos] = q
                 for k, y in row.items():
                     if k in v:
                         x = v[k] - q * y
@@ -600,9 +610,9 @@ class Lattice:
                             del v[k]
                     else:
                         v[k] = -q * y
-                        if k <= last:
+                        if k < stop:
                             heapq.heappush(heap, k)
-        return v
+        return coords
 
     def add_all(self, vectors):
         for v in vectors:
@@ -611,39 +621,9 @@ class Lattice:
     def coordinates(self, vec: dict):
         """Integer coordinates of vec in the basis, a dict basis position
         -> nonzero coordinate, or None when vec is not in the lattice."""
-        return self._clear(self._entry(vec), math.inf)
-
-    def _clear(self, v: dict, stop: int):
-        """Clear v left of column stop, in place, from the left (a basis
-        row is zero left of its pivot); returns the multiples of basis
-        rows taken off, a dict position -> entry, or None when an entry
-        has no pivot row or is not divisible by its pivot."""
-        basis, pivots = self.basis, self.pivots
-        heap = [c for c in v if c < stop]
-        heapq.heapify(heap)
-        coords = {}
-        pos = 0
-        while heap:
-            c = heapq.heappop(heap)
-            x = v[c]
-            if not x:
-                continue
-            pos = bisect.bisect_left(pivots, c, pos)
-            if pos == len(pivots) or pivots[pos] != c:
-                return None
-            row = basis[pos]
-            q, r = divmod(x, row[c])
-            if r:
-                return None
-            coords[pos] = q
-            for k, y in row.items():
-                if k in v:
-                    v[k] -= q * y
-                else:
-                    v[k] = -q * y
-                    if k < stop:
-                        heapq.heappush(heap, k)
-        return coords
+        v = self._entry(vec)
+        coords = self._reduce(v, -1)
+        return None if v else coords
 
     def __contains__(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -663,8 +643,10 @@ class Lattice:
 
     def hnf_basis(self) -> list:
         """The Hermite normal form of the basis, as dense tuples."""
-        return [_dense(self._reduce(dict(row), lead), self.n)
-                for row, lead in zip(self.basis, self.pivots)]
+        rows = [dict(row) for row in self.basis]
+        for row, lead in zip(rows, self.pivots):
+            self._reduce(row, lead)
+        return [_dense(row, self.n) for row in rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or self.n != other.n:

@@ -336,9 +336,11 @@ def test_solver_round_trip():
         A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x = tuple(rng.randint(-5, 5) for _ in range(A.cols))
         b = apply(A, x)
-        got = SnfSolver(A).solve(to_sparse(b))
+        given = to_sparse(b)
+        got = SnfSolver(A).solve(given)
         assert got is not None and all(got.values())
         assert apply(A, to_dense(got, A.cols)) == b
+        assert given == to_sparse(b)  # the reduction runs on a copy
     # back-substitution in a Hermite basis agrees with the solver's echelon solve
     for _ in range(30):
         width = rng.randint(1, 6)
@@ -346,8 +348,10 @@ def test_solver_round_trip():
         x = tuple(rng.randint(-5, 5) for _ in basis)
         b = combine(x, basis, width)
         solver = SnfSolver(IntMatrix.from_columns(list(map(to_sparse, basis)), rows=width))
-        coords = Lattice(width, map(to_sparse, basis)).coordinates(to_sparse(b))
-        assert to_dense(coords, len(x)) == to_dense(solver.solve(to_sparse(b)), len(x)) == x
+        L, given = Lattice(width, map(to_sparse, basis)), to_sparse(b)
+        coords = L.coordinates(given)
+        assert to_dense(coords, len(x)) == to_dense(solver.solve(given), len(x)) == x
+        assert given in L and given == to_sparse(b)
 
 
 def test_solver_reports_unsolvable():
@@ -369,9 +373,11 @@ def test_solver_reports_unsolvable():
             x[rng.randrange(len(x))] = 2 * rng.randint(-2, 2) + 1
             cases.append((doubled, combine(x, basis, width)))
         for rows, b in cases:
-            assert Lattice(width, map(to_sparse, rows)).coordinates(to_sparse(b)) is None
+            L, given = Lattice(width, map(to_sparse, rows)), to_sparse(b)
+            assert L.coordinates(given) is None and given not in L
             assert SnfSolver(IntMatrix.from_columns(list(map(to_sparse, rows)), rows=width)
-                             ).solve(to_sparse(b)) is None
+                             ).solve(given) is None
+            assert given == to_sparse(b)  # the reduction runs on a copy
     # a right-hand side index outside [0, rows) or an entry that is not an int
     for b in ({1: 2}, {-1: 1}, {0.0: 1}, {True: 1}, {0: 1.5}):
         with pytest.raises(InputError):
@@ -419,6 +425,11 @@ def test_lattice_membership():
     assert gap.coordinates({0: 2, 1: 1, 2: 3}) is None
     assert L.rank == 2
     assert not Lattice(3).hnf_basis()
+    # membership reduces a copy: neither a member nor a non-member changes
+    for vec in ({0: 2, 1: -2}, {0: 1, 1: 1}, {0: 3}, {1: 4, 0: -2}):
+        given = dict(vec)
+        assert (L.coordinates(given) is None) == (given not in L) == (not L.contains_all([given]))
+        assert given == vec and list(given) == list(vec)
 
 
 def test_lattice_equality_is_generator_independent():
@@ -825,11 +836,15 @@ def test_lattice_refuses_entries_that_are_not_ints(entry):
 @pytest.mark.parametrize("key", [1.5, 1.0, True, False, "a", Fraction(1)],
                          ids=["float", "integral-float", "true", "false", "str", "fraction"])
 def test_lattice_add_refuses_columns_that_are_not_ints(key):
-    # a float or a bool was stored as a pivot, and a str raised TypeError
+    # a float or a bool was stored as a pivot or read as a member's column
+    # ({True: 3} had coordinates {1: 3}), and a str raised TypeError
     L = Lattice(2, [{0: 1}])
+    full = Lattice(2, [{0: 1}, {1: 1}])
     for vec in ({key: 2}, {key: 2, 1: 1}):
-        with pytest.raises(InputError, match=r"is not an integer in \[0, 2\)"):
-            L.add(vec)
+        for refused in (lambda: L.add(vec), lambda: full.coordinates(vec), lambda: vec in full,
+                        lambda: full.contains_all([vec])):
+            with pytest.raises(InputError, match=r"is not an integer in \[0, 2\)"):
+                refused()
     assert L.basis == [{0: 1}]
 
 

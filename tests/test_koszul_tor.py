@@ -220,6 +220,12 @@ def test_tor_over_the_polynomial_ring_matches_hochster(budget):
     complexes = [parse_problem(path.read_text()).complex for path in sorted(DATA_DIR.glob("*.tcx"))]
     # no face but the empty one: Z[K] = Z in degree 0, killed by any form
     complexes += [build_complex(2, []), build_complex(3, [])]
+    # seeded small complexes: m <= 7, up to 5 faces of 1 to 4 vertices
+    rng = random.Random(1975)
+    for _ in range(10):
+        m = rng.randint(2, 7)
+        faces = [rng.sample(range(1, m + 1), rng.randint(1, min(4, m))) for _ in range(rng.randint(1, 5))]
+        complexes.append(build_complex(m, faces))
     complexes.append(build_complex(6, RP2_6))
     with budget(2):
         for K in complexes:

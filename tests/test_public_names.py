@@ -18,6 +18,10 @@ left behind by deleted code is a dependency nobody uses.
 
 No value type (a subclass of intlinalg._Immutable) defines __eq__ or
 __hash__: the base owns equality and hashing, over each type's _key.
+
+src/bigtor/*.py holds fewer than 3,300 lines in all, the standing size
+rule of ROADMAP.md: a route that adds code must delete what it makes
+redundant.
 """
 
 import ast
@@ -164,3 +168,11 @@ def own_equality():
 
 def test_value_types_take_equality_and_hashing_from_the_base():
     assert own_equality() == []
+
+
+LINE_CAP = 3300
+
+
+def test_package_stays_under_the_line_cap():
+    total = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert total < LINE_CAP, f"src/bigtor/*.py has {total} lines, the cap is {LINE_CAP}"
