@@ -66,109 +66,82 @@ _FACE_RE = re.compile(r"\{([^{}]*)\}")
 _FORM_KEY_RE = re.compile(r"form\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)")
 
 
-def _fail(line_no: int, message: str):
-    raise InputError(f"line {line_no}: {message}")
+def _ints(text: str, message: str) -> tuple:
+    """The whitespace-separated integers of text; InputError(message)
+    when a token is not one."""
+    try:
+        return tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise InputError(message) from None
 
 
 def parse_problem(text: str) -> ProblemSpec:
     """Parse .tcx text; problems are reported with their line number."""
     m = None
-    faces_line = None
-    b_line = None
-    forms = []
-    seen_names = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("form"):
-            match = _FORM_KEY_RE.fullmatch(line)
-            if not match:
-                _fail(line_no, "expected 'form <name> = <linear expression>'")
-            name, expr = match.group(1), match.group(2)
-            if name in seen_names:
-                _fail(line_no, f"duplicate form name {name!r}")
-            seen_names.add(name)
-            forms.append((line_no, name, expr))
-            continue
-        if "=" not in line:
-            _fail(line_no, f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "m":
-            if m is not None:
-                _fail(line_no, "duplicate key 'm'")
-            try:
-                m = int(value)
-            except ValueError:
-                _fail(line_no, f"m must be an integer, got {value!r}")
-            if m < 0:
-                _fail(line_no, "m must be nonnegative")
-        elif key == "faces":
-            if faces_line is not None:
-                _fail(line_no, "duplicate key 'faces'")
-            faces_line = (line_no, value)
-        elif key == "B":
-            if b_line is not None:
-                _fail(line_no, "duplicate key 'B'")
-            b_line = (line_no, value)
-        else:
-            _fail(line_no, f"unknown key {key!r}")
-    if m is None:
-        raise InputError("missing required key 'm'")
+    # ("key", "m" | "faces" | "B") or ("form name", name) -> (line number, value)
+    lines = {}
+    line_no = None  # the line an InputError is reported at; None for none
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("form"):
+                match = _FORM_KEY_RE.fullmatch(line)
+                if not match:
+                    raise InputError("expected 'form <name> = <linear expression>'")
+                entry, value = ("form name", match.group(1)), match.group(2)
+            elif "=" not in line:
+                raise InputError(f"expected 'key = value', got {line!r}")
+            else:
+                key, _, value = map(str.strip, line.partition("="))
+                if key not in ("m", "faces", "B"):
+                    raise InputError(f"unknown key {key!r}")
+                entry = ("key", key)
+            if entry in lines:
+                raise InputError("duplicate %s %r" % entry)
+            lines[entry] = line_no, value
+            if entry == ("key", "m"):
+                try:
+                    m = int(value)
+                except ValueError:
+                    raise InputError(f"m must be an integer, got {value!r}") from None
+                if m < 0:
+                    raise InputError("m must be nonnegative")
+        line_no = None
+        if m is None:
+            raise InputError("missing required key 'm'")
 
-    faces = []
-    if faces_line is not None:
-        line_no, value = faces_line
+        # no faces line reads as an empty one, whose errors name no line
+        line_no, value = lines.get(("key", "faces"), (None, ""))
         leftover = _FACE_RE.sub(" ", value).strip()
         if leftover:
-            _fail(line_no, f"unexpected text in faces: {leftover!r}")
-        for group in _FACE_RE.findall(value):
-            try:
-                vertices = tuple(int(tok) for tok in group.split())
-            except ValueError:
-                _fail(line_no, f"face {{{group}}} contains a non-integer")
-            faces.append(vertices)
-        try:
-            complex_ = build_complex(m, faces)
-        except InputError as exc:
-            _fail(line_no, str(exc))
-    else:
-        complex_ = build_complex(m, [])
+            raise InputError(f"unexpected text in faces: {leftover!r}")
+        complex_ = build_complex(m, [_ints(group, f"face {{{group}}} contains a non-integer")
+                                     for group in _FACE_RE.findall(value)])
 
-    subgroup = None
-    if b_line is not None:
-        line_no, value = b_line
-        if not (value.startswith("[") and value.endswith("]")):
-            _fail(line_no, "B must be bracketed, like [1 0 ; 0 1]")
-        body = value[1:-1].strip()
-        rows = []
-        if body:
-            for chunk in body.split(";"):
-                try:
-                    row = [int(tok) for tok in chunk.split()]
-                except ValueError:
-                    _fail(line_no, f"matrix row {chunk.strip()!r} contains a non-integer")
+        subgroup = None
+        if ("key", "B") in lines:
+            line_no, value = lines["key", "B"]
+            if not (value.startswith("[") and value.endswith("]")):
+                raise InputError("B must be bracketed, like [1 0 ; 0 1]")
+            body, rows = value[1:-1], []
+            for chunk in body.split(";") if body.strip() else ():
+                row = _ints(chunk, f"matrix row {chunk.strip()!r} contains a non-integer")
                 if len(row) != m:
-                    _fail(
-                        line_no,
-                        f"matrix row has {len(row)} entries, expected m = {m}",
-                    )
+                    raise InputError(f"matrix row has {len(row)} entries, expected m = {m}")
                 rows.append({c: x for c, x in enumerate(row) if x})
-        try:
             subgroup = SubgroupData(IntMatrix(rows, cols=m))
-        except InputError as exc:
-            _fail(line_no, str(exc))
 
-    parsed_forms = []
-    for line_no, name, expr in forms:
-        try:
-            parsed_forms.append((name, parse_linear_form(expr, m)))
-        except InputError as exc:
-            _fail(line_no, str(exc))
-
-    return ProblemSpec(complex=complex_, B=subgroup, extra_forms=tuple(parsed_forms))
+        forms = []
+        for (kind, name), (line_no, expr) in lines.items():
+            if kind == "form name":
+                forms.append((name, parse_linear_form(expr, m)))
+    except InputError as exc:
+        if line_no is None:
+            raise
+        raise InputError(f"line {line_no}: {exc}") from None
+    return ProblemSpec(complex=complex_, B=subgroup, extra_forms=tuple(forms))
 
 
 # --- JSON helpers ---------------------------------------------------------
@@ -418,11 +391,7 @@ def _parse_vertex(text: str) -> tuple:
     inner = text.strip()
     if inner.startswith("{") and inner.endswith("}"):
         inner = inner[1:-1]
-    tokens = [tok for tok in re.split(r"[,\s]+", inner.strip()) if tok]
-    try:
-        return tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise InputError(f"vertex must be a list of integers, got {text!r}")
+    return _ints(inner.replace(",", " "), f"vertex must be a list of integers, got {text!r}")
 
 
 def _cmd_find_torsion(spec: ProblemSpec, extra: str, vertex: str):

@@ -108,8 +108,9 @@ class GysinData:
 
     split is the 0-based row of B-tilde taken as u_{n+1}; the remaining
     rows, in order, are the base forms.  The instance owns its caches:
-    tau*, tau_* and the induced maps are each computed once, and its two
-    Koszul complexes memoize their presentations.
+    tau*, tau_* and the maps tau* and delta induce are each computed once
+    (tau_*'s induced map is read once per cell, so it is not kept), and
+    its two Koszul complexes memoize their presentations.
     """
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
@@ -209,7 +210,6 @@ class GysinData:
         return self.induced(self.tau_star(p, j).push, self.base.homology(p, j),
                             self.ext.homology(p, j))
 
-    @_memoized
     def tau_lower_induced(self, p: int, j: int) -> list:
         return self.induced(self.tau_lower(p, j).push, self.ext.homology(p, j),
                             self.base.homology(p - 1, j - 2))

@@ -76,6 +76,17 @@ def _not_int(x):
     raise InputError(f"entry {x!r} is not an integer")
 
 
+def _entry(vec, n: int) -> dict:
+    """A new dict of the nonzero entries of the dict vec, checked to be
+    ints at int columns; the message names the columns, [0, n)."""
+    if not isinstance(vec, dict):
+        raise InputError(f"vector {vec!r} is not a dict column -> entry")
+    v = {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
+    if [*map(type, v)].count(int) < len(v):
+        raise InputError(f"a column is not an integer in [0, {n})")
+    return v
+
+
 class _Immutable:
     """Base of the value types, whose slots are set once.
 
@@ -487,11 +498,13 @@ class SnfSolver:
     """Solves A x = b for integer x, factoring A once.
 
     The rows (column k of A, e_k) span a lattice whose echelon basis
-    pairs the image of A with preimages: reducing (b, 0) left of column
-    A.rows leaves (0, -x) with A x = b, or b is off the image.  The name
-    is from the Smith-form solve this replaced; the benchmark's tracer
-    hooks SnfSolver.solve by name.  ROADMAP item 6 (after item 1(b))
-    retires it, and with it the window bound stop of Lattice._reduce.
+    pairs the image of A with preimages: reducing (b, 0) leaves (0, -x)
+    with A x = b, or b is off the image.  Any solution will do, so the
+    reduction runs to the end like a membership test, and the rows with
+    pivots right of A.rows (kernel vectors of A) only shift x within its
+    coset.  The name is from the Smith-form solve this replaced; the
+    benchmark's tracer hooks SnfSolver.solve by name.  ROADMAP item 6
+    (after item 1(b)) retires it.
     """
 
     def __init__(self, A: IntMatrix):
@@ -505,10 +518,10 @@ class SnfSolver:
         """One integer solution x of A x = b, or None if none exists; b
         and x are dicts index -> entry, and x holds no zero."""
         m = self.A.rows
-        v = self._lattice._entry(b)
+        v = _entry(b, m)
         if v and (min(v) < 0 or max(v) >= m):
             raise InputError(f"a right-hand side index lies outside [0, {m})")
-        self._lattice._reduce(v, -1, m)
+        self._lattice._reduce(v, -1)
         return None if v and min(v) < m else {k - m: -x for k, x in v.items()}
 
 
@@ -542,17 +555,8 @@ class Lattice:
         for v in vectors:
             self.add(v)
 
-    def _entry(self, vec) -> dict:
-        """A new dict of the nonzero entries of the dict vec, checked to be ints."""
-        if not isinstance(vec, dict):
-            raise InputError(f"vector {vec!r} is not a dict column -> entry")
-        v = {c: x for c, x in vec.items() if (x if type(x) is int else _not_int(x))}
-        if [*map(type, v)].count(int) < len(v):
-            raise InputError(f"a column is not an integer in [0, {self.n})")
-        return v
-
     def add(self, vec):
-        v = self._entry(vec)
+        v = _entry(vec, self.n)
         if v and (min(v) < 0 or max(v) >= self.n):
             raise InputError(f"a column is not an integer in [0, {self.n}) in Lattice.add")
         basis, pivots = self.basis, self.pivots
@@ -580,13 +584,13 @@ class Lattice:
                 v = _add_multiple(_scaled(row, -(b // g)), a // g, v)
             self._reduce(v, lead)
 
-    def _reduce(self, v: dict, after: int, stop=math.inf) -> dict:
-        """Reduce v, in place: its entry in each pivot column c with
-        after < c < stop goes into [0, pivot), c increasing (a row is zero
-        left of its pivot, so no step disturbs an earlier one).  Returns
-        the multiples of basis rows taken off, {position: nonzero entry}."""
+    def _reduce(self, v: dict, after: int) -> dict:
+        """Reduce v, in place: its entry in each pivot column c > after
+        goes into [0, pivot), c increasing (a row is zero left of its
+        pivot, so no step disturbs an earlier one).  Returns the multiples
+        of basis rows taken off, {position: nonzero entry}."""
         basis, pivots = self.basis, self.pivots
-        stop = min(stop, pivots[-1] + 1 if pivots else 0)
+        stop = pivots[-1] + 1 if pivots else 0  # no pivot column lies right of it
         heap = [c for c in v if after < c < stop]
         heapq.heapify(heap)
         coords = {}
@@ -621,7 +625,7 @@ class Lattice:
     def coordinates(self, vec: dict):
         """Integer coordinates of vec in the basis, a dict basis position
         -> nonzero coordinate, or None when vec is not in the lattice."""
-        v = self._entry(vec)
+        v = _entry(vec, self.n)
         coords = self._reduce(v, -1)
         return None if v else coords
 

@@ -246,12 +246,14 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     complex_ = KoszulComplex(K, forms_of(S))
     pres = complex_.homology(1, j)
     d = complex_.differential(1, j)
-    chosen = next((vec for vec in kernel_lattice(d).basis
-                   if not pres.class_is_zero(pres.coordinates(vec))), None)
-    if chosen is None:
+    for chosen in kernel_lattice(d).basis:
+        coords = pres.coordinates(chosen)  # None exactly when chosen is not a cycle
+        if coords is None:
+            raise InternalCheckError("selected witness is not a cycle")
+        if not pres.class_is_zero(coords):
+            break
+    else:
         raise InternalCheckError("nonzero homology but every generator died")
-    if not d.mul(IntMatrix.from_columns([chosen], d.cols)).is_zero():
-        raise InternalCheckError("selected witness is not a cycle")
     parts = complex_.by_subset(1, j, chosen)
     components = [(i, Polynomial(K.m, parts[(i,)])) for (i,) in sorted(parts)]
     relation = " + ".join(

@@ -422,3 +422,51 @@ def facet_minors(maximal, B_rows):
 def structure_pair(module):
     """(rank, torsion list) of a bigtor ZModule, for comparisons."""
     return module.rank, list(module.torsion)
+
+
+def invariant_factors(orders):
+    """The invariant factors, increasing and each dividing the next, of
+    the sum of the cyclic groups Z/c over the orders c > 1: split each
+    into prime powers, then multiply the largest powers of every prime
+    into the last factor, the next largest into the one before, and so on."""
+    powers = {}  # prime -> its prime-power parts
+    for c in orders:
+        for p in prime_factors(c):
+            q = p
+            while c % (q * p) == 0:
+                q *= p
+            powers.setdefault(p, []).append(q)
+    factors = []
+    for parts in powers.values():
+        factors += [1] * (len(parts) - len(factors))
+        for k, q in enumerate(sorted(parts, reverse=True)):
+            factors[k] *= q
+    return sorted(factors)
+
+
+def kunneth_join(first, second, D):
+    """Tor of a join K1 * K2 over B1 + B2 (block-diagonal), as
+    {(p, j): (rank, torsion)} over its nonzero cells with j <= D, from the
+    factors' tables in the same form.  Z[K1 * K2] = Z[K1] (x) Z[K2], so
+    the Koszul complex is the tensor product of the factors', free over
+    Z, and Kuenneth's formula gives Tor_p(j) as the sum of T1 (x) T2 over
+    p1 + p2 = p and j1 + j2 = j, plus the sum of Tor^Z_1(T1, T2) over
+    p1 + p2 = p - 1."""
+    ranks, orders = {}, {}
+    for (p1, j1), (r1, t1) in first.items():
+        for (p2, j2), (r2, t2) in second.items():
+            if j1 + j2 > D:
+                continue
+            tensor, tor = (p1 + p2, j1 + j2), (p1 + p2 + 1, j1 + j2)
+            ranks[tensor] = ranks.get(tensor, 0) + r1 * r2
+            # (Z^r1 + T1) (x) (Z^r2 + T2) = Z^(r1 r2) + T1^r2 + T2^r1 + T1 (x) T2,
+            # and Z/a (x) Z/b = Tor^Z_1(Z/a, Z/b) = Z/gcd(a, b)
+            shared = [gcd(a, b) for a in t1 for b in t2]
+            orders.setdefault(tensor, []).extend(t1 * r2 + t2 * r1 + shared)
+            orders.setdefault(tor, []).extend(shared)
+    out = {}
+    for cell in ranks.keys() | orders.keys():
+        rank, torsion = ranks.get(cell, 0), invariant_factors(c for c in orders.get(cell, ()) if c > 1)
+        if rank or torsion:
+            out[cell] = (rank, torsion)
+    return out

@@ -11,8 +11,8 @@ import pytest
 
 import bigtor
 from bigtor import cli, koszul_tor
-from bigtor.errors import InternalCheckError
-from bigtor.intlinalg import ZModule
+from bigtor.errors import InputError, InternalCheckError
+from bigtor.intlinalg import Lattice, ZModule
 
 from conftest import DATA_DIR
 
@@ -44,6 +44,15 @@ def write(tmp_path, text):
         ("m = 2\nform u = x1\nform u = x2", "line 3: duplicate form name 'u'"),
         ("m = 2\nwidgets = 3", "line 2: unknown key"),
         ("m = 2\nform u = x1 + x9", "line 2"),
+        # precedence: every line is read before any value is parsed; then
+        # m, faces (no faces line reads as an empty one, with no line
+        # number), B row by row, and the forms, in that order
+        ("m = 65", "error: vertex count 65 exceeds the bitset limit 64"),
+        ("m = 2\nB = [1 2 3 ; x]", "line 2: matrix row has 3 entries"),
+        ("m = x\nwidgets = 1", "line 1: m must be an integer"),
+        ("m = 2\nfaces = {3}\nB = [1 x]", "line 2: vertex 3 out of range"),
+        ("m = 2\nfaces = {1 2}\nform u = x9\nB = [1 x]", "line 4: matrix row '1 x'"),
+        ("B = [1 x]\nfaces = {9}", "error: missing required key 'm'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, capsys, text, fragment):
@@ -51,6 +60,13 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys, text, fragment):
     captured = capsys.readouterr()
     assert code == 1
     assert fragment in captured.err
+
+
+def test_vertex_strings_split_at_commas_and_spaces():
+    assert cli._parse_vertex("{1, 2}") == (1, 2)
+    assert cli._parse_vertex(" {2,3} ") == (2, 3)
+    with pytest.raises(InputError, match=r"^vertex must be a list of integers, got '\{1 x\}'$"):
+        cli._parse_vertex("{1 x}")
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -254,6 +270,15 @@ def test_stray_exceptions_exit_two(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("internal error: ZeroDivisionError")
     assert "Traceback (most recent call last)" in err
+
+
+def test_witness_that_is_not_a_cycle_exits_two(monkeypatch, capsys):
+    # a kernel "basis" whose vector is no cycle of d_1 is a bug, not bad input
+    monkeypatch.setattr(koszul_tor, "kernel_lattice", lambda d: Lattice(d.cols, [{0: 1}]))
+    path = DATA_DIR.parent.parent / "perfbench" / "inputs" / "octahedron_orbifold.tcx"
+    code = cli.main(["check-bigcm", "--input", str(path), "--max-degree", "12"])
+    assert code == 2
+    assert "internal error: selected witness is not a cycle" in capsys.readouterr().err
 
 
 def test_replace_keeps_parsed_fields():

@@ -378,10 +378,13 @@ def test_solver_reports_unsolvable():
             assert SnfSolver(IntMatrix.from_columns(list(map(to_sparse, rows)), rows=width)
                              ).solve(given) is None
             assert given == to_sparse(b)  # the reduction runs on a copy
-    # a right-hand side index outside [0, rows) or an entry that is not an int
-    for b in ({1: 2}, {-1: 1}, {0.0: 1}, {True: 1}, {0: 1.5}):
-        with pytest.raises(InputError):
+    # a right-hand side index outside [0, rows) or an entry that is not an
+    # int; a bad index names [0, rows), not the solver lattice's width
+    for b in ({1: 2}, {-1: 1}, {0.0: 1}, {True: 1}):
+        with pytest.raises(InputError, match=r"\[0, 1\)"):
             SnfSolver(from_lists([[1]])).solve(b)
+    with pytest.raises(InputError, match="entry 1.5 is not an integer"):
+        SnfSolver(from_lists([[1]])).solve({0: 1.5})
 
 
 def test_lattice_takes_dict_vectors_only():

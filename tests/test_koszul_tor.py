@@ -237,6 +237,47 @@ def test_tor_over_the_polynomial_ring_matches_hochster(budget):
         assert table.piece(3, 12) == ZModule(0, (2,))  # H~^2(RP^2) = Z/2
 
 
+def join(first, second):
+    """(K1 * K2, B1 + B2 block-diagonal) of two (complex, SubgroupData)
+    pairs: each facet is a facet of K1 with a facet of K2, whose vertices
+    follow K1's."""
+    (K1, S1), (K2, S2) = first, second
+    facets = [f + tuple(v + K1.m for v in g) for f in K1.face_vertices() for g in K2.face_vertices()]
+    rows = ([row + [0] * K2.m for row in S1.B.to_lists()]
+            + [[0] * K1.m + row for row in S2.B.to_lists()])
+    return build_complex(K1.m + K2.m, facets), SubgroupData(from_lists(rows, cols=K1.m + K2.m))
+
+
+def cells(K, S, D):
+    """The nonzero cells of the integer Tor table, {(p, j): (rank, torsion)}."""
+    return {(p, j): oracles.structure_pair(z) for p, j, z in tor_table(K, S, D).entries()}
+
+
+def test_tor_of_a_join_is_the_kunneth_combination_of_its_factors(corpus, budget):
+    # Z[K1 * K2] = Z[K1] (x) Z[K2] and, with B = B1 + B2, the Koszul
+    # complex is a tensor product: the join's table must be the Kuenneth
+    # combination of the factors' tables, torsion and Tor^Z_1 included
+    problems = {name: (corpus[name].complex, corpus[name].B) for name in ("prod1212", "wps123", "wps12", "cut_k2")}
+    torsion_cells = []
+    with budget(2):
+        for a, b, D in (("prod1212", "wps123", 12), ("wps12", "wps12", 14), ("wps123", "cut_k2", 10)):
+            expected = oracles.kunneth_join(cells(*problems[a], D), cells(*problems[b], D), D)
+            assert cells(*join(problems[a], problems[b]), D) == expected, (a, b)
+            torsion_cells.append(sum(1 for _, torsion in expected.values() if torsion))
+        # cross4, cross4_orb and cross4_tor: joins of four copies of S^0,
+        # each on its antipodal pair i, i + 4 with B's row i there
+        D = 10
+        for first, second in (((1,) * 4, (1,) * 4), ((1, 2, 1, 2), (1, 2, 3, 4)), ((2, 1, 1, 2), (3, 2, 1, 1))):
+            facets, B = cross4(first, second)
+            expected = {(0, 0): (1, [])}  # Tor of the complex on no vertex
+            for a, b in zip(first, second):
+                S0 = build_complex(2, [(1,), (2,)]), SubgroupData(from_lists([[a, -b]]))
+                expected = oracles.kunneth_join(expected, cells(*S0, D), D)
+            assert cells(build_complex(8, facets), SubgroupData(from_lists(B)), D) == expected, (first, second)
+            torsion_cells.append(sum(1 for _, torsion in expected.values() if torsion))
+    assert torsion_cells == [8, 10, 6, 0, 9, 6]
+
+
 def stacked_polytope(rng, n, m):
     """Boundary of a stacked n-polytope on m vertices: the boundary of the
     n-simplex, then m - n - 1 times a new vertex stacked on a random
