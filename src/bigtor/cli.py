@@ -8,6 +8,10 @@ lines:
     B = [1 0 -2 0 ; 0 2 0 -1]
     form u3 = x2 + x3 - x4
 
+Integers (m, vertices, B's entries, --vertex) are ASCII -?[0-9]+, and a
+form's or polynomial's coefficients, indices and powers ASCII [0-9]+: a
+leading +, a digit separator _ and other digits are refused.
+
 The command table `_COMMANDS` lists every command; its own arguments
 reach its handler as keywords.
 
@@ -66,13 +70,17 @@ _FACE_RE = re.compile(r"\{([^{}]*)\}")
 _FORM_KEY_RE = re.compile(r"form\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)")
 
 
+def _int(token: str, message: str) -> int:
+    """token as an int when it is ASCII -?[0-9]+; InputError(message) otherwise."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(message)
+    return int(token)
+
+
 def _ints(text: str, message: str) -> tuple:
-    """The whitespace-separated integers of text; InputError(message)
-    when a token is not one."""
-    try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise InputError(message) from None
+    """The whitespace-separated integers of text, each read by _int."""
+    return tuple(_int(tok, message) for tok in text.split())
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -102,10 +110,7 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise InputError("duplicate %s %r" % entry)
             lines[entry] = line_no, value
             if entry == ("key", "m"):
-                try:
-                    m = int(value)
-                except ValueError:
-                    raise InputError(f"m must be an integer, got {value!r}") from None
+                m = _int(value, f"m must be an integer, got {value!r}")
                 if m < 0:
                     raise InputError("m must be nonnegative")
         line_no = None

@@ -268,7 +268,7 @@ class GysinData:
             rows = [{} for _ in range(proj.dim)]
             for e, k in proj.target.items():
                 rows[k][e] = proj.sign
-            solver = SnfSolver(IntMatrix(rows, cols=self.ext.chain_dim(p + 1, j + 2)))
+            solver = SnfSolver(IntMatrix._of(proj.dim, self.ext.chain_dim(p + 1, j + 2), rows))
             lifts = [solver.solve(vec) for vec in kernel]
             if None in lifts:
                 raise InternalCheckError("projection failed to lift a cycle")
@@ -285,17 +285,16 @@ def _subgroup_pair(f: list, g: list, middle, target):
     target's raw residual boundaries: from their span's echelon basis its
     entries reached 686 bits on data/hermite_growth.tcx with split 3, not 43."""
     k2 = middle.generator_count
-    image = Lattice(k2, f + middle.relations)
-    kernel = Lattice(k2, preimage(g, target.relations, target.generator_count) + middle.relations)
-    return image, kernel
+    kernel = preimage(g, target.relations, target.generator_count)
+    return Lattice._of(k2, f + middle.relations), Lattice._of(k2, kernel + middle.relations)
 
 
 def _quotient_structure(sub: Lattice, rel2: list) -> ZModule:
     """Structure of sub modulo the relation lattice."""
-    cols = [sub.coordinates(column) for column in rel2]
+    cols = [sub._coordinates(column) for column in rel2]
     if None in cols:
         raise InternalCheckError("relation escaped a subgroup that must contain it")
-    return cokernel_structure(IntMatrix.from_columns(cols, rows=sub.rank))
+    return cokernel_structure(IntMatrix._of(len(cols), sub.rank, cols).transpose())
 
 
 def verify_exactness(G: GysinData) -> GysinReport:

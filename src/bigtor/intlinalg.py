@@ -3,8 +3,8 @@
 One vector format runs through the module: a dict, column -> nonzero
 entry.  IntMatrix is a shape plus one such dict per row, and it is built
 from such rows only; it holds the Koszul differentials and
-multiplication maps from assembly to the engine, which reads its rows as
-fresh dicts (sparse_rows), and small matrices such as B.
+multiplication maps from assembly to the engine, and small matrices
+such as B.
 
 One sparse elimination engine answers every structure and kernel
 question.  It removes the +-1 pivots of a matrix in Markowitz order
@@ -34,8 +34,13 @@ solves A x = b by reducing on the rows (column k of A, e_k).  Lattice,
 kernels, preimages and solves take and return dicts; dense tuples appear
 only in IntMatrix.to_lists and Lattice.hnf_basis.  rational_rank is a
 separate sparse fraction-free elimination that shares no code with the
-engine, so the two can cross-check each other.  Everything runs on
-Python ints, and IntMatrix, ZModule and Lattice refuse anything else.
+engine, so the two can cross-check each other.
+
+Everything runs on Python ints, and one trust boundary guards it: the
+public constructors and entries (IntMatrix(...), ZModule, Lattice(...),
+add, coordinates, in, SnfSolver.solve) refuse anything else, while what
+the engine builds itself goes unchecked through IntMatrix._of, which
+wraps rows, and Lattice._of, _insert and _coordinates, which copy.
 """
 from __future__ import annotations
 
@@ -184,11 +189,7 @@ class IntMatrix(_Immutable):
 
     def sparse_columns(self) -> list:
         """Each column as a new dict row -> nonzero entry."""
-        out = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self._entries):
-            for c, x in row.items():
-                out[c][r] = x
-        return out
+        return _columns(self._entries, self.cols)
 
     def to_lists(self) -> list:
         """Nested-list form, zeros filled in."""
@@ -203,14 +204,7 @@ class IntMatrix(_Immutable):
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         rows_in = other._entries
-        out = []
-        for row in self._entries:
-            acc = {}
-            for i, x in row.items():
-                for c, y in rows_in[i].items():
-                    acc[c] = acc.get(c, 0) + x * y
-            out.append({c: x for c, x in acc.items() if x})
-        return IntMatrix._of(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, [_times(row, rows_in) for row in self._entries])
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -254,13 +248,9 @@ class ZModule(_Immutable):
         return self.rank == 0 and not self.torsion
 
     def __str__(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        parts = ["Z" if self.rank == 1 else f"Z^{self.rank}"] if self.rank else []
+        parts += [f"Z/{d}" for d in self.torsion]
+        return " + ".join(parts) or "0"
 
 
 def _xgcd(a: int, b: int):
@@ -284,6 +274,24 @@ def _dense(v: dict, n: int) -> tuple:
     for c, x in v.items():
         out[c] = x
     return tuple(out)
+
+
+def _columns(rows, width: int) -> list:
+    """Each column of the dict rows, over [0, width), as a new dict row -> entry."""
+    out = [{} for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def _times(row: dict, rows) -> dict:
+    """The dict row times the matrix of the dict rows, zeros dropped."""
+    acc = {}
+    for i, x in row.items():
+        for c, y in rows[i].items():
+            acc[c] = acc.get(c, 0) + x * y
+    return {c: x for c, x in acc.items() if x}
 
 
 def _scaled(v: dict, factor: int) -> dict:
@@ -381,12 +389,12 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
             if k != c:
                 holders.setdefault(k, []).append(i)
     width = len(residual)
-    columns = IntMatrix._of(width, A.cols, residual).sparse_columns()
-    lattice = Lattice(width + len(free))
+    columns = _columns(residual, A.cols)
+    lattice = Lattice._of(width + len(free))
     for f, c in enumerate(free):
         columns[c][width + f] = 1
-        lattice.add(columns[c])
-    kernel = Lattice(A.cols)
+        lattice._insert(columns[c])
+    kernel = Lattice._of(A.cols)
     for vec, lead in zip(lattice.basis, lattice.pivots):
         if lead < width:
             continue
@@ -407,7 +415,7 @@ def kernel_lattice(A: IntMatrix) -> Lattice:
                 v[c] = -row[c] * s
                 for earlier in holders.get(c, ()):
                     heapq.heappush(heap, -earlier)
-        kernel.add(v)
+        kernel._insert(v)
     return kernel.hermite()
 
 
@@ -471,26 +479,28 @@ def _diagonal(rows: list, width: int) -> list:
     column.  A pivot alone in its row and column stays alone, because
     Lattice combines rows only at a shared pivot and reduces a row only
     in pivot columns right of its own.  So every round the first pivot
-    that is not yet alone either shrinks strictly or ends up alone.
+    that is not yet alone either shrinks strictly or ends up alone.  A
+    single row is equivalent to its gcd alone, so it takes no lattice.
     """
-    lattice = Lattice(width, rows)
+    if len(rows) == 1:
+        return [math.gcd(*rows[0].values())]
+    lattice = Lattice._of(width, rows)
     while any(len(row) > 1 for row in lattice.basis):
-        columns = IntMatrix._of(lattice.rank, lattice.n, lattice.basis).sparse_columns()
-        lattice = Lattice(lattice.rank, [column for column in columns if column])
+        columns = _columns(lattice.basis, lattice.n)
+        lattice = Lattice._of(lattice.rank, [column for column in columns if column])
     return [row[lead] for row, lead in zip(lattice.basis, lattice.pivots)]
 
 
 def check_complex(d_out: IntMatrix, d_in: IntMatrix):
-    """Raise InternalCheckError unless d_out * d_in = 0, checked as one
-    product of the two matrices as they are stored; a product with a
-    dimension 0 is zero and is not formed."""
+    """Raise InternalCheckError unless d_out * d_in = 0, checked row by
+    row of the product on the matrices as they are stored, up to the
+    first nonzero row; the product itself is never held."""
     if d_out.cols != d_in.rows:
         raise InternalCheckError(
             f"chain spaces disagree: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows"
         )
-    if 0 in (d_out.rows, d_out.cols, d_in.cols):
-        return
-    if not d_out.mul(d_in).is_zero():
+    rows_in = d_in._entries
+    if any(_times(row, rows_in) for row in d_out._entries):
         raise InternalCheckError("differentials do not compose to zero")
 
 
@@ -512,7 +522,7 @@ class SnfSolver:
         columns = A.sparse_columns()
         for k, column in enumerate(columns):
             column[A.rows + k] = 1
-        self._lattice = Lattice(A.rows + A.cols, columns)
+        self._lattice = Lattice._of(A.rows + A.cols, columns)
 
     def solve(self, b: dict):
         """One integer solution x of A x = b, or None if none exists; b
@@ -539,7 +549,10 @@ class Lattice:
     1979).  A Hermite-reduced basis added in pivot order is kept as it
     is.  A vector is a member exactly when reducing it leaves zero, and
     the multiples taken off are its coordinates (Cohen, GTM 138, 2.4).
-    A vector handed in is a dict, int column -> int entry, copied once.
+    Lattice(...), add, coordinates and in take a dict of int entries at
+    int columns (add: in [0, n)) and refuse anything else; the engine's
+    own vectors go through _of, _insert and _coordinates unchecked.
+    Every entry copies the vector, since _reduce works in place.
 
     sign is the determinant (+-1) of the row operations so far, the vector
     being added counted last: xgcd steps [[x, y], [-b/g, a/g]] and
@@ -555,10 +568,23 @@ class Lattice:
         for v in vectors:
             self.add(v)
 
+    @classmethod
+    def _of(cls, n: int, vectors=()) -> "Lattice":
+        """The lattice of vectors bigtor built itself, by _insert."""
+        lattice = cls(n)
+        for v in vectors:
+            lattice._insert(v)
+        return lattice
+
     def add(self, vec):
         v = _entry(vec, self.n)
         if v and (min(v) < 0 or max(v) >= self.n):
             raise InputError(f"a column is not an integer in [0, {self.n}) in Lattice.add")
+        self._insert(v)
+
+    def _insert(self, vec: dict):
+        """Insert a copy of vec, unchecked: the one insert, under add too."""
+        v = dict(vec)
         basis, pivots = self.basis, self.pivots
         while v:
             lead = min(v)
@@ -625,7 +651,11 @@ class Lattice:
     def coordinates(self, vec: dict):
         """Integer coordinates of vec in the basis, a dict basis position
         -> nonzero coordinate, or None when vec is not in the lattice."""
-        v = _entry(vec, self.n)
+        return self._coordinates(_entry(vec, self.n))
+
+    def _coordinates(self, vec: dict):
+        """coordinates of a copy of vec, with no check."""
+        v = dict(vec)
         coords = self._reduce(v, -1)
         return None if v else coords
 
@@ -655,7 +685,8 @@ class Lattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or self.n != other.n:
             return NotImplemented
-        return self.contains_all(other.basis) and other.contains_all(self.basis)
+        return (all(self._coordinates(v) is not None for v in other.basis)
+                and all(other._coordinates(v) is not None for v in self.basis))
 
     def __repr__(self):
         return f"Lattice(n={self.n}, rank={self.rank})"
@@ -772,19 +803,19 @@ def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> HomologyPresenta
     restricted = [{index[c]: x for c, x in row.items() if c in index} for row in d_out._entries]
     kernel = kernel_lattice(IntMatrix._of(d_out.rows, len(free), restricted))
     # free is increasing, so the Hermite basis keeps its pivot order and stays reduced
-    cycles = Lattice(d_in.rows, ({free[k]: x for k, x in vec.items()} for vec in kernel.basis))
+    cycles = Lattice._of(d_in.rows, ({free[k]: x for k, x in vec.items()} for vec in kernel.basis))
     # the residual boundaries are cycles on the free coordinates, and the
     # kernel there is saturated, so each has integer coordinates
-    columns = [cycles.coordinates(row) for row in boundaries.relations]
+    columns = [cycles._coordinates(row) for row in boundaries.relations]
     if None in columns:
         raise InternalCheckError("a boundary escaped the kernel lattice")
     structure = cokernel_structure(IntMatrix._of(len(columns), cycles.rank, columns).transpose())
-    pres = HomologyPresentation(boundaries, cycles, columns, structure, Lattice(cycles.rank, columns))
+    relation_lattice = Lattice._of(cycles.rank, columns)
     for column in image:
-        coords = pres.coordinates(column)
-        if coords is None or not pres.class_is_zero(coords):
+        coords = cycles._coordinates(boundaries.project(column))
+        if coords is None or relation_lattice._coordinates(coords) is None:
             raise InternalCheckError("a column of d_in has a nonzero class")
-    return pres
+    return HomologyPresentation(boundaries, cycles, columns, structure, relation_lattice)
 
 
 def rational_rank(A: IntMatrix) -> int:
@@ -796,7 +827,7 @@ def rational_rank(A: IntMatrix) -> int:
     from the unit-pivot engine so the two can cross-check each other.
     """
     pivots = {}  # leading column -> primitive row
-    for row in A.sparse_rows():
+    for row in A._entries:  # read as stored: each step below makes a new row
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -822,7 +853,7 @@ def det(A: IntMatrix) -> int:
     its rows times the product of its pivots, or 0 below full rank."""
     if A.rows != A.cols:
         raise InputError("determinant of a non-square matrix")
-    lattice = Lattice(A.cols, A._entries)
+    lattice = Lattice._of(A.cols, A._entries)
     if lattice.rank < A.rows:
         return 0
     return lattice.sign * math.prod(row[lead] for row, lead in zip(lattice.basis, lattice.pivots))

@@ -40,7 +40,7 @@ from .intlinalg import (
     ZModule,
     HomologyPresentation,
     Quotient,
-    cokernel_structure,
+    _diagonal,
     homology_presentation,
     homology_structures,
     kernel_lattice,
@@ -103,32 +103,33 @@ class KoszulComplex:
         (subset-major, monomials graded-lex within each block).
 
         Assembled straight into sparse rows: the row block of T holds,
-        for each i outside T, the rows of u_i's multiplication block
-        with sign (-1)^{#{t in T : t < i}}, shifted to the column block
-        of T + {i}.  Distinct i give disjoint columns, so nothing adds.
-        An int bidegree out of range gives a zero map; any other is refused.
+        for each i outside T, the rows of u_i's multiplication block as K
+        stores them, with sign (-1)^{#{t in T : t < i}}, shifted to the
+        column block of T + {i}.  Distinct i give disjoint columns, so
+        nothing adds.  An int bidegree out of range gives a zero map; any
+        other is refused.
         """
         if type(p) is not int or type(j) is not int:
             raise InputError(f"bidegree ({p!r}, {j!r}) is not a pair of integers")
-        cols = self.chain_dim(p, j)
-        rows = self.chain_dim(p - 1, j)
+        n, d = self.n, j - 2 * p
+        if not (1 <= p <= n and d >= 0):
+            return IntMatrix.zeros(self.chain_dim(p - 1, j), self.chain_dim(p, j))
+        src_block, dst_block = len(monomial_basis(self.K, d)), len(monomial_basis(self.K, d + 2))
+        rows, cols = dst_block * math.comb(n, p - 1), src_block * math.comb(n, p)
         if cols == 0 or rows == 0:
             return IntMatrix.zeros(rows, cols)
-        d = j - 2 * p
-        src_block = len(self.coefficient_basis(p, j))
-        dst_block = len(self.coefficient_basis(p - 1, j))
-        src_index = {S: k for k, S in enumerate(self.subsets(p))}
-        blocks = [mult_matrix(self.K, u, d).sparse_rows() for u in self.forms]
+        vertices = range(1, n + 1)
+        start = {S: k * src_block for k, S in enumerate(itertools.combinations(vertices, p))}
+        blocks = [mult_matrix(self.K, u, d)._entries for u in self.forms]
         out = []
-        for T in self.subsets(p - 1):
+        for T in itertools.combinations(vertices, p - 1):
             parts = []
             pos = 0  # elements of T below i
-            for i in range(1, self.n + 1):
+            for i in vertices:
                 if pos < len(T) and T[pos] == i:
                     pos += 1
                     continue
-                S = T[:pos] + (i,) + T[pos:]
-                parts.append((blocks[i - 1], src_index[S] * src_block, -1 if pos % 2 else 1))
+                parts.append((blocks[i - 1], start[T[:pos] + (i,) + T[pos:]], -1 if pos % 2 else 1))
             for r in range(dst_block):
                 row = {}
                 for block, c0, sign in parts:
@@ -203,11 +204,7 @@ class BigradedTor(NamedTuple):
 
     def entries(self) -> list:
         """Nonzero entries as (p, j, ZModule), sorted by (p, j)."""
-        out = []
-        for (p, j), zm in sorted(self.table.items()):
-            if not zm.is_zero():
-                out.append((p, j, zm))
-        return out
+        return [(p, j, zm) for (p, j), zm in sorted(self.table.items()) if not zm.is_zero()]
 
     def max_nonzero_p(self) -> int:
         return max((p for (p, j), zm in self.table.items() if not zm.is_zero()), default=0)
@@ -342,14 +339,8 @@ class DepthEstimate(NamedTuple):
 
 def depth_estimate(table: BigradedTor) -> DepthEstimate:
     top = table.max_nonzero_p()
-    value = table.n - top
-    if table.n == 0:
-        qualifier = "exact"
-    elif top == 0:
-        qualifier = "conditional"
-    else:
-        qualifier = "at_most"
-    return DepthEstimate(value=value, qualifier=qualifier, bound=table.D)
+    qualifier = "exact" if table.n == 0 else "conditional" if top == 0 else "at_most"
+    return DepthEstimate(value=table.n - top, qualifier=qualifier, bound=table.D)
 
 
 class RegularityWitness(NamedTuple):
@@ -378,15 +369,17 @@ def _is_injective(here: Quotient, there: Quotient, phi: list,
     rank ker = rank here - (rank [phi | R] - rank R), R the relations of
     there.  At rank 0 the kernel is torsion, so a torsion-free here
     passes; otherwise the preimage of R under phi must lie in here's
-    relation lattice."""
+    relation lattice.  here's relations are the engine's residual, with
+    no +-1 entry left, so their invariant factors are _diagonal's."""
     image = there.matrix(phi + there.relations)
     if rational_rank(image) - there_rank < len(here.free) - here_rank:
         return False
-    if not here.relations or not cokernel_structure(here.matrix(here.relations)).torsion:
+    if not here.relations or max(_diagonal(here.relations, len(here.free) + len(here.pivots))) == 1:
         return True
     index = {g: f for f, g in enumerate(here.free)}
-    lattice = Lattice(len(phi), [{index[g]: x for g, x in r.items()} for r in here.relations])
-    return all(v in lattice for v in preimage(phi, there.relations, image.cols))
+    lattice = Lattice._of(len(phi), [{index[g]: x for g, x in r.items()} for r in here.relations])
+    return all(lattice._coordinates(v) is not None
+               for v in preimage(phi, there.relations, image.cols))
 
 
 def _quotient_scan(K: SimplicialComplex, forms: tuple, D: int):
@@ -421,9 +414,9 @@ def _annihilated_class(K: SimplicialComplex, forms: tuple, stage: int, j: int):
                 for column in mult_matrix(K, u, d - 2).sparse_columns()]
 
     mult = mult_matrix(K, forms[stage - 1], j)
-    ideal_here = Lattice(mult.cols, ideal(j))
+    ideal_here = Lattice._of(mult.cols, ideal(j))
     return next((v for v in preimage(mult.sparse_columns(), ideal(j + 2), mult.rows)
-                 if v not in ideal_here), None)
+                 if ideal_here._coordinates(v) is None), None)
 
 
 def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> RegularSequenceReport:
@@ -453,13 +446,8 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
 def expected_euler_characteristic(K: SimplicialComplex, n: int, j: int) -> int:
     """Coefficient of t^j in Hilb_K(t) * (1 - t^2)^n, by the closed
     Hilbert formula; the alternating rank sum must match it."""
-    total = 0
-    for k in range(n + 1):
-        d = j - 2 * k
-        if d < 0:
-            continue
-        total += (-1) ** k * math.comb(n, k) * hilbert_coefficient(K, d)
-    return total
+    return sum((-1) ** k * math.comb(n, k) * hilbert_coefficient(K, j - 2 * k)
+               for k in range(min(n, j // 2) + 1))
 
 
 def euler_discrepancies(K: SimplicialComplex, S: SubgroupData, table: BigradedTor) -> list:

@@ -11,7 +11,6 @@ their complex (simplicial).
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -41,13 +40,9 @@ class LinearForm(_Immutable):
         return all(c == 0 for c in self.coeffs)
 
     def as_polynomial(self) -> "Polynomial":
-        terms = {}
         m = self.nvars
-        for idx, c in enumerate(self.coeffs):
-            if c:
-                exp = tuple(1 if k == idx else 0 for k in range(m))
-                terms[exp] = c
-        return Polynomial(m, terms)
+        return Polynomial(m, {tuple(int(k == idx) for k in range(m)): c
+                              for idx, c in enumerate(self.coeffs) if c})
 
     def render(self) -> str:
         return self.as_polynomial().render()
@@ -122,9 +117,7 @@ class Polynomial(_Immutable):
     def homogeneous_degree(self):
         """Common internal degree of all terms, or None if mixed/zero."""
         degrees = {2 * sum(exp) for exp in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        return degrees.pop() if len(degrees) == 1 else None
 
     def _check_compatible(self, other):
         if not isinstance(other, Polynomial) or other.nvars != self.nvars:
@@ -203,7 +196,7 @@ class Polynomial(_Immutable):
         return f"Polynomial({self.nvars}, {self.render()!r})"
 
 
-_FACTOR_RE = re.compile(r"([A-Za-z])(\d+)(?:\^(\d+))?")
+_FACTOR_RE = re.compile(r"([A-Za-z])(\d+)(?:\^(\d+))?", re.ASCII)
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -228,7 +221,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         term_tok = term_tok.strip()
         if not term_tok:
             raise InputError(f"dangling sign in polynomial {text!r}")
-        coeff_match = re.match(r"^(\d+)", term_tok)
+        coeff_match = re.match(r"^([0-9]+)", term_tok)
         coeff = int(coeff_match.group(1)) if coeff_match else 1
         rest = term_tok[coeff_match.end():] if coeff_match else term_tok
         rest = rest.lstrip("*").strip()
@@ -278,31 +271,34 @@ def _support_mask(exp: tuple) -> int:
 
 
 @_memoized
+def _monomial_bases(K: SimplicialComplex) -> list:
+    """K's monomial bases in degrees 0, 2, 4, ..., as far as built."""
+    return [((0,) * K.m,)]
+
+
+@_memoized
 def monomial_basis(K: SimplicialComplex, j: int) -> tuple:
     """Monomials of internal degree j whose support is a face of K, in
-    graded-lex order with x1 largest."""
+    graded-lex order with x1 largest.
+
+    Degree j is the sorted set of x_k m over the monomials m of degree
+    j - 2 whose support plus k is a face; taking k no smaller than m's
+    last variable makes each arise once.  Each degree is built once, from
+    the one below, upward from the highest one K holds; nothing recurses,
+    so any degree bound is in reach."""
     _require_even(j)
-    total = j // 2
-    monos = []
-    for face in all_faces(K):
-        size = face.bit_count()
-        if size == 0:
-            if total == 0:
-                monos.append(tuple([0] * K.m))
-            continue
-        if size > total:
-            continue
-        positions = [p for p in range(K.m) if face & (1 << p)]
-        # positive compositions of `total` into len(positions) parts
-        for cut in itertools.combinations(range(1, total), size - 1):
-            bounds = (0,) + cut + (total,)
-            parts = [b - a for a, b in zip(bounds, bounds[1:])]
-            exp = [0] * K.m
-            for p, e in zip(positions, parts):
-                exp[p] = e
-            monos.append(tuple(exp))
-    monos.sort(reverse=True)
-    return tuple(monos)
+    bases, faces = _monomial_bases(K), all_faces(K)
+    while len(bases) <= j // 2:
+        step = []
+        for mono in bases[-1]:
+            mask = _support_mask(mono)
+            for k in range(max(mask.bit_length() - 1, 0), K.m):
+                if mask | 1 << k in faces:
+                    exp = list(mono)
+                    exp[k] += 1
+                    step.append(tuple(exp))
+        bases.append(tuple(sorted(step, reverse=True)))
+    return bases[j // 2]
 
 
 def hilbert_coefficient(K: SimplicialComplex, j: int) -> int:

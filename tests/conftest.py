@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import pathlib
 import signal
 
@@ -10,6 +9,7 @@ from bigtor.intlinalg import IntMatrix, Quotient
 from bigtor.stanley_reisner import forms_of, monomial_basis, mult_matrix
 
 import oracles
+from scale import cross4  # noqa: F401  (the recipe, for the tests)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -33,18 +33,6 @@ def from_lists(rows, cols=None):
     assert all(len(row) == cols for row in rows), rows
     return IntMatrix([{c: x for c, x in enumerate(row) if type(x) is not int or x}
                       for row in rows], cols)
-
-
-def cross4(first, second):
-    """(facets, B rows) of the boundary of the 4-dimensional cross-polytope
-    (vertices i and i + 4 antipodal, 16 facets) with
-    B = [diag(first) | -diag(second)]."""
-    facets = [tuple(i + 4 * pick for i, pick in zip(range(1, 5), picks))
-              for picks in itertools.product((0, 1), repeat=4)]
-    B = [[0] * 8 for _ in range(4)]
-    for i, (a, b) in enumerate(zip(first, second)):
-        B[i][i], B[i][i + 4] = a, -b
-    return facets, B
 
 
 def load_problem(name):

@@ -85,6 +85,30 @@ def fp_rank(rows, p):
     return rank
 
 
+def sparse_fp_rank(rows, p):
+    """Rank over F_p, p prime, of the matrix whose rows are dicts column
+    -> entry, by the echelon elimination of rational_rank mod p: each row
+    is reduced by the pivot rows found so far, each with a leading 1."""
+    pivots = {}  # leading column -> pivot row, leading entry 1, entries in [1, p)
+    for values in rows:
+        row = {c: x % p for c, x in values.items() if x % p}
+        while row:
+            lead = min(row)
+            factor = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(factor, -1, p)
+                pivots[lead] = {c: x * inverse % p for c, x in row.items()}
+                break
+            for c, y in pivot.items():
+                x = (row.get(c, 0) - factor * y) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
 def smith_diagonal(rows):
     """Nonzero diagonal of the Smith normal form, textbook gcd chasing.
 

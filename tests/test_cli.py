@@ -53,6 +53,13 @@ def write(tmp_path, text):
         ("m = 2\nfaces = {3}\nB = [1 x]", "line 2: vertex 3 out of range"),
         ("m = 2\nfaces = {1 2}\nform u = x9\nB = [1 x]", "line 4: matrix row '1 x'"),
         ("B = [1 x]\nfaces = {9}", "error: missing required key 'm'"),
+        # an integer is ASCII -?[0-9]+: Python's int would read each of
+        # these (as 10, {3, 1}, [1 2], 2x1 + x2 and x1 + x2)
+        ("m = 1_0", "line 1: m must be an integer, got '1_0'"),
+        ("m = 4\nfaces = {\u0663 1}", "line 2: face {\u0663 1} contains a non-integer"),
+        ("m = 2\nB = [+1 2]", "line 2: matrix row '+1 2' contains a non-integer"),
+        ("m = 2\nform u = \u0662x1 + x2", "line 2: bad factor '\u0662x1'"),
+        ("m = 2\nform u = x\u0661 + x2", "line 2: bad factor 'x\u0661'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, capsys, text, fragment):
@@ -67,6 +74,16 @@ def test_vertex_strings_split_at_commas_and_spaces():
     assert cli._parse_vertex(" {2,3} ") == (2, 3)
     with pytest.raises(InputError, match=r"^vertex must be a list of integers, got '\{1 x\}'$"):
         cli._parse_vertex("{1 x}")
+    for text in ("{+1,2}", "{1_0}", "{\u0661 2}", "{-}"):
+        with pytest.raises(InputError, match="^vertex must be a list of integers"):
+            cli._parse_vertex(text)
+    assert cli._parse_vertex("{-1, 007}") == (-1, 7)
+
+
+def test_signed_vertex_exits_one(capsys):
+    argv = ["find-torsion", "--input", path_of("cp1cp1"), "--extra", "u3", "--vertex", "{+1,2}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: vertex must be a list of integers, got '{+1,2}'\n"
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -121,11 +121,12 @@ GYSIN_CASES = [
 
 
 def record_lattice_bits(monkeypatch):
-    """Patch Lattice.add and Lattice.hermite to record, after each call,
-    the largest bit length of an entry of the basis; returns a list whose
-    one item is the running maximum."""
+    """Patch Lattice._insert, the one insert under add and the engine,
+    and Lattice.hermite to record, after each call, the largest bit
+    length of an entry of the basis; returns a list whose one item is
+    the running maximum."""
     most = [0]
-    for name in ("add", "hermite"):
+    for name in ("_insert", "hermite"):
         def recorded(self, *args, _original=getattr(Lattice, name)):
             result = _original(self, *args)
             bits = max((abs(x).bit_length() for row in self.basis for x in row.values()), default=0)

@@ -186,13 +186,13 @@ def test_invariant_factors_of_residual_shaped_matrices(monkeypatch):
     # every Lattice entry the phase makes obeys the Hadamard bound of the
     # residual: x^2 <= the product of the squared row norms
     entries = []
-    original = Lattice.add
+    original = Lattice._insert
 
     def recorded(self, vec):
         original(self, vec)
         entries.extend(x for row in self.basis for x in row.values())
 
-    monkeypatch.setattr(Lattice, "add", recorded)
+    monkeypatch.setattr(Lattice, "_insert", recorded)
     rng = random.Random(1979)
     for _ in range(40):
         A = residual_shaped_matrix(rng)

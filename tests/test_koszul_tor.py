@@ -349,6 +349,59 @@ def test_torsion_primes_and_ranks_follow_local_freeness(budget):
     assert oracles.reisner_primes(RP2_6) == {2} and oracles.h_vector(RP2_6) == [1, 3, 6, 0]
 
 
+def universal_coefficient_cells(K, S, D) -> int:
+    """Check the universal-coefficient relation prime by prime on every
+    cell of the table up to D; returns the number of (cell, prime) pairs.
+
+    For a complex C of free Z-modules, H_p(C (x) F_l) is H_p(C) (x) F_l
+    plus Tor^Z_1(H_{p-1}(C), F_l) (Hatcher, Algebraic Topology, Thm. 3A.3),
+    so dim C_p - rk_l d_p - rk_l d_{p+1} = rank T_p + t_l(T_p) + t_l(T_{p-1}),
+    t_l counting the invariant factors divisible by l.  The ranks mod l
+    come from the oracle's sparse elimination over F_l, which shares no
+    code with the engine, on the Koszul differentials; the primes are 2,
+    3, 5, 7 and every prime that divides a torsion order in the table.
+    Over F_l there is no entry growth, but the relation sees counts, not
+    exponents: Z/4 and Z/2 both give t_2 = 1."""
+    table = tor_table(K, S, D)
+    primes = {2, 3, 5, 7}.union(*(oracles.prime_factors(d) for z in table.table.values()
+                                  for d in z.torsion))
+    forms, pairs = forms_of(S), 0
+    for j in range(0, D + 1, 2):
+        kc = KoszulComplex(K, forms)
+        maps = [kc.differential(p, j).sparse_rows() for p in range(1, S.n + 2)]
+        for ell in sorted(primes):
+            ranks = [0] + [oracles.sparse_fp_rank(rows, ell) for rows in maps]  # ranks[p]: d_p
+
+            def divisible(p):
+                return sum(d % ell == 0 for d in table.piece(p, j).torsion) if p >= 0 else 0
+
+            for p in range(S.n + 1):
+                expected = table.piece(p, j).rank + divisible(p) + divisible(p - 1)
+                assert kc.chain_dim(p, j) - ranks[p] - ranks[p + 1] == expected, (p, j, ell)
+                pairs += 1
+    return pairs
+
+
+def test_torsion_counts_prime_by_prime_follow_universal_coefficients(budget):
+    # the 17 inputs of tests/data and perfbench/inputs at D = 12, the
+    # torsion and orbifold cross-polytopes at D = 12, and seeded problems
+    # at D = 8; an engine that drops an invariant factor divisible by l, or
+    # merges Z/l + Z/l into Z/l^2, misses t_l on some cell
+    inputs = [(problem.complex, problem.B, 12) for problem in map(
+        parse_problem, (path.read_text() for path in sorted(DATA_DIR.glob("*.tcx")) + sorted(
+            (DATA_DIR.parent.parent / "perfbench" / "inputs").glob("*.tcx"))))]
+    for first, second in (((1, 2, 1, 2), (1, 2, 3, 4)), ((2, 1, 1, 2), (3, 2, 1, 1))):
+        facets, B = cross4(first, second)
+        inputs.append((build_complex(8, facets), SubgroupData(from_lists(B)), 12))
+    rng = random.Random(1438)
+    for _ in range(30):
+        problem = parse_problem(random_problem(rng))
+        inputs.append((problem.complex, problem.B, 8))
+    with budget(2):
+        pairs = sum(universal_coefficient_cells(K, S, D) for K, S, D in inputs)
+    assert pairs == 3524  # (cell, prime) pairs: 1,624 corpus, 2 x 140 cross4, 1,620 seeded
+
+
 def assert_presentations_match_table(problem, D):
     kc = koszul_of(problem)
     table = tor_table(problem.complex, problem.B, D)

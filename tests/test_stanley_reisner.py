@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -160,6 +162,33 @@ def test_hilbert_matches_binomial_oracle():
         hilbert_coefficient(SQUARE, 3)
     with pytest.raises(InputError):
         monomial_basis(SQUARE, -2)
+
+
+def brute_monomial_basis(K, j):
+    """Every exponent vector of total j / 2 whose support is a face of K,
+    in descending tuple order (graded lex, x1 largest)."""
+    faces = {frozenset(face) for top in K.face_vertices() for r in range(len(top) + 1)
+             for face in itertools.combinations(top, r)} | {frozenset()}
+    return tuple(sorted((exp for exp in itertools.product(range(j // 2 + 1), repeat=K.m)
+                         if sum(exp) == j // 2
+                         and frozenset(v + 1 for v, e in enumerate(exp) if e) in faces),
+                        reverse=True))
+
+
+def test_monomial_basis_matches_enumeration_in_any_request_order():
+    # each degree is built from the one below, upward from the highest one
+    # the complex holds, so the order of requests must not matter
+    rng = random.Random(1439)
+    for _ in range(20):
+        K = parse_problem(random_problem(rng)).complex
+        for j in rng.sample(range(0, 13, 2), 7):
+            assert monomial_basis(K, j) == brute_monomial_basis(K, j), (K, j)
+
+
+def test_monomial_basis_builds_high_degrees_without_recursion():
+    two_points = build_complex(2, [(1,), (2,)])
+    assert monomial_basis(two_points, 2 * sys.getrecursionlimit() * 4) == (
+        (4 * sys.getrecursionlimit(), 0), (0, 4 * sys.getrecursionlimit()))
 
 
 def test_reduce_kills_nonface_monomials():
