@@ -199,7 +199,7 @@ class GysinData:
         callers must not change; chain_map maps dicts index -> entry."""
         cols = []
         for cycle in src.cycles.basis:
-            x = tgt.coordinates(chain_map(cycle))
+            x = tgt._coordinates(chain_map(cycle))
             if x is None:
                 raise InternalCheckError("chain map image is not a cycle downstream")
             cols.append(x)
@@ -243,7 +243,7 @@ class GysinData:
                 _add_multiple(y, x, d_ext[e])
             if not y.keys() <= section.target.keys():
                 raise InternalCheckError("chased boundary left the included subcomplex")
-            coords = tgt.coordinates(section.push(y))
+            coords = tgt._coordinates(section.push(y))
             if coords is None:
                 raise InternalCheckError("chased value is not a cycle")
             cols.append(coords)

@@ -34,13 +34,13 @@ solves A x = b by reducing on the rows (column k of A, e_k).  Lattice,
 kernels, preimages and solves take and return dicts; dense tuples appear
 only in IntMatrix.to_lists and Lattice.hnf_basis.  rational_rank is a
 separate sparse fraction-free elimination that shares no code with the
-engine, so the two can cross-check each other.
-
-Everything runs on Python ints, and one trust boundary guards it: the
-public constructors and entries (IntMatrix(...), ZModule, Lattice(...),
-add, coordinates, in, SnfSolver.solve) refuse anything else, while what
-the engine builds itself goes unchecked through IntMatrix._of, which
-wraps rows, and Lattice._of, _insert and _coordinates, which copy.
+engine, so the two can cross-check each other.  Everything runs on
+Python ints behind one trust boundary: the public constructors and
+entries (IntMatrix(...), ZModule, Lattice(...), add, coordinates, in,
+SnfSolver.solve) refuse anything else, while what the engine builds
+goes unchecked through IntMatrix._of, which wraps rows, and the
+_coordinates of Lattice and HomologyPresentation, Lattice._of and
+Lattice._insert, which copy.
 """
 from __future__ import annotations
 
@@ -549,10 +549,9 @@ class Lattice:
     1979).  A Hermite-reduced basis added in pivot order is kept as it
     is.  A vector is a member exactly when reducing it leaves zero, and
     the multiples taken off are its coordinates (Cohen, GTM 138, 2.4).
-    Lattice(...), add, coordinates and in take a dict of int entries at
-    int columns (add: in [0, n)) and refuse anything else; the engine's
-    own vectors go through _of, _insert and _coordinates unchecked.
-    Every entry copies the vector, since _reduce works in place.
+    Lattice(...), add, coordinates and in refuse all but dicts of int
+    entries at int columns (add: in [0, n)); the engine's own vectors go
+    unchecked through _of, _insert and _coordinates.  All of them copy.
 
     sign is the determinant (+-1) of the row operations so far, the vector
     being added counted last: xgcd steps [[x, y], [-b/g, a/g]] and
@@ -781,6 +780,10 @@ class HomologyPresentation(NamedTuple):
         if not isinstance(cycle, dict):
             raise InputError(f"cycle {cycle!r} is not a dict index -> entry")
         return self.cycles.coordinates(self.boundaries.project(cycle))
+
+    def _coordinates(self, cycle: dict):
+        """coordinates of a chain bigtor built, with no check."""
+        return self.cycles._coordinates(self.boundaries.project(cycle))
 
     def class_is_zero(self, coords: dict) -> bool:
         """Whether the class with the given generator coordinates, a

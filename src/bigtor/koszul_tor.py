@@ -244,7 +244,7 @@ def tor1_witness(K: SimplicialComplex, S: SubgroupData, table: BigradedTor):
     pres = complex_.homology(1, j)
     d = complex_.differential(1, j)
     for chosen in kernel_lattice(d).basis:
-        coords = pres.coordinates(chosen)  # None exactly when chosen is not a cycle
+        coords = pres._coordinates(chosen)  # None exactly when chosen is not a cycle
         if coords is None:
             raise InternalCheckError("selected witness is not a cycle")
         if not pres.class_is_zero(coords):
@@ -367,10 +367,9 @@ def _is_injective(here: Quotient, there: Quotient, phi: list,
     """Whether the map with images phi of here.free is injective from here
     to there, given the ranks over Q of their relations.  Over Q,
     rank ker = rank here - (rank [phi | R] - rank R), R the relations of
-    there.  At rank 0 the kernel is torsion, so a torsion-free here
-    passes; otherwise the preimage of R under phi must lie in here's
-    relation lattice.  here's relations are the engine's residual, with
-    no +-1 entry left, so their invariant factors are _diagonal's."""
+    there.  At rank 0 the kernel is torsion, so a here whose relations (a
+    residual, no +-1 entry) have _diagonal all 1 passes; otherwise the
+    preimage of R under phi must lie in here's relation lattice."""
     image = there.matrix(phi + there.relations)
     if rational_rank(image) - there_rank < len(here.free) - here_rank:
         return False

@@ -282,10 +282,9 @@ def monomial_basis(K: SimplicialComplex, j: int) -> tuple:
     graded-lex order with x1 largest.
 
     Degree j is the sorted set of x_k m over the monomials m of degree
-    j - 2 whose support plus k is a face; taking k no smaller than m's
-    last variable makes each arise once.  Each degree is built once, from
-    the one below, upward from the highest one K holds; nothing recurses,
-    so any degree bound is in reach."""
+    j - 2 whose support plus k is a face, each made once by taking k no
+    smaller than m's last variable.  Degrees are built once, upward from
+    the highest one K holds, and nothing recurses."""
     _require_even(j)
     bases, faces = _monomial_bases(K), all_faces(K)
     while len(bases) <= j // 2:

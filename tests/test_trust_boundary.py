@@ -3,13 +3,15 @@
 Lattice(...), Lattice.add, coordinates, in, SnfSolver.solve, IntMatrix(...)
 and SubgroupData check what they are handed and refuse bad input with
 InputError; the tests of those refusals live with each type.  The
-engine's own traffic goes through private entries that copy but do not
-check: Lattice._of, Lattice._insert and Lattice._coordinates, and
-IntMatrix._of.  Here each private entry is wrapped with the public checks
-(a dict vector of nonzero int entries at int columns in [0, n); a matrix
-of such rows), and the corpus commands, seeded library problems and the
-Gysin growth cases run through them: no vector the engine builds may
-fail a check, so skipping the checks there loses nothing.
+engine's own traffic goes through private entries that do not check:
+Lattice._of, Lattice._insert, Lattice._coordinates,
+HomologyPresentation._coordinates and IntMatrix._of.  Here each is
+wrapped with the public checks (a dict vector of nonzero int entries at
+int columns in [0, n), zeros allowed in a chain, which the presentation
+projects; a matrix of such rows), and the corpus commands, seeded
+library problems and the Gysin growth cases run through them: no vector
+the engine builds may fail a check, so skipping the checks there loses
+nothing.
 """
 
 import contextlib
@@ -20,8 +22,14 @@ import pytest
 
 from bigtor import cli
 from bigtor.gysin import GysinData, connecting_map_check, verify_exactness
-from bigtor.intlinalg import IntMatrix, Lattice
-from bigtor.koszul_tor import euler_discrepancies, regular_sequence_check, tor_table, verdicts
+from bigtor.intlinalg import HomologyPresentation, IntMatrix, Lattice
+from bigtor.koszul_tor import (
+    euler_discrepancies,
+    regular_sequence_check,
+    tor1_witness,
+    tor_table,
+    verdicts,
+)
 
 from conftest import load_problem
 from test_golden import ROOT, sweep_command_lines
@@ -29,11 +37,11 @@ from test_growth import GYSIN_CASES
 from test_regular_sequence import random_problem
 
 
-def bad_vector(vec, n) -> bool:
-    """Whether vec fails the public checks: a dict of nonzero int
-    entries at int columns in [0, n)."""
+def bad_vector(vec, n, zeros=False) -> bool:
+    """Whether vec fails the public checks: a dict of int entries,
+    nonzero unless zeros, at int columns in [0, n)."""
     return type(vec) is not dict or not all(
-        type(c) is int and 0 <= c < n and type(x) is int and x for c, x in vec.items())
+        type(c) is int and 0 <= c < n and type(x) is int and (x or zeros) for c, x in vec.items())
 
 
 @pytest.fixture
@@ -41,7 +49,7 @@ def checked(monkeypatch):
     """Wrap the private entries with the public checks; returns a dict
     entry name -> [calls, violations]."""
     seen = {name: [0, []] for name in ("Lattice._of", "Lattice._insert", "Lattice._coordinates",
-                                       "IntMatrix._of")}
+                                       "HomologyPresentation._coordinates", "IntMatrix._of")}
 
     def record(name, bad, what):
         seen[name][0] += 1
@@ -50,6 +58,7 @@ def checked(monkeypatch):
 
     lattice_of = Lattice.__dict__["_of"].__func__
     insert, coordinates = Lattice._insert, Lattice._coordinates
+    chain_coordinates = HomologyPresentation._coordinates
     matrix_of = IntMatrix.__dict__["_of"].__func__
 
     def of(cls, n, vectors=()):
@@ -64,6 +73,11 @@ def checked(monkeypatch):
         record("Lattice._coordinates", bad_vector(vec, self.n), (vec, self.n))
         return coordinates(self, vec)
 
+    def checked_chain(self, cycle):
+        n = len(self.boundaries.free) + len(self.boundaries.pivots)
+        record("HomologyPresentation._coordinates", bad_vector(cycle, n, zeros=True), (cycle, n))
+        return chain_coordinates(self, cycle)
+
     def checked_matrix(cls, rows, cols, entries):
         entries = tuple(entries)
         bad = (type(rows) is not int or type(cols) is not int or min(rows, cols) < 0
@@ -74,6 +88,7 @@ def checked(monkeypatch):
     monkeypatch.setattr(Lattice, "_of", classmethod(of))
     monkeypatch.setattr(Lattice, "_insert", checked_insert)
     monkeypatch.setattr(Lattice, "_coordinates", checked_coordinates)
+    monkeypatch.setattr(HomologyPresentation, "_coordinates", checked_chain)
     monkeypatch.setattr(IntMatrix, "_of", classmethod(checked_matrix))
     return seen
 
@@ -98,15 +113,17 @@ def test_corpus_commands_stay_inside_the_trust_boundary(checked, monkeypatch):
 
 
 def test_library_problems_stay_inside_the_trust_boundary(checked, budget):
+    # the library-fuzz calls, and the Tor_1 witness where big CM fails
     rng = random.Random(1438)
     with budget(5):
         for _ in range(60):
             spec = cli.parse_problem(random_problem(rng))
             K, S = spec.complex, spec.B
             table = tor_table(K, S, 8)
-            verdicts(table)
-            regular_sequence_check(K, S, 8)
+            bigcm = verdicts(table).bigcm
+            assert regular_sequence_check(K, S, 8).regular == bigcm.holds()
             assert euler_discrepancies(K, S, table) == []
+            assert bigcm.holds() or tor1_witness(K, S, table) is not None
     assert_clean(checked)
 
 
