@@ -8,9 +8,10 @@ lines:
     B = [1 0 -2 0 ; 0 2 0 -1]
     form u3 = x2 + x3 - x4
 
-Integers (m, vertices, B's entries, --vertex) are ASCII -?[0-9]+, and a
-form's or polynomial's coefficients, indices and powers ASCII [0-9]+: a
-leading +, a digit separator _ and other digits are refused.
+Integers (m, vertices, B's entries, --vertex, --max-degree, --split) are
+ASCII -?[0-9]+: a leading +, a digit separator _, other digits and spaces
+around an option's value are refused.  Forms and polynomials follow the
+grammar of stanley_reisner.parse_polynomial, in ASCII digits too.
 
 The command table `_COMMANDS` lists every command; its own arguments
 reach its handler as keywords.
@@ -76,6 +77,16 @@ def _int(token: str, message: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise InputError(message)
     return int(token)
+
+
+def _option_int(token: str) -> int:
+    """argparse type of --max-degree and --split: _int's rule, int's message."""
+    try:
+        return _int(token, "")
+    except InputError:
+        import argparse  # loaded already: this runs inside parse_args
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def _ints(text: str, message: str) -> tuple:
@@ -514,7 +525,7 @@ _COMMANDS = {
     ]),
     "gysin": (_cmd_gysin, "long exact sequence verification", [
         ("--split", dict(
-            type=int, help="1-based row of B used as the extra form (default: last row)"
+            type=_option_int, help="1-based row of B used as the extra form (default: last row)"
         )),
     ]),
 }
@@ -534,9 +545,8 @@ def _build_parser():
     for name, (_, help_text, own) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help=".tcx problem file")
-        p.add_argument(
-            "--max-degree", type=int, default=12, help="even internal degree bound D (default 12)"
-        )
+        p.add_argument("--max-degree", type=_option_int, default=12,
+                       help="even internal degree bound D (default 12)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for flag, options in own:
             p.add_argument(flag, **options)

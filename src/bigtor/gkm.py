@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NotGKMError
 from .intlinalg import IntMatrix, det, kernel_lattice, rational_rank
-from .simplicial import SimplicialComplex, SubgroupData, _column_submatrix, _memoized
+from .simplicial import SimplicialComplex, SubgroupData, _check_shape, _column_submatrix, _memoized
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
@@ -67,8 +67,7 @@ def vertex_data(K: SimplicialComplex, S: SubgroupData) -> tuple:
     """Per-vertex data in input face order, after the GKM sanity gate:
     K pure with faces of size n, every B_v nonsingular, and the
     restriction map fixing each u_r (checked, not assumed)."""
-    if K.m != S.m:
-        raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
+    _check_shape(K, S)
     n = S.n
     if n == 0:
         raise NotGKMError("GKM data needs at least one subring generator")

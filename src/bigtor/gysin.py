@@ -46,11 +46,12 @@ from .intlinalg import (
     ZModule,
     _add_multiple,
     _scaled,
+    _times,
     cokernel_structure,
     preimage,
 )
 from .koszul_tor import KoszulComplex
-from .simplicial import SimplicialComplex, SubgroupData, _memoized
+from .simplicial import SimplicialComplex, SubgroupData, _check_shape, _memoized
 from .stanley_reisner import _require_even, forms_of
 
 
@@ -115,8 +116,7 @@ class GysinData:
 
     def __init__(self, K: SimplicialComplex, S_ext: SubgroupData, D: int, split: int | None = None):
         _require_even(D, "degree bound")
-        if K.m != S_ext.m:
-            raise InputError(f"complex on [{K.m}] but matrix has {S_ext.m} columns")
+        _check_shape(K, S_ext)
         n_ext = S_ext.n
         if n_ext == 0:
             raise InputError("need at least one row to split off")
@@ -238,9 +238,7 @@ class GysinData:
         d_ext = self.ext.differential(p + 1, j + 2).sparse_columns()
         cols = []
         for w in self._lifts(p, j, wedge_lift):
-            y = {}
-            for e, x in w.items():
-                _add_multiple(y, x, d_ext[e])
+            y = _times(w, d_ext)
             if not y.keys() <= section.target.keys():
                 raise InternalCheckError("chased boundary left the included subcomplex")
             coords = tgt._coordinates(section.push(y))

@@ -41,13 +41,14 @@ from .intlinalg import (
     HomologyPresentation,
     Quotient,
     _diagonal,
+    _times,
     homology_presentation,
     homology_structures,
     kernel_lattice,
     preimage,
     rational_rank,
 )
-from .simplicial import SimplicialComplex, SubgroupData, _memoized
+from .simplicial import SimplicialComplex, SubgroupData, _check_shape, _memoized
 from .stanley_reisner import (
     LinearForm,
     Polynomial,
@@ -168,18 +169,17 @@ class KoszulComplex:
 
     def times(self, u: LinearForm, p: int, j: int):
         """Multiplication by u as a chain map C_{p,j} -> C_{p,j+2}, block
-        diagonal over the subsets: a function of sparse vectors."""
+        diagonal over the subsets: a function of sparse vectors, zeros dropped."""
         block = mult_matrix(self.K, u, j - 2 * p)
         columns = block.sparse_columns()
 
         def multiply(vec: dict) -> dict:
-            out = {}
+            parts = {}  # subset position -> vec's part in its block
             for c, x in vec.items():
                 s, k = divmod(c, block.cols)
-                for r, v in columns[k].items():
-                    r += s * block.rows
-                    out[r] = out.get(r, 0) + x * v
-            return out
+                parts.setdefault(s, {})[k] = x
+            return {s * block.rows + r: x
+                    for s, part in parts.items() for r, x in _times(part, columns).items()}
 
         return multiply
 
@@ -213,8 +213,7 @@ class BigradedTor(NamedTuple):
 def tor_table(K: SimplicialComplex, S: SubgroupData, D: int) -> BigradedTor:
     """The complete table of Tor pieces for all p and all even j <= D."""
     _require_even(D, "degree bound")
-    if K.m != S.m:
-        raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
+    _check_shape(K, S)
     forms = forms_of(S)
     # C_p vanishes in degree j once 2p > j, so Tor_p does too; each map
     # comes from a complex that is dropped at once, so nothing keeps it
@@ -427,6 +426,7 @@ def regular_sequence_check(K: SimplicialComplex, S: SubgroupData, D: int) -> Reg
     search names the annihilated class, and it must find one.
     """
     _require_even(D, "degree bound")
+    _check_shape(K, S)
     forms = forms_of(S)
     failure = next(((stage, j) for stage, j, injective in _quotient_scan(K, forms, D)
                     if not injective), None)
@@ -465,6 +465,7 @@ def rational_tor_ranks(K: SimplicialComplex, S: SubgroupData, D: int) -> dict:
     """Tor ranks over Q by fraction-exact elimination, bypassing Smith
     normal form entirely; keyed by (p, j)."""
     _require_even(D, "degree bound")
+    _check_shape(K, S)
     forms = forms_of(S)
     degrees = range(0, D + 1, 2)
     # as in tor_table, each map comes from a complex dropped after its rank

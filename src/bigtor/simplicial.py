@@ -164,6 +164,12 @@ class SubgroupData(_Immutable):
         object.__setattr__(self, "m", B.cols)
 
 
+def _check_shape(K: SimplicialComplex, S: SubgroupData):
+    """Refuse a matrix B with other columns than K has vertices."""
+    if K.m != S.m:
+        raise InputError(f"complex on [{K.m}] but matrix has {S.m} columns")
+
+
 class LocalFreenessReport(NamedTuple):
     """Outcome of the vertex-submatrix determinant test."""
 
@@ -176,8 +182,8 @@ class LocalFreenessReport(NamedTuple):
 
 def _column_submatrix(B: IntMatrix, vertices) -> IntMatrix:
     """The columns of B at the given vertices (1-based), in that order."""
-    return IntMatrix([{k: row[v - 1] for k, v in enumerate(vertices) if v - 1 in row}
-                      for row in B.sparse_rows()], cols=len(vertices))
+    columns = B.sparse_columns()
+    return IntMatrix.from_columns([columns[v - 1] for v in vertices], rows=B.rows)
 
 
 def check_local_freeness(K: SimplicialComplex, S: SubgroupData) -> LocalFreenessReport:
@@ -186,8 +192,7 @@ def check_local_freeness(K: SimplicialComplex, S: SubgroupData) -> LocalFreeness
     Applicable only to pure complexes whose maximal faces have exactly
     n vertices; otherwise the verdict is NOT_APPLICABLE with a reason.
     """
-    if K.m != S.m:
-        raise InputError(f"complex has {K.m} vertices but matrix has {S.m} columns")
+    _check_shape(K, S)
     warnings = []
     sizes = {mask.bit_count() for mask in K.maximal_faces}
     largest = max(sizes, default=0)

@@ -17,8 +17,9 @@ import sys
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import IntMatrix, _Immutable, _add_multiple, _dense, kernel_lattice
-from .simplicial import SimplicialComplex, SubgroupData, _memoized, all_faces, face_count_by_size
+from .intlinalg import IntMatrix, _Immutable, _dense, _not_int, _times, kernel_lattice
+from .simplicial import (SimplicialComplex, SubgroupData, _check_shape, _memoized, all_faces,
+                         face_count_by_size)
 
 
 class LinearForm(_Immutable):
@@ -182,10 +183,7 @@ class Polynomial(_Immutable):
                     factors.append(f"{var}{pos + 1}^{e}")
             body = "*".join(factors)
             mag = abs(coeff)
-            if body:
-                head = body if mag == 1 else f"{mag}{body}"
-            else:
-                head = str(mag)
+            head = body if body and mag == 1 else f"{mag}{body}"
             if idx == 0:
                 pieces.append(head if coeff > 0 else f"-{head}")
             else:
@@ -196,52 +194,38 @@ class Polynomial(_Immutable):
         return f"Polynomial({self.nvars}, {self.render()!r})"
 
 
+# one term: a sign (none before the first term), a coefficient, a * only
+# after one, and the factors up to the next sign
+_TERM_RE = re.compile(r"\s*([+-]|^)\s*(?:([0-9]+)\s*(\*)?)?([^+-]*)")
 _FACTOR_RE = re.compile(r"([A-Za-z])(\d+)(?:\^(\d+))?", re.ASCII)
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse the canonical text form in x1..x{nvars} back into a
-    Polynomial.  Accepts both "2x1^2" and "2*x1^2" spellings."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse text in x1..x{nvars}, in one pass over its terms: terms joined
+    by + or -, each [coefficient] [[*] factor (* factor)*] with a factor
+    x<i> or x<i>^<k>, in ASCII digits, spaces allowed around any sign or *."""
+    if not text.strip():
         raise InputError("empty polynomial text")
-    if stripped == "0":
-        return Polynomial.zero(nvars)
     terms = {}
-    # split into (sign, term) pairs
-    chunks = re.split(r"\s*([+-])\s*", stripped)
-    if chunks[0] == "":
-        chunks = chunks[1:]
-    else:
-        chunks = ["+"] + chunks
-    if len(chunks) % 2 != 0:
-        raise InputError(f"could not parse polynomial {text!r}")
-    for sign_tok, term_tok in zip(chunks[0::2], chunks[1::2]):
-        sign = -1 if sign_tok == "-" else 1
-        term_tok = term_tok.strip()
-        if not term_tok:
+    for sign, coeff, star, rest in _TERM_RE.findall(text):
+        if not (coeff or star or rest):
             raise InputError(f"dangling sign in polynomial {text!r}")
-        coeff_match = re.match(r"^([0-9]+)", term_tok)
-        coeff = int(coeff_match.group(1)) if coeff_match else 1
-        rest = term_tok[coeff_match.end():] if coeff_match else term_tok
-        rest = rest.lstrip("*").strip()
         exponents = [0] * nvars
-        if rest:
-            for factor in rest.split("*"):
-                factor = factor.strip()
-                fm = _FACTOR_RE.fullmatch(factor)
-                if not fm:
-                    raise InputError(f"bad factor {factor!r} in polynomial {text!r}")
-                letter, index, power = fm.group(1), int(fm.group(2)), fm.group(3)
-                if letter != "x":
-                    raise InputError(
-                        f"unexpected variable {letter!r} in polynomial {text!r} (expected 'x')"
-                    )
-                if not 1 <= index <= nvars:
-                    raise InputError(f"variable {letter}{index} out of range (m = {nvars})")
-                exponents[index - 1] += int(power) if power else 1
+        for factor in rest.split("*") if star or rest else ():
+            factor = factor.strip()
+            fm = _FACTOR_RE.fullmatch(factor)
+            if not fm:
+                raise InputError(f"bad factor {factor!r} in polynomial {text!r}")
+            letter, index, power = fm.group(1), int(fm.group(2)), fm.group(3)
+            if letter != "x":
+                raise InputError(
+                    f"unexpected variable {letter!r} in polynomial {text!r} (expected 'x')"
+                )
+            if not 1 <= index <= nvars:
+                raise InputError(f"variable {letter}{index} out of range (m = {nvars})")
+            exponents[index - 1] += int(power) if power else 1
         key = tuple(exponents)
-        terms[key] = terms.get(key, 0) + sign * coeff
+        terms[key] = terms.get(key, 0) + int(sign + (coeff or "1"))
     return Polynomial(nvars, terms)
 
 
@@ -374,8 +358,7 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
     an empty list means no annihilator exists in degrees <= E.
     """
     _require_even(E)
-    if S.m != K.m:
-        raise InputError(f"matrix has {S.m} columns but the complex lives on [{K.m}]")
+    _check_shape(K, S)
     f_red = reduce(K, f)
     if f_red.is_zero():
         raise InputError("element is 0 in Z[K]; annihilators are about nonzero classes")
@@ -385,7 +368,9 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
     forms = forms_of(S)
     index = {mono: i for i, mono in enumerate(monomial_basis(K, deg_f))}
     exponents = [(0,) * S.n]
-    products = [{index[mono]: c for mono, c in f_red.terms.items()}]  # u^a f, a in exponents
+    # u^a f, a in exponents; f's coefficients are checked to be ints once, here
+    products = [{index[mono]: c if type(c) is int else _not_int(c)
+                 for mono, c in f_red.terms.items()}]
     witnesses = []
     for e in range(2, E + 1, 2):
         # descending tuples are graded-lex order with u1 largest; u^a f is
@@ -397,11 +382,9 @@ def annihilator_search(K: SimplicialComplex, S: SubgroupData, f: Polynomial, E: 
         products = []
         for a in exponents:
             i = next(i for i, x in enumerate(a) if x)
-            product = {}
-            for c, x in previous[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
-                _add_multiple(product, x, columns[i][c])
-            products.append(product)
-        matrix = IntMatrix.from_columns(products, rows=len(monomial_basis(K, deg_f + e)))
+            products.append(_times(previous[a[:i] + (a[i] - 1,) + a[i + 1:]], columns[i]))
+        rows = len(monomial_basis(K, deg_f + e))
+        matrix = IntMatrix._of(len(products), rows, products).transpose()
         witnesses += [AnnihilatorWitness(e, tuple(exponents), _dense(vec, matrix.cols))
                       for vec in kernel_lattice(matrix).basis]
     return witnesses

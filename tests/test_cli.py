@@ -107,6 +107,23 @@ def test_bad_flags_are_input_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["1_2", "+12", " 12 ", "١٢", "x", "-"])
+@pytest.mark.parametrize("command, flag", [("hilbert", "--max-degree"), ("gysin", "--split")])
+def test_option_integers_follow_the_tcx_integer_rule(capsys, command, flag, value):
+    # Python's int reads the first four as 12
+    assert cli.main([command, "--input", path_of("cp1cp1"), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
+def test_option_integers_read_ascii_signed_digits(capsys):
+    assert cli.main(["hilbert", "--input", path_of("cp1cp1"), "--max-degree", "004"]) == 0
+    assert "(D = 4)" in capsys.readouterr().out
+    assert cli.main(["gysin", "--input", path_of("cp1cp1"), "--max-degree", "4", "--split", "01"]) == 0
+    assert "split row 1" in capsys.readouterr().out
+    assert cli.main(["hilbert", "--input", path_of("cp1cp1"), "--max-degree", "-2"]) == 1
+    assert "--max-degree must be even and nonnegative, got -2" in capsys.readouterr().err
+
+
 def test_failing_verdict_still_exits_zero(capsys):
     code = cli.main(["check-bigcm", "--input", path_of("prod1212"), "--max-degree", "10"])
     out = capsys.readouterr().out

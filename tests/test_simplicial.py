@@ -1,6 +1,9 @@
 import pytest
 
 from bigtor.errors import InputError
+from bigtor.gkm import vertex_data
+from bigtor.gysin import GysinData
+from bigtor.koszul_tor import rational_tor_ranks, regular_sequence_check, tor_table
 from bigtor.simplicial import (
     SubgroupData,
     all_faces,
@@ -9,7 +12,7 @@ from bigtor.simplicial import (
     check_local_freeness,
     face_count_by_size,
 )
-from bigtor.stanley_reisner import LinearForm, forms_of
+from bigtor.stanley_reisner import LinearForm, Polynomial, annihilator_search, forms_of
 
 import oracles
 from conftest import from_lists
@@ -94,6 +97,24 @@ def test_subgroup_data_value_semantics():
     assert S != S.B
     with pytest.raises(AttributeError):
         S.n = 3
+
+
+@pytest.mark.parametrize("entry", [
+    lambda K, S: tor_table(K, S, 4),
+    lambda K, S: rational_tor_ranks(K, S, 4),
+    lambda K, S: regular_sequence_check(K, S, 4),
+    lambda K, S: GysinData(K, S, 4),
+    lambda K, S: vertex_data(K, S),
+    lambda K, S: check_local_freeness(K, S),
+    lambda K, S: annihilator_search(K, S, Polynomial.variable(4, 1), 4),
+], ids=["tor_table", "rational_tor_ranks", "regular_sequence_check", "GysinData",
+        "vertex_data", "check_local_freeness", "annihilator_search"])
+def test_every_entry_refuses_a_matrix_of_the_wrong_width(entry):
+    # one shape check and one message, before anything else reads B
+    square = build_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    S = SubgroupData(from_lists([[1, 0, -1, 0, 1], [0, 1, 0, -1, 1]]))
+    with pytest.raises(InputError, match=r"^complex on \[4\] but matrix has 5 columns$"):
+        entry(square, S)
 
 
 def test_local_freeness_pass_cases():

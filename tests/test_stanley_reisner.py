@@ -76,6 +76,65 @@ def test_parse_polynomial_errors():
         parse_polynomial("", 4)
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("2x1^2", {(2, 0, 0, 0): 2}),
+    ("2*x1^2", {(2, 0, 0, 0): 2}),
+    ("2 * x1^2", {(2, 0, 0, 0): 2}),
+    ("2 x1", {(1, 0, 0, 0): 2}),
+    ("x1 * x2", {(1, 1, 0, 0): 1}),
+    ("0", {}),
+    ("-0", {}),
+    ("+x1", {(1, 0, 0, 0): 1}),
+])
+def test_parse_polynomial_accepts_the_term_grammar(text, terms):
+    assert parse_polynomial(text, 4) == Polynomial(4, terms)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a * stands between a coefficient or factor and the factor after it
+    ("2*", "bad factor ''"),
+    ("*x1", "bad factor ''"),
+    ("2**x1", "bad factor ''"),
+    ("x1^", "bad factor 'x1^'"),
+    ("x1*2", "bad factor '2'"),
+    ("--x1", "dangling sign"),
+    ("x1 +", "dangling sign"),
+    # digits are ASCII
+    ("٢x1", "bad factor '٢x1'"),
+    ("x١", "bad factor 'x١'"),
+])
+def test_parse_polynomial_refuses_outside_the_term_grammar(text, message):
+    with pytest.raises(InputError) as caught:
+        parse_polynomial(text, 4)
+    assert str(caught.value) == f"{message} in polynomial {text!r}"
+
+
+def test_parse_polynomial_fuzzed_renderings_parse_back_or_are_refused():
+    # each mutant of a rendered polynomial either parses to some p that
+    # its own rendering reads back as, or is refused with InputError
+    rng = random.Random(39)
+    pool = ["x", "x1", "x4", "x5", "y2", "0", "7", "12", "^", "^3", "*", "+", "-", " ", "\t",
+            "٢", "_"]
+    outcomes = Counter()
+    for _ in range(3000):
+        text = random_ring_element(rng, SQUARE, max_terms=4, max_exp=3).render()
+        assert parse_polynomial(text, 4).render() == text
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(0, len(text))
+            if rng.random() < 0.4 and k < len(text):
+                text = text[:k] + text[k + 1:]
+            else:
+                text = text[:k] + rng.choice(pool) + text[k + rng.randint(0, 1):]
+        try:
+            p = parse_polynomial(text, 4)
+        except InputError:
+            outcomes["refused"] += 1
+        else:
+            assert parse_polynomial(p.render(), 4) == p, text
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 200, outcomes  # both outcomes are exercised
+
+
 def test_parse_linear_form():
     u = parse_linear_form("2x2 - x4", 4)
     assert u.coeffs == (0, 2, 0, -1)
@@ -276,6 +335,15 @@ def test_annihilator_search_input_errors():
         annihilator_search(SQUARE, S, parse_polynomial("x1*x3", 4), 4)  # zero class
     with pytest.raises(InputError):
         annihilator_search(SQUARE, S, parse_polynomial("x1 + x1*x2", 4), 4)
+
+
+@pytest.mark.parametrize("E", [0, 4])
+def test_annihilator_search_refuses_a_fraction_coefficient(E):
+    # f is read once, before any degree: at E = 0 there is none
+    S = SubgroupData(from_lists([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    f = Polynomial(4, {(1, 1, 0, 0): Fraction(1, 2), (0, 1, 1, 0): 3})
+    with pytest.raises(InputError, match=r"^entry Fraction\(1, 2\) is not an integer$"):
+        annihilator_search(SQUARE, S, f, E)
 
 
 def random_annihilator_case(rng):

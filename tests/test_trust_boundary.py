@@ -7,11 +7,10 @@ engine's own traffic goes through private entries that do not check:
 Lattice._of, Lattice._insert, Lattice._coordinates,
 HomologyPresentation._coordinates and IntMatrix._of.  Here each is
 wrapped with the public checks (a dict vector of nonzero int entries at
-int columns in [0, n), zeros allowed in a chain, which the presentation
-projects; a matrix of such rows), and the corpus commands, seeded
-library problems and the Gysin growth cases run through them: no vector
-the engine builds may fail a check, so skipping the checks there loses
-nothing.
+int columns in [0, n), chains included; a matrix of such rows), and the
+corpus commands, seeded library problems and the Gysin growth cases run
+through them: no vector the engine builds may fail a check, so skipping
+the checks there loses nothing.
 """
 
 import contextlib
@@ -37,11 +36,11 @@ from test_growth import GYSIN_CASES
 from test_regular_sequence import random_problem
 
 
-def bad_vector(vec, n, zeros=False) -> bool:
-    """Whether vec fails the public checks: a dict of int entries,
-    nonzero unless zeros, at int columns in [0, n)."""
+def bad_vector(vec, n) -> bool:
+    """Whether vec fails the public checks: a dict of nonzero int entries
+    at int columns in [0, n)."""
     return type(vec) is not dict or not all(
-        type(c) is int and 0 <= c < n and type(x) is int and (x or zeros) for c, x in vec.items())
+        type(c) is int and 0 <= c < n and type(x) is int and x for c, x in vec.items())
 
 
 @pytest.fixture
@@ -75,7 +74,7 @@ def checked(monkeypatch):
 
     def checked_chain(self, cycle):
         n = len(self.boundaries.free) + len(self.boundaries.pivots)
-        record("HomologyPresentation._coordinates", bad_vector(cycle, n, zeros=True), (cycle, n))
+        record("HomologyPresentation._coordinates", bad_vector(cycle, n), (cycle, n))
         return chain_coordinates(self, cycle)
 
     def checked_matrix(cls, rows, cols, entries):
